@@ -302,9 +302,13 @@ def run_experiment(
     window_capacity = _get_int(
         sim_config.extras, "engine", "window_capacity", DEFAULT_WINDOW_CAPACITY
     )
+    if window_capacity < 1:
+        raise ConfigError(f"[engine] window_capacity must be at least 1: {window_capacity}")
     confidence_floor = _get_float(
         sim_config.extras, "engine", "confidence_floor", DEFAULT_CONFIDENCE_FLOOR
     )
+    if not 0.0 <= confidence_floor <= 1.0:
+        raise ConfigError(f"[engine] confidence_floor must lie in [0, 1]: {confidence_floor}")
     trace = generate_trace(trace_config)
     result = run_loop(
         trace,

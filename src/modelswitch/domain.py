@@ -104,8 +104,13 @@ class SwitchEvent:
     switch_time_ms: float
 
 
+def mean_confidence(confidences: Sequence[float]) -> float:
+    """Mean of a frame's detection confidences; 0.0 when nothing was detected."""
+    if not confidences:
+        return 0.0
+    return sum(confidences) / len(confidences)
+
+
 def frame_confidence(detections: Sequence[Detection]) -> float:
     """Mean confidence over a frame's detections; 0.0 when nothing was detected."""
-    if not detections:
-        return 0.0
-    return sum(d.confidence for d in detections) / len(detections)
+    return mean_confidence([d.confidence for d in detections])

@@ -17,7 +17,7 @@ from modelswitch.domain import (
     ModelId,
     SelectionDecision,
     SwitchEvent,
-    frame_confidence,
+    mean_confidence,
 )
 from modelswitch.knowledge import ModelRepository
 from modelswitch.monitor import Monitor
@@ -103,12 +103,13 @@ class Executor:
     def run_inference(self, frame: SimFrame, sim_time_ms: float) -> FrameMetrics:
         """Process one frame with the active model and record the result."""
         profile = self._repo.get(self.state.active)
-        detections, cpu_usage, inference_time_ms = synth_inference(frame, profile, self._rng)
-        kept = [d for d in detections if d.confidence >= self.confidence_floor]
+        confidences, cpu_usage, inference_time_ms = synth_inference(frame, profile, self._rng)
+        floor = self.confidence_floor
+        kept = [c for c in confidences if c >= floor]
         metrics = FrameMetrics(
             frame_index=frame.frame_index,
             model=self.state.active,
-            confidence_score=frame_confidence(kept),
+            confidence_score=mean_confidence(kept),
             cpu_usage=cpu_usage,
             detection_count=len(kept),
             inference_time_ms=inference_time_ms,

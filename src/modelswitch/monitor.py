@@ -1,9 +1,10 @@
 """Per-frame metric collection and sliding-window aggregation.
 
-Each model keeps its own fixed-capacity window of recent frame metrics;
-aggregates are plain arithmetic means over whatever the window currently
-holds. Recording also appends the metrics to the shared log registry, so
-every processed frame lands in exactly one window entry and one log row.
+Each model keeps its own fixed-capacity window of recent confidence and
+CPU figures, plus its latest frame metrics; aggregates are plain arithmetic
+means over whatever the window currently holds. Recording also appends the
+metrics to the shared log registry, so every processed frame lands in
+exactly one window entry and one log row.
 """
 
 from __future__ import annotations
@@ -22,41 +23,44 @@ class OutOfOrderFrame(Exception):
 
 
 class MetricsWindow:
-    """Fixed-capacity FIFO of one model's recent frame metrics."""
+    """Fixed-capacity FIFO of one model's recent confidence and CPU figures."""
 
     def __init__(self, model: ModelId, capacity: int):
         if capacity <= 0:
             raise ValueError(f"window capacity must be positive: {capacity}")
         self.model = model
         self.capacity = capacity
-        self._entries: deque[FrameMetrics] = deque(maxlen=capacity)
-        self._last_frame = -1
+        self._confidences: deque[float] = deque(maxlen=capacity)
+        self._cpus: deque[float] = deque(maxlen=capacity)
+        self._latest: FrameMetrics | None = None
 
     def record(self, metrics: FrameMetrics) -> None:
-        if metrics.frame_index <= self._last_frame:
+        latest = self._latest
+        if latest is not None and metrics.frame_index <= latest.frame_index:
             raise OutOfOrderFrame(
-                f"{self.model}: frame {metrics.frame_index} after {self._last_frame}"
+                f"{self.model}: frame {metrics.frame_index} after {latest.frame_index}"
             )
-        self._last_frame = metrics.frame_index
-        self._entries.append(metrics)
+        self._latest = metrics
+        self._confidences.append(metrics.confidence_score)
+        self._cpus.append(metrics.cpu_usage)
 
     def aggregate(self) -> WindowAggregate | None:
         """Mean confidence and CPU over the current window; None when empty."""
-        if not self._entries:
+        n = len(self._cpus)
+        if not n:
             return None
-        n = len(self._entries)
         return WindowAggregate(
             model=self.model,
-            avg_confidence=sum(m.confidence_score for m in self._entries) / n,
-            avg_cpu=sum(m.cpu_usage for m in self._entries) / n,
+            avg_confidence=sum(self._confidences) / n,
+            avg_cpu=sum(self._cpus) / n,
             sample_count=n,
         )
 
     def latest(self) -> FrameMetrics | None:
-        return self._entries[-1] if self._entries else None
+        return self._latest
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._cpus)
 
 
 class Monitor:

@@ -12,18 +12,26 @@ from __future__ import annotations
 
 import configparser
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from random import Random
-from typing import Sequence
+from typing import Sequence, overload
 
-from modelswitch.domain import BBox, Detection, ModelId
+from modelswitch.domain import ModelId
 
 DEFAULT_FPS = 60
 DEFAULT_DURATION_S = 1800
 DEFAULT_SEED = 12345
 
-# Labels drawn for synthetic detections; carried through for log realism only.
+# Labels a synthetic detection draws from. No output reads a label, so synthesis
+# builds none, but it still draws one index per detection to keep the RNG stream.
 OBJECT_CLASSES = ("car", "bus", "truck", "motorcycle", "rickshaw")
+
+# Array type code of the stored object counts. Knuth's loop ends once the
+# product of uniforms underflows, so no count comes near 2**32; a larger one
+# would raise OverflowError on append rather than wrap.
+COUNT_TYPECODE = "I"
 
 
 class InvalidSchedule(Exception):
@@ -140,91 +148,152 @@ def gaussian(rng: Random, mu: float = 0.0, sigma: float = 1.0) -> float:
     return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-def poisson(rng: Random, mean: float) -> int:
-    """One poisson draw via Knuth's product-of-uniforms method."""
+def _poisson_draws(rng: Random, mean: float, n: int) -> array:
+    """n poisson draws via Knuth's product-of-uniforms method."""
     if mean < 0.0:
         raise ValueError(f"negative poisson mean: {mean}")
     threshold = math.exp(-mean)
-    count = 0
-    product = rng.random()
-    while product > threshold:
-        count += 1
-        product *= rng.random()
-    return count
+    random = rng.random
+    draws = array(COUNT_TYPECODE)
+    append = draws.append
+    for _ in range(n):
+        count = 0
+        product = random()
+        while product > threshold:
+            count += 1
+            product *= random()
+        append(count)
+    return draws
 
 
-def _segment_spans(
-    segments: Sequence[ScheduleSegment], duration_s: float
-) -> list[tuple[ScheduleSegment, float, float]]:
-    """Pair each segment with its [start, end) span and the complexity it ramps toward."""
-    spans = []
-    for i, seg in enumerate(segments):
-        end = segments[i + 1].start_s if i + 1 < len(segments) else duration_s
-        target = segments[i + 1].complexity if i + 1 < len(segments) else seg.complexity
-        spans.append((seg, end, target))
-    return spans
+def poisson(rng: Random, mean: float) -> int:
+    """One poisson draw via Knuth's product-of-uniforms method."""
+    return _poisson_draws(rng, mean, 1)[0]
 
 
-def generate_trace(config: TraceConfig) -> list[SimFrame]:
-    """Materialize the full seeded frame sequence for one run.
+def _first_frame_at(t: float, fps: int) -> int:
+    """Smallest frame index f whose clock f / fps has reached t."""
+    f = max(0, math.ceil(t * fps))
+    while f > 0 and (f - 1) / fps >= t:
+        f -= 1
+    while f / fps < t:
+        f += 1
+    return f
 
-    Object counts are poisson around the active segment's mean; complexity
-    ramps linearly from each segment's value toward the next segment's
-    (the last segment holds constant).
+
+class Trace(Sequence[SimFrame]):
+    """A read-only frame sequence that stores object counts and builds frames on access.
+
+    Segment ``j`` covers the frames from ``bounds[j - 1]`` (0 for the first)
+    up to ``bounds[j]``; ``ramps[j]`` is its (start_s, complexity, step to the
+    target complexity, width_s). Indexing evaluates the complexity ramp for
+    that one frame, so a frame nobody indexes costs nothing beyond its count;
+    a slice is a list of the frames it selects.
+    """
+
+    __slots__ = ("_counts", "_fps", "_bounds", "_ramps")
+
+    def __init__(
+        self,
+        counts: array,
+        fps: int,
+        bounds: list[int],
+        ramps: list[tuple[float, float, float, float]],
+    ):
+        self._counts = counts
+        self._fps = fps
+        self._bounds = bounds
+        self._ramps = ramps
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    @overload
+    def __getitem__(self, index: int) -> SimFrame: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[SimFrame]: ...
+
+    def __getitem__(self, index: int | slice) -> SimFrame | list[SimFrame]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._counts)))]
+        count = self._counts[index]  # raises IndexError/TypeError like a list
+        if index < 0:
+            index += len(self._counts)
+        start, complexity, step, width = self._ramps[bisect_right(self._bounds, index)]
+        t = index / self._fps
+        return SimFrame(
+            frame_index=index,
+            object_count=count,
+            complexity=complexity + step * ((t - start) / width),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def generate_trace(config: TraceConfig) -> Trace:
+    """Draw the seeded object counts of one run's frames.
+
+    Object counts are poisson around the active segment's mean, drawn frame
+    by frame in order; complexity ramps linearly from each segment's value
+    toward the next segment's (the last segment holds constant). A frame
+    belongs to the last segment whose start its clock ``f / fps`` has reached.
     """
     rng = Random(config.rng_seed)
-    spans = _segment_spans(config.segments, config.duration_s)
-    frames: list[SimFrame] = []
-    span_i = 0
-    for f in range(config.total_frames):
-        t = f / config.fps
-        while span_i + 1 < len(spans) and t >= spans[span_i][1]:
-            span_i += 1
-        seg, end, target = spans[span_i]
-        width = end - seg.start_s
-        ramp = (t - seg.start_s) / width if width > 0 else 0.0
-        complexity = seg.complexity + (target - seg.complexity) * ramp
-        frames.append(
-            SimFrame(
-                frame_index=f,
-                object_count=poisson(rng, seg.mean_objects),
-                complexity=complexity,
-            )
-        )
-    return frames
-
-
-def _synth_bbox(rng: Random) -> BBox:
-    w = 0.05 + 0.25 * rng.random()
-    h = 0.05 + 0.25 * rng.random()
-    x = (1.0 - w) * rng.random()
-    y = (1.0 - h) * rng.random()
-    return (x, y, w, h)
+    segments = config.segments
+    total = config.total_frames
+    counts = array(COUNT_TYPECODE)
+    bounds: list[int] = []
+    ramps = []
+    for i, seg in enumerate(segments):
+        if i + 1 < len(segments):
+            end, target = segments[i + 1].start_s, segments[i + 1].complexity
+            stop = min(total, _first_frame_at(end, config.fps))
+            bounds.append(stop)
+        else:
+            end, target, stop = config.duration_s, seg.complexity, total
+        counts.extend(_poisson_draws(rng, seg.mean_objects, stop - len(counts)))
+        ramps.append((seg.start_s, seg.complexity, target - seg.complexity, end - seg.start_s))
+    return Trace(counts, config.fps, bounds, ramps)
 
 
 def synth_inference(
     frame: SimFrame, profile: ModelProfile, rng: Random
-) -> tuple[list[Detection], float, float]:
-    """Synthesize one inference pass: (detections, cpu_usage_pct, inference_time_ms).
+) -> tuple[list[float], float, float]:
+    """Synthesize one inference pass: (confidences, cpu_usage_pct, inference_time_ms).
 
     Each scene object is found with probability ``detection_recall``. A found
     object's confidence is the profile's base degraded by scene complexity
     (factor 1 - 0.5 * complexity) plus gaussian noise, clamped to [0, 1].
-    CPU usage is the profile's base plus a per-object term plus unit gaussian
-    noise, clamped to [0, 100].
+    Each found object also draws a class label index and four bbox uniforms,
+    which no output reads, so only their draws are made. CPU usage is the
+    profile's base plus a per-object term plus unit gaussian noise, clamped
+    to [0, 100].
     """
-    detections: list[Detection] = []
+    confidences: list[float] = []
+    append = confidences.append
+    random = rng.random
+    randrange = rng.randrange
+    recall = profile.detection_recall
+    noise_sd = profile.confidence_noise_sd
     degraded = profile.base_confidence * (1.0 - 0.5 * frame.complexity)
     for _ in range(frame.object_count):
-        if rng.random() >= profile.detection_recall:
+        if random() >= recall:
             continue
-        conf = degraded + gaussian(rng, 0.0, profile.confidence_noise_sd)
-        conf = min(1.0, max(0.0, conf))
-        label = OBJECT_CLASSES[rng.randrange(len(OBJECT_CLASSES))]
-        detections.append(Detection(confidence=conf, class_label=label, bbox=_synth_bbox(rng)))
+        conf = degraded + gaussian(rng, 0.0, noise_sd)
+        append(min(1.0, max(0.0, conf)))
+        # The label index and the bbox's w, h, x and y: drawn, never built.
+        randrange(len(OBJECT_CLASSES))
+        random()
+        random()
+        random()
+        random()
     cpu = profile.base_cpu_pct + profile.cpu_per_object_pct * frame.object_count + gaussian(rng)
     cpu = min(100.0, max(0.0, cpu))
-    return detections, cpu, profile.inference_time_ms
+    return confidences, cpu, profile.inference_time_ms
 
 
 def default_profiles() -> tuple[ModelProfile, ...]:

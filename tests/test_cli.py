@@ -32,7 +32,11 @@ from modelswitch.planner import (
     NaiveThresholdStrategy,
     RoundRobinBoostStrategy,
 )
-from modelswitch.sim import default_profiles
+from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR
+from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY
+from modelswitch.sim import TraceConfig, default_profiles, parse_config
+
+DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 
 SMALL_CONFIG = """\
 [trace]
@@ -255,6 +259,51 @@ def test_main_reports_config_errors_as_exit_one(tmp_path) -> None:
         ["run", "--strategy", "naive", "--config", str(bad), "--out", str(tmp_path / "out")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        "window_capacity = 0",
+        "window_capacity = -3",
+        "confidence_floor = 5",
+        "confidence_floor = -0.1",
+        "confidence_floor = nan",
+    ],
+)
+def test_main_rejects_out_of_range_engine_settings(engine, tmp_path, capsys) -> None:
+    bad = tmp_path / "bad.ini"
+    bad.write_text(SMALL_CONFIG + f"\n[engine]\n{engine}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--strategy", "naive", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: [engine] ")
+    assert not out.exists()
+
+
+def test_main_accepts_engine_settings_at_their_limits(tmp_path) -> None:
+    config = tmp_path / "edge.ini"
+    config.write_text(
+        SMALL_CONFIG + "\n[engine]\nwindow_capacity = 1\nconfidence_floor = 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--strategy", "naive", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / SUMMARY_FILENAME).is_file()
+
+
+def test_default_ini_matches_the_built_in_defaults() -> None:
+    config = parse_config(str(DEFAULT_INI))
+    assert config.trace == TraceConfig()
+    assert config.profiles == default_profiles()
+    engine = config.extras["engine"]
+    assert int(engine["window_capacity"]) == DEFAULT_WINDOW_CAPACITY
+    assert float(engine["confidence_floor"]) == DEFAULT_CONFIDENCE_FLOOR
+    repo = ModelRepository(config.profiles)
+    for name in STRATEGY_NAMES:
+        from_file, period = build_strategy(name, repo, config.extras, seed=1)
+        built_in, built_in_period = build_strategy(name, repo, {}, seed=1)
+        assert (from_file.config, period) == (built_in.config, built_in_period)
 
 
 def test_main_reports_io_errors_as_exit_two(tmp_path) -> None:

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import math
 import statistics
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from modelswitch.domain import Detection
 from modelswitch.sim import (
     DEFAULT_SEED,
+    OBJECT_CLASSES,
     InvalidSchedule,
     ModelProfile,
     ScheduleSegment,
@@ -160,8 +165,8 @@ def test_synth_inference_complexity_degrades_confidence() -> None:
     confidences = []
     for i in range(2000):
         frame = SimFrame(frame_index=i, object_count=5, complexity=1.0)
-        detections, _, _ = synth_inference(frame, profile, rng)
-        confidences.extend(d.confidence for d in detections)
+        found, _, _ = synth_inference(frame, profile, rng)
+        confidences.extend(found)
     # Full complexity halves the base confidence.
     assert statistics.fmean(confidences) == pytest.approx(0.4, abs=0.01)
 
@@ -175,6 +180,179 @@ def test_synth_inference_cpu_tracks_object_count() -> None:
         _, cpu, _ = synth_inference(frame, profile, rng)
         cpus.append(cpu)
     assert statistics.fmean(cpus) == pytest.approx(17.0, abs=0.1)
+
+
+def _synth_inference_with_detections(
+    frame: SimFrame, profile: ModelProfile, rng: Random
+) -> tuple[list[Detection], float, float]:
+    """Reference: synthesis as it was when it built a Detection, label and bbox per hit."""
+    detections: list[Detection] = []
+    degraded = profile.base_confidence * (1.0 - 0.5 * frame.complexity)
+    for _ in range(frame.object_count):
+        if rng.random() >= profile.detection_recall:
+            continue
+        conf = degraded + gaussian(rng, 0.0, profile.confidence_noise_sd)
+        conf = min(1.0, max(0.0, conf))
+        label = OBJECT_CLASSES[rng.randrange(len(OBJECT_CLASSES))]
+        w = 0.05 + 0.25 * rng.random()
+        h = 0.05 + 0.25 * rng.random()
+        x = (1.0 - w) * rng.random()
+        y = (1.0 - h) * rng.random()
+        detections.append(Detection(confidence=conf, class_label=label, bbox=(x, y, w, h)))
+    cpu = profile.base_cpu_pct + profile.cpu_per_object_pct * frame.object_count + gaussian(rng)
+    cpu = min(100.0, max(0.0, cpu))
+    return detections, cpu, profile.inference_time_ms
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64),
+    profile=st.one_of(
+        st.sampled_from(default_profiles()),
+        st.builds(
+            _profile,
+            base_cpu_pct=st.floats(min_value=0.0, max_value=100.0),
+            cpu_per_object_pct=st.floats(min_value=0.0, max_value=5.0),
+            base_confidence=_unit,
+            confidence_noise_sd=st.floats(min_value=0.0, max_value=0.5),
+            detection_recall=_unit,
+        ),
+    ),
+    object_counts=st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=5),
+    complexity=_unit,
+)
+def test_synth_inference_matches_the_detection_building_reference(
+    seed: int, profile: ModelProfile, object_counts: list[int], complexity: float
+) -> None:
+    """Same confidences and CPU, and the same RNG state after every frame."""
+    rng, reference_rng = Random(seed), Random(seed)
+    for i, count in enumerate(object_counts):
+        frame = SimFrame(frame_index=i, object_count=count, complexity=complexity)
+        confidences, cpu, inference_ms = synth_inference(frame, profile, rng)
+        detections, ref_cpu, ref_ms = _synth_inference_with_detections(
+            frame, profile, reference_rng
+        )
+        assert confidences == [d.confidence for d in detections]
+        assert (cpu, inference_ms) == (ref_cpu, ref_ms)
+        assert rng.getstate() == reference_rng.getstate()
+
+
+def _eager_trace(config: TraceConfig) -> list[SimFrame]:
+    """Reference: the trace as it was when every frame was built up front."""
+
+    def poisson(rng: Random, mean: float) -> int:
+        threshold = math.exp(-mean)
+        count = 0
+        product = rng.random()
+        while product > threshold:
+            count += 1
+            product *= rng.random()
+        return count
+
+    segments = config.segments
+    spans = []
+    for i, seg in enumerate(segments):
+        end = segments[i + 1].start_s if i + 1 < len(segments) else config.duration_s
+        target = segments[i + 1].complexity if i + 1 < len(segments) else seg.complexity
+        spans.append((seg, end, target))
+    rng = Random(config.rng_seed)
+    frames = []
+    span_i = 0
+    for f in range(config.total_frames):
+        t = f / config.fps
+        while span_i + 1 < len(spans) and t >= spans[span_i][1]:
+            span_i += 1
+        seg, end, target = spans[span_i]
+        width = end - seg.start_s
+        ramp = (t - seg.start_s) / width if width > 0 else 0.0
+        complexity = seg.complexity + (target - seg.complexity) * ramp
+        frames.append(
+            SimFrame(frame_index=f, object_count=poisson(rng, seg.mean_objects), complexity=complexity)
+        )
+    return frames
+
+
+@st.composite
+def _trace_configs(draw) -> TraceConfig:
+    fps = draw(st.one_of(st.sampled_from((1, 7, 10, 24, 30, 60)), st.integers(1, 120)))
+    duration_s = draw(st.floats(min_value=0.01, max_value=20.0))
+    # Segment starts off the frame grid and exactly on it (k / fps).
+    starts = draw(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=duration_s, exclude_min=True, exclude_max=True),
+                st.integers(1, max(1, int(fps * duration_s))).map(lambda k: k / fps),
+            ),
+            max_size=5,
+        )
+    )
+    starts = sorted({0.0} | {s for s in starts if 0.0 < s < duration_s})
+    segments = tuple(
+        ScheduleSegment(
+            start_s=start,
+            mean_objects=draw(st.floats(min_value=0.0, max_value=20.0)),
+            complexity=draw(_unit),
+        )
+        for start in starts
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return TraceConfig(fps=fps, duration_s=duration_s, segments=segments, rng_seed=seed)
+
+
+_slice_bound = st.one_of(st.none(), st.integers(-5000, 5000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    config=_trace_configs(),
+    cut=st.builds(
+        slice, _slice_bound, _slice_bound, st.one_of(st.none(), st.integers(-3, 3).filter(bool))
+    ),
+)
+@example(
+    config=TraceConfig(
+        fps=7,
+        duration_s=30.0,
+        segments=(
+            ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1),
+            ScheduleSegment(start_s=10.05, mean_objects=12.0, complexity=0.6),
+            ScheduleSegment(start_s=20.0, mean_objects=3.0, complexity=0.1),
+        ),
+        rng_seed=DEFAULT_SEED,
+    ),
+    cut=slice(-100, None, 3),
+)
+def test_trace_matches_the_eager_reference(config: TraceConfig, cut: slice) -> None:
+    trace = generate_trace(config)
+    reference = _eager_trace(config)
+    n = len(reference)
+    assert len(trace) == n
+    for i, want in enumerate(reference):
+        got = trace[i]
+        assert got.frame_index == want.frame_index
+        assert got.object_count == want.object_count
+        assert got.complexity == want.complexity
+    for k in range(1, min(n, 5) + 1):
+        assert trace[-k] == reference[-k]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace[bad]
+    assert trace[cut] == reference[cut]
+    assert trace[::-1] == reference[::-1]
+
+    assert generate_trace(config) == trace
+    other_config = TraceConfig(
+        fps=config.fps,
+        duration_s=config.duration_s,
+        segments=config.segments,
+        rng_seed=config.rng_seed + 1,
+    )
+    other = generate_trace(other_config)
+    assert (other != trace) == (_eager_trace(other_config) != reference)
+    assert (other == trace) == (_eager_trace(other_config) == reference)
 
 
 def test_model_profile_validation() -> None:
