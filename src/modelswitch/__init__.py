@@ -1,89 +1,3 @@
 """Self-adaptive model switching over a simulated inference workload."""
 
-from modelswitch.analyzer import ZERO_CONFIDENCE_SCORE, Analyzer, ZeroConfidence, compute_score
-from modelswitch.cli import RunSummary, compare, main, run_experiment
-from modelswitch.domain import (
-    Detection,
-    FrameMetrics,
-    ModelId,
-    Score,
-    SelectionDecision,
-    SelectionMode,
-    SwitchEvent,
-    WindowAggregate,
-    frame_confidence,
-)
-from modelswitch.executor import Executor, ExecutorState, apply_decision
-from modelswitch.knowledge import LogRegistry, ModelRepository, ScoreTable, UnknownModel
-from modelswitch.loop import LoopResult, run_loop
-from modelswitch.monitor import MetricsWindow, Monitor, OutOfOrderFrame
-from modelswitch.planner import (
-    DecisionContext,
-    EpsilonGreedyStrategy,
-    NaiveConfig,
-    NaiveThresholdStrategy,
-    PlannerConfig,
-    RoundRobinBoostConfig,
-    RoundRobinBoostStrategy,
-    select_epsilon_greedy,
-    select_naive,
-)
-from modelswitch.sim import (
-    ModelProfile,
-    ScheduleSegment,
-    SimFrame,
-    TraceConfig,
-    default_profiles,
-    generate_trace,
-    synth_inference,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Analyzer",
-    "DecisionContext",
-    "Detection",
-    "EpsilonGreedyStrategy",
-    "Executor",
-    "ExecutorState",
-    "FrameMetrics",
-    "LogRegistry",
-    "LoopResult",
-    "MetricsWindow",
-    "ModelId",
-    "ModelProfile",
-    "ModelRepository",
-    "Monitor",
-    "NaiveConfig",
-    "NaiveThresholdStrategy",
-    "OutOfOrderFrame",
-    "PlannerConfig",
-    "RoundRobinBoostConfig",
-    "RoundRobinBoostStrategy",
-    "RunSummary",
-    "ScheduleSegment",
-    "Score",
-    "ScoreTable",
-    "SelectionDecision",
-    "SelectionMode",
-    "SimFrame",
-    "SwitchEvent",
-    "TraceConfig",
-    "UnknownModel",
-    "WindowAggregate",
-    "ZERO_CONFIDENCE_SCORE",
-    "ZeroConfidence",
-    "apply_decision",
-    "compare",
-    "compute_score",
-    "default_profiles",
-    "frame_confidence",
-    "generate_trace",
-    "main",
-    "run_experiment",
-    "run_loop",
-    "select_epsilon_greedy",
-    "select_naive",
-    "synth_inference",
-]

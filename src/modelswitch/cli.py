@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any
 
 from modelswitch.domain import SelectionMode
 from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR
@@ -30,16 +31,27 @@ from modelswitch.planner import (
 )
 from modelswitch.sim import (
     DEFAULT_SEED,
+    ConfigError,
     InvalidSchedule,
     SimConfig,
     TraceConfig,
     default_profiles,
     generate_trace,
     parse_config,
+    section_kwargs,
 )
 
 SUMMARY_FILENAME = "summary.txt"
-STRATEGY_NAMES = ("epsilon-greedy", "naive", "round-robin-boost")
+ENGINE_SECTION = "engine"
+
+# Strategy name -> (config class, strategy class); the name is also the
+# config section the strategy's settings come from.
+STRATEGIES: dict[str, tuple[type, type[SelectionStrategy]]] = {
+    "epsilon-greedy": (PlannerConfig, EpsilonGreedyStrategy),
+    "naive": (NaiveConfig, NaiveThresholdStrategy),
+    "round-robin-boost": (RoundRobinBoostConfig, RoundRobinBoostStrategy),
+}
+STRATEGY_NAMES = tuple(STRATEGIES)
 
 BATTERY_PLACEHOLDER = "n/a"
 
@@ -48,12 +60,22 @@ class UnknownStrategy(Exception):
     """Strategy name outside STRATEGY_NAMES."""
 
 
-class ConfigError(Exception):
-    """The experiment config could not be used."""
-
-
 class MissingRun(Exception):
     """A run directory lacks the files of a completed run."""
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """Loop settings shared by every strategy: the [engine] section."""
+
+    window_capacity: int = DEFAULT_WINDOW_CAPACITY
+    confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR
+
+    def __post_init__(self) -> None:
+        if self.window_capacity < 1:
+            raise ValueError(f"window_capacity must be at least 1: {self.window_capacity}")
+        if not 0.0 <= self.confidence_floor <= 1.0:
+            raise ValueError(f"confidence_floor must lie in [0, 1]: {self.confidence_floor}")
 
 
 @dataclass(frozen=True)
@@ -181,40 +203,18 @@ def _load_sim_config(config_path: str | None) -> SimConfig:
         return parse_config(config_path)
     except OSError as exc:
         raise IoFailure(config_path, exc) from exc
-    except (InvalidSchedule, ValueError, KeyError) as exc:
+    except (InvalidSchedule, ValueError) as exc:
         raise ConfigError(f"{config_path}: {exc}") from exc
 
 
-def _get_float(extras: dict[str, dict[str, str]], section: str, key: str, fallback: float) -> float:
-    raw = extras.get(section, {}).get(key)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
-
-
-def _get_int(extras: dict[str, dict[str, str]], section: str, key: str, fallback: int) -> int:
-    raw = extras.get(section, {}).get(key)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
-
-
-def _get_bool(extras: dict[str, dict[str, str]], section: str, key: str, fallback: bool) -> bool:
-    raw = extras.get(section, {}).get(key)
-    if raw is None:
-        return fallback
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
+def _run_values(
+    repo: ModelRepository, seed: int, epsilon: float | None
+) -> tuple[dict[str, Any], dict[str, Any], dict[str, Any]]:
+    """A run's own strategy config values, as section_kwargs's (fixed, defaults,
+    overrides): the planner draws from the trace seed + 1, naive's ladder
+    defaults to the repository order, and --epsilon beats the file."""
+    overrides = {} if epsilon is None else {"epsilon": epsilon}
+    return {"rng_seed": seed + 1}, {"model_order": repo.ids()}, overrides
 
 
 def build_strategy(
@@ -224,61 +224,21 @@ def build_strategy(
     seed: int,
     epsilon: float | None = None,
 ) -> tuple[SelectionStrategy, int]:
-    """Construct the named strategy; returns it plus the decision period."""
-    if name == "epsilon-greedy":
-        try:
-            config = PlannerConfig(
-                epsilon=epsilon
-                if epsilon is not None
-                else _get_float(extras, "epsilon-greedy", "epsilon", PlannerConfig().epsilon),
-                decision_period=_get_int(
-                    extras, "epsilon-greedy", "decision_period", PlannerConfig().decision_period
-                ),
-                rng_seed=seed + 1,
-                exclude_best=_get_bool(
-                    extras, "epsilon-greedy", "exclude_best", PlannerConfig().exclude_best
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return EpsilonGreedyStrategy(config), config.decision_period
-    if name == "naive":
-        raw_order = extras.get("naive", {}).get("model_order")
-        if raw_order is None:
-            order = repo.ids()
-        else:
-            order = tuple(part.strip() for part in raw_order.split(",") if part.strip())
-        if sorted(order) != sorted(repo.ids()):
-            raise ConfigError(f"model_order must permute the repository: {order}")
-        defaults = NaiveConfig(model_order=order)
-        try:
-            config = NaiveConfig(
-                model_order=order,
-                cpu_high_threshold=_get_float(
-                    extras, "naive", "cpu_high_threshold", defaults.cpu_high_threshold
-                ),
-                confidence_low_threshold=_get_float(
-                    extras, "naive", "confidence_low_threshold", defaults.confidence_low_threshold
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return NaiveThresholdStrategy(config), 1
-    if name == "round-robin-boost":
-        defaults = RoundRobinBoostConfig()
-        try:
-            config = RoundRobinBoostConfig(
-                time_slice_frames=_get_int(
-                    extras, "round-robin-boost", "time_slice_frames", defaults.time_slice_frames
-                ),
-                boost_period_frames=_get_int(
-                    extras, "round-robin-boost", "boost_period_frames", defaults.boost_period_frames
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return RoundRobinBoostStrategy(config), 1
-    raise UnknownStrategy(name)
+    """Construct the named strategy from its section; returns it plus the decision period."""
+    if name not in STRATEGIES:
+        raise UnknownStrategy(name)
+    config_cls, strategy_cls = STRATEGIES[name]
+    section = extras.get(name, {})
+    kwargs = section_kwargs(name, section, config_cls, *_run_values(repo, seed, epsilon))
+    # A comma list in a strategy section is a ladder over the whole repository.
+    for key, value in kwargs.items():
+        if isinstance(value, tuple) and sorted(value) != sorted(repo.ids()):
+            raise ConfigError(f"[{name}] {key} must permute the repository: {value}")
+    try:
+        strategy = strategy_cls(config_cls(**kwargs))
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
+    return strategy, strategy.decision_period
 
 
 def run_experiment(
@@ -290,25 +250,23 @@ def run_experiment(
 ) -> RunSummary:
     """Run one strategy end to end; writes CSVs plus summary.txt to out_dir."""
     sim_config = _load_sim_config(config_path)
+    extras = sim_config.extras
+    unknown = sorted(set(extras) - {ENGINE_SECTION, *STRATEGIES})
+    if unknown:
+        raise ConfigError(f"[{unknown[0]}]: unknown section")
     effective_seed = seed if seed is not None else sim_config.trace.rng_seed
+    trace_config = replace(sim_config.trace, rng_seed=effective_seed)
+    repo = ModelRepository(sim_config.profiles)
+    engine_kwargs = section_kwargs(ENGINE_SECTION, extras.get(ENGINE_SECTION, {}), EngineConfig)
     try:
-        trace_config = replace(sim_config.trace, rng_seed=effective_seed)
-        repo = ModelRepository(sim_config.profiles)
-    except (InvalidSchedule, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    planner, decision_period = build_strategy(
-        strategy, repo, sim_config.extras, effective_seed, epsilon
-    )
-    window_capacity = _get_int(
-        sim_config.extras, "engine", "window_capacity", DEFAULT_WINDOW_CAPACITY
-    )
-    if window_capacity < 1:
-        raise ConfigError(f"[engine] window_capacity must be at least 1: {window_capacity}")
-    confidence_floor = _get_float(
-        sim_config.extras, "engine", "confidence_floor", DEFAULT_CONFIDENCE_FLOOR
-    )
-    if not 0.0 <= confidence_floor <= 1.0:
-        raise ConfigError(f"[engine] confidence_floor must lie in [0, 1]: {confidence_floor}")
+        engine = EngineConfig(**engine_kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{ENGINE_SECTION}] {exc}") from exc
+    # Every strategy's section is checked, whichever one runs.
+    built = {n: build_strategy(n, repo, extras, effective_seed, epsilon) for n in STRATEGIES}
+    if strategy not in built:
+        raise UnknownStrategy(strategy)
+    planner, decision_period = built[strategy]
     trace = generate_trace(trace_config)
     result = run_loop(
         trace,
@@ -317,8 +275,8 @@ def run_experiment(
         fps=trace_config.fps,
         inference_seed=effective_seed + 2,
         decision_period=decision_period,
-        window_capacity=window_capacity,
-        confidence_floor=confidence_floor,
+        window_capacity=engine.window_capacity,
+        confidence_floor=engine.confidence_floor,
     )
     out = Path(out_dir)
     result.registry.export(out)

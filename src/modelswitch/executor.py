@@ -32,7 +32,6 @@ class ExecutorState:
     """Which model is live plus cumulative switch accounting."""
 
     active: ModelId
-    last_switch_frame: int | None = None
     cumulative_switch_time_ms: float = 0.0
     switch_count: int = 0
 
@@ -65,7 +64,6 @@ def apply_decision(
     new_state = replace(
         state,
         active=decision.selected,
-        last_switch_frame=frame_index,
         cumulative_switch_time_ms=state.cumulative_switch_time_ms + switch_time_ms,
         switch_count=state.switch_count + 1,
     )

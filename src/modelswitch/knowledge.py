@@ -95,10 +95,6 @@ class ScoreTable:
         except KeyError:
             raise UnknownModel(model) from None
 
-    def snapshot(self) -> "ScoreTable":
-        """Point-in-time copy; later updates to this table do not leak into it."""
-        return ScoreTable(self._entries)
-
     def values(self) -> dict[ModelId, float]:
         """Plain id -> score-value mapping (what planners consume)."""
         return {m: s.value for m, s in self._entries.items()}
@@ -119,14 +115,7 @@ class MetricsRecord:
 @dataclass(frozen=True, slots=True)
 class DecisionRecord:
     frame_index: int
-    sim_time_ms: float
     decision: SelectionDecision
-
-
-@dataclass(frozen=True, slots=True)
-class SwitchRecord:
-    sim_time_ms: float
-    event: SwitchEvent
 
 
 def _fmt(value: float) -> str:
@@ -138,7 +127,7 @@ class LogRegistry:
 
     def __init__(self) -> None:
         self._metrics: list[MetricsRecord] = []
-        self._events: list[DecisionRecord | SwitchRecord] = []
+        self._events: list[DecisionRecord | SwitchEvent] = []
         self._last_frame = -1
 
     def _advance(self, frame_index: int) -> None:
@@ -152,24 +141,20 @@ class LogRegistry:
         self._advance(metrics.frame_index)
         self._metrics.append(MetricsRecord(sim_time_ms=sim_time_ms, metrics=metrics))
 
-    def append_decision(
-        self, frame_index: int, sim_time_ms: float, decision: SelectionDecision
-    ) -> None:
+    def append_decision(self, frame_index: int, decision: SelectionDecision) -> None:
         self._advance(frame_index)
-        self._events.append(
-            DecisionRecord(frame_index=frame_index, sim_time_ms=sim_time_ms, decision=decision)
-        )
+        self._events.append(DecisionRecord(frame_index=frame_index, decision=decision))
 
-    def append_switch(self, event: SwitchEvent, sim_time_ms: float) -> None:
+    def append_switch(self, event: SwitchEvent) -> None:
         self._advance(event.frame_index)
-        self._events.append(SwitchRecord(sim_time_ms=sim_time_ms, event=event))
+        self._events.append(event)
 
     @property
     def metrics_records(self) -> tuple[MetricsRecord, ...]:
         return tuple(self._metrics)
 
     @property
-    def event_records(self) -> tuple[DecisionRecord | SwitchRecord, ...]:
+    def event_records(self) -> tuple[DecisionRecord | SwitchEvent, ...]:
         return tuple(self._events)
 
     def export(self, out_dir: Path | str) -> tuple[Path, Path]:
@@ -203,10 +188,9 @@ class LogRegistry:
                             f"{d.previous},{d.selected},\n"
                         )
                     else:
-                        e = rec.event
                         fh.write(
-                            f"{e.frame_index},switch,,,{e.from_model},{e.to_model},"
-                            f"{_fmt(e.switch_time_ms)}\n"
+                            f"{rec.frame_index},switch,,,{rec.from_model},{rec.to_model},"
+                            f"{_fmt(rec.switch_time_ms)}\n"
                         )
         except OSError as exc:
             raise IoFailure(events_path, exc) from exc

@@ -92,11 +92,11 @@ def run_loop(
             )
             decision = strategy.decide(ctx)
             decisions += 1
-            registry.append_decision(frame.frame_index, arrival_ms + acc_switch_ms, decision)
+            registry.append_decision(frame.frame_index, decision)
             event = executor.apply(decision, frame.frame_index)
             if event is not None:
                 acc_switch_ms += event.switch_time_ms
-                registry.append_switch(event, arrival_ms + acc_switch_ms)
+                registry.append_switch(event)
                 drop_count = round(event.switch_time_ms * fps / 1000.0)
         metrics = executor.run_inference(frame, arrival_ms + acc_switch_ms)
         analyzer.refresh_scores(metrics)

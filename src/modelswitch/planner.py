@@ -166,6 +166,8 @@ class SelectionStrategy:
     """Common face of all planners."""
 
     name = "strategy"
+    # Processed frames between two decisions; the runner passes it to run_loop.
+    decision_period: int = 1
     # When set, the loop refreshes the context's cpu_rank every this many
     # frames (used by round-robin boosting; None means never).
     rank_refresh_period: int | None = None
@@ -181,6 +183,7 @@ class EpsilonGreedyStrategy(SelectionStrategy):
 
     def __init__(self, config: PlannerConfig = PlannerConfig()):
         self.config = config
+        self.decision_period = config.decision_period
         self.rng = Random(config.rng_seed)
 
     def decide(self, ctx: DecisionContext) -> SelectionDecision:

@@ -14,9 +14,9 @@ import configparser
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from random import Random
-from typing import Sequence, overload
+from typing import Any, Callable, Mapping, Sequence, get_origin, get_type_hints, overload
 
 from modelswitch.domain import ModelId
 
@@ -351,85 +351,100 @@ class SimConfig:
     extras: dict[str, dict[str, str]]
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"[{section}] {key}: not a number: {raw!r}") from None
+class ConfigError(ValueError):
+    """The experiment config could not be used."""
+
+
+# How an INI value becomes its field's type: a bool takes the words
+# configparser knows (true/false, yes/no, on/off, 1/0), a tuple a comma list.
+_PARSERS: dict[type, Callable[[str], Any]] = {
+    int: int,
+    float: float,
+    bool: lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()],
+    tuple: lambda raw: tuple(part.strip() for part in raw.split(",") if part.strip()),
+}
+
+
+def section_kwargs(
+    section: str,
+    raw: Mapping[str, str],
+    cls: type,
+    fixed: Mapping[str, Any] = {},
+    defaults: Mapping[str, Any] = {},
+    overrides: Mapping[str, Any] = {},
+) -> dict[str, Any]:
+    """Typed keyword arguments for the config dataclass cls from one INI section.
+
+    The section's keys are the fields of cls but the ``fixed`` ones, and each
+    value is parsed by its field's type. The mappings hold values the caller
+    supplies, and entries naming no field of cls are ignored: a section key
+    wins over a default and loses to an override; a fixed field is no section
+    key. Raises ConfigError naming the section and key for an unknown key, a
+    missing required key or an unparsable value.
+    """
+    hints = get_type_hints(cls)
+    types = {f.name: hints[f.name] for f in fields(cls)}
+    parsed = {}
+    for key, value in raw.items():
+        if key not in types or key in fixed:
+            raise ConfigError(f"[{section}] {key}: unknown key")
+        kind = get_origin(types[key]) or types[key]
+        try:
+            parsed[key] = _PARSERS[kind](value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"[{section}] {key}: expected {kind.__name__}: {value!r}") from None
+    merged = {**defaults, **parsed, **overrides, **fixed}
+    kwargs = {key: value for key, value in merged.items() if key in types}
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"[{section}] {f.name}: missing")
+    return kwargs
 
 
 def parse_config(path: str) -> SimConfig:
     """Read trace settings and model profiles from an INI-style file.
 
-    Recognized sections: ``[trace]`` (fps, duration_s, rng_seed),
-    ``[segment.N]`` (start_s, mean_objects, complexity; N orders them) and
-    ``[model.<id>]`` (profile fields minus the id). Anything else is passed
-    through untouched for the caller. Missing sections fall back to the
-    built-in defaults. Raises ``ValueError``/``InvalidSchedule`` on bad
-    values and ``OSError`` if the file cannot be read.
+    Recognized sections: ``[trace]`` (TraceConfig's fields but the segments),
+    ``[segment.N]`` (ScheduleSegment's fields; N orders them) and
+    ``[model.<id>]`` (ModelProfile's fields but the id, all required). Any
+    other section is passed through untouched for the caller. Missing
+    sections fall back to the built-in defaults. Raises ConfigError on a
+    malformed file, an unknown or missing key or an unparsable value,
+    ``ValueError`` or ``InvalidSchedule`` on values out of range, and
+    ``OSError`` if the file cannot be read.
     """
-    parser = configparser.ConfigParser()
+    # Values are read as written (no %-interpolation), and [DEFAULT] is a plain section.
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:  # a duplicate section or key, a missing header
+            raise ConfigError(str(exc)) from None
+    sections = {name: dict(parser[name]) for name in parser.sections()}
 
-    fps = DEFAULT_FPS
-    duration_s = float(DEFAULT_DURATION_S)
-    rng_seed = DEFAULT_SEED
-    if parser.has_section("trace"):
-        sec = parser["trace"]
-        fps = int(sec.get("fps", fps))
-        duration_s = _parse_float("trace", "duration_s", sec.get("duration_s", str(duration_s)))
-        rng_seed = int(sec.get("rng_seed", rng_seed))
-
-    segment_keys = sorted(
-        (name for name in parser.sections() if name.startswith("segment.")),
+    segment_names = sorted(
+        (name for name in sections if name.startswith("segment.")),
         key=lambda name: int(name.split(".", 1)[1]),
     )
-    if segment_keys:
-        segments = tuple(
-            ScheduleSegment(
-                start_s=_parse_float(name, "start_s", parser[name]["start_s"]),
-                mean_objects=_parse_float(name, "mean_objects", parser[name]["mean_objects"]),
-                complexity=_parse_float(name, "complexity", parser[name]["complexity"]),
+    segments = tuple(
+        ScheduleSegment(**section_kwargs(name, sections.pop(name), ScheduleSegment))
+        for name in segment_names
+    )
+    model_names = [name for name in sections if name.startswith("model.")]
+    profiles = tuple(
+        ModelProfile(
+            **section_kwargs(
+                name, sections.pop(name), ModelProfile, fixed={"model": name.split(".", 1)[1]}
             )
-            for name in segment_keys
         )
-    else:
-        segments = default_segments()
-
-    model_sections = [name for name in parser.sections() if name.startswith("model.")]
-    if model_sections:
-        profiles = tuple(
-            ModelProfile(
-                model=name.split(".", 1)[1],
-                base_cpu_pct=_parse_float(name, "base_cpu_pct", parser[name]["base_cpu_pct"]),
-                cpu_per_object_pct=_parse_float(
-                    name, "cpu_per_object_pct", parser[name]["cpu_per_object_pct"]
-                ),
-                base_confidence=_parse_float(
-                    name, "base_confidence", parser[name]["base_confidence"]
-                ),
-                confidence_noise_sd=_parse_float(
-                    name, "confidence_noise_sd", parser[name]["confidence_noise_sd"]
-                ),
-                detection_recall=_parse_float(
-                    name, "detection_recall", parser[name]["detection_recall"]
-                ),
-                switch_latency_ms=_parse_float(
-                    name, "switch_latency_ms", parser[name]["switch_latency_ms"]
-                ),
-                inference_time_ms=_parse_float(
-                    name, "inference_time_ms", parser[name]["inference_time_ms"]
-                ),
-            )
-            for name in model_sections
+        for name in model_names
+    )
+    trace = TraceConfig(
+        **section_kwargs(
+            "trace",
+            sections.pop("trace", {}),
+            TraceConfig,
+            fixed={"segments": segments or default_segments()},
         )
-    else:
-        profiles = default_profiles()
-
-    reserved = {"trace"} | set(segment_keys) | set(model_sections)
-    extras = {
-        name: dict(parser[name]) for name in parser.sections() if name not in reserved
-    }
-    trace = TraceConfig(fps=fps, duration_s=duration_s, segments=segments, rng_seed=rng_seed)
-    return SimConfig(trace=trace, profiles=profiles, extras=extras)
+    )
+    return SimConfig(trace=trace, profiles=profiles or default_profiles(), extras=sections)

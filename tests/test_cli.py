@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -320,3 +323,17 @@ def test_main_reports_io_errors_as_exit_two(tmp_path) -> None:
     )
     assert code == 2
     assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 2
+
+
+def test_module_entry_point_runs_without_warnings() -> None:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "modelswitch.cli", "--help"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stderr == b""

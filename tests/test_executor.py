@@ -50,7 +50,6 @@ def test_switch_produces_event_and_accounting() -> None:
     assert event.from_model == "small"
     assert event.to_model == "large"
     assert new_state.active == "large"
-    assert new_state.last_switch_frame == 10
     assert new_state.switch_count == 1
     assert new_state.cumulative_switch_time_ms == pytest.approx(event.switch_time_ms)
 

@@ -87,31 +87,23 @@ def test_score_table_rejects_unknown_model() -> None:
         table.get("ghost")
 
 
-def test_score_table_snapshot_is_isolated() -> None:
-    table = ScoreTable.initialize(("a",))
-    snapshot = table.snapshot()
-    table.update(Score(model="a", value=9.0, computed_at_frame=1))
-    assert snapshot.get("a").value == 0.0
-    assert table.get("a").value == 9.0
-
-
 def test_registry_rejects_backwards_frame_indices() -> None:
     registry = LogRegistry()
     registry.append_metrics(_metrics(5), sim_time_ms=0.0)
     with pytest.raises(ValueError):
         registry.append_metrics(_metrics(4), sim_time_ms=1.0)
     # The same frame index is fine: a decision and its metrics share one.
-    registry.append_decision(5, 0.0, _decision())
+    registry.append_decision(5, _decision())
     registry.append_switch(
-        SwitchEvent(frame_index=5, from_model="a", to_model="b", switch_time_ms=310.0), 1.0
+        SwitchEvent(frame_index=5, from_model="a", to_model="b", switch_time_ms=310.0)
     )
 
 
 def test_export_writes_both_csv_files(tmp_path) -> None:
     registry = LogRegistry()
-    registry.append_decision(0, 0.0, _decision())
+    registry.append_decision(0, _decision())
     registry.append_switch(
-        SwitchEvent(frame_index=0, from_model="a", to_model="b", switch_time_ms=312.5), 312.5
+        SwitchEvent(frame_index=0, from_model="a", to_model="b", switch_time_ms=312.5)
     )
     registry.append_metrics(_metrics(0, model="b"), sim_time_ms=312.5)
 
@@ -155,9 +147,9 @@ def test_export_round_trips_metrics(tmp_path) -> None:
 
 def test_load_events_csv_round_trip(tmp_path) -> None:
     registry = LogRegistry()
-    registry.append_decision(0, 0.0, _decision())
+    registry.append_decision(0, _decision())
     registry.append_switch(
-        SwitchEvent(frame_index=0, from_model="a", to_model="b", switch_time_ms=312.5), 312.5
+        SwitchEvent(frame_index=0, from_model="a", to_model="b", switch_time_ms=312.5)
     )
     _, events_path = registry.export(tmp_path)
     rows = load_events_csv(events_path)

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from modelswitch.domain import SelectionDecision, SelectionMode
-from modelswitch.knowledge import DecisionRecord, ModelRepository, SwitchRecord
+from modelswitch.domain import SelectionDecision, SelectionMode, SwitchEvent
+from modelswitch.knowledge import DecisionRecord, ModelRepository
 from modelswitch.loop import run_loop
 from modelswitch.planner import (
     DecisionContext,
@@ -130,14 +130,14 @@ def test_frame_conservation_under_heavy_switching() -> None:
 
 def test_switch_events_are_logged_with_their_cost() -> None:
     result = run_loop(_trace(50), _repo(), _SwitchOnce("b"), fps=10, inference_seed=1)
-    switches = [r for r in result.registry.event_records if isinstance(r, SwitchRecord)]
+    switches = [r for r in result.registry.event_records if isinstance(r, SwitchEvent)]
     decisions = [r for r in result.registry.event_records if isinstance(r, DecisionRecord)]
     assert len(switches) == 1
-    assert switches[0].event.from_model == "a"
-    assert switches[0].event.to_model == "b"
+    assert switches[0].from_model == "a"
+    assert switches[0].to_model == "b"
     assert len(decisions) == result.decision_count
     assert result.final_state.cumulative_switch_time_ms == pytest.approx(
-        switches[0].event.switch_time_ms
+        switches[0].switch_time_ms
     )
 
 
