@@ -15,9 +15,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
-from modelswitch.domain import SelectionMode
 from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR
-from modelswitch.knowledge import DecisionRecord, IoFailure, ModelRepository
+from modelswitch.knowledge import (
+    EVENTS_FILENAME,
+    METRICS_FILENAME,
+    IoFailure,
+    LogRegistry,
+    ModelRepository,
+)
 from modelswitch.loop import LoopResult, run_loop
 from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY
 from modelswitch.planner import (
@@ -116,24 +121,13 @@ def normalized_entropy(shares: dict[str, float]) -> float:
 
 
 def summarize(result: LoopResult, strategy: str, seed: int, model_ids: tuple[str, ...]) -> RunSummary:
-    """Fold one run's registry into the reported aggregates."""
-    records = result.registry.metrics_records
-    processed = len(records)
-    usage_counts = {m: 0 for m in model_ids}
-    cpu_total = 0.0
-    conf_total = 0.0
-    for rec in records:
-        usage_counts[rec.metrics.model] += 1
-        cpu_total += rec.metrics.cpu_usage
-        conf_total += rec.metrics.confidence_score
+    """Read one run's reported aggregates off the totals its registry folded."""
+    registry = result.registry
+    usage_counts = {m: registry.usage_counts.get(m, 0) for m in model_ids}
+    processed = sum(usage_counts.values())
     usage_shares = {
         m: (count / processed if processed else 0.0) for m, count in usage_counts.items()
     }
-    explore_count = sum(
-        1
-        for rec in result.registry.event_records
-        if isinstance(rec, DecisionRecord) and rec.decision.mode is SelectionMode.EXPLORE
-    )
     state = result.final_state
     return RunSummary(
         strategy=strategy,
@@ -142,10 +136,10 @@ def summarize(result: LoopResult, strategy: str, seed: int, model_ids: tuple[str
         frames_processed=result.frames_processed,
         frames_dropped=result.frames_dropped,
         decision_count=result.decision_count,
-        explore_count=explore_count,
+        explore_count=registry.explore_count,
         switch_count=state.switch_count,
-        avg_cpu_pct=cpu_total / processed if processed else 0.0,
-        avg_confidence_pct=100.0 * conf_total / processed if processed else 0.0,
+        avg_cpu_pct=registry.cpu_total / processed if processed else 0.0,
+        avg_confidence_pct=100.0 * registry.confidence_total / processed if processed else 0.0,
         avg_switch_time_s=state.avg_switch_time_ms / 1000.0,
         cumulative_switch_time_s=state.cumulative_switch_time_ms / 1000.0,
         usage_counts=usage_counts,
@@ -268,20 +262,31 @@ def run_experiment(
         raise UnknownStrategy(strategy)
     planner, decision_period = built[strategy]
     trace = generate_trace(trace_config)
-    result = run_loop(
-        trace,
-        repo,
-        planner,
-        fps=trace_config.fps,
-        inference_seed=effective_seed + 2,
-        decision_period=decision_period,
-        window_capacity=engine.window_capacity,
-        confidence_floor=engine.confidence_floor,
-    )
     out = Path(out_dir)
-    result.registry.export(out)
+    summary_path = out / SUMMARY_FILENAME
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        # A summary left by an earlier run would vouch for the rows written below.
+        summary_path.unlink(missing_ok=True)
+        with (
+            open(out / METRICS_FILENAME, "w", encoding="utf-8", newline="") as metrics_out,
+            open(out / EVENTS_FILENAME, "w", encoding="utf-8", newline="") as events_out,
+        ):
+            result = run_loop(
+                trace,
+                repo,
+                planner,
+                registry=LogRegistry(metrics_out, events_out),
+                fps=trace_config.fps,
+                inference_seed=effective_seed + 2,
+                decision_period=decision_period,
+                window_capacity=engine.window_capacity,
+                confidence_floor=engine.confidence_floor,
+            )
+    except OSError as exc:  # a write error carries no file name; the run directory stands in
+        raise IoFailure(exc.filename or out, exc) from exc
     summary = summarize(result, strategy, effective_seed, repo.ids())
-    write_summary(summary, out / SUMMARY_FILENAME)
+    write_summary(summary, summary_path)
     return summary
 
 

@@ -1,22 +1,22 @@
 """Shared knowledge for the control loop: models, scores, run logs.
 
 The log registry is append-only and is the single source of truth for
-everything a run emits. Exports are plain UTF-8 CSV with LF line endings
+everything a run emits. It streams plain UTF-8 CSV with LF line endings
 and reals printed with 4 decimal places, so identical runs produce
 byte-identical files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, TextIO
 
 from modelswitch.domain import (
     FrameMetrics,
     ModelId,
     Score,
     SelectionDecision,
+    SelectionMode,
     SwitchEvent,
 )
 from modelswitch.sim import ModelProfile
@@ -106,29 +106,25 @@ class ScoreTable:
         return len(self._entries)
 
 
-@dataclass(frozen=True, slots=True)
-class MetricsRecord:
-    sim_time_ms: float
-    metrics: FrameMetrics
-
-
-@dataclass(frozen=True, slots=True)
-class DecisionRecord:
-    frame_index: int
-    decision: SelectionDecision
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.4f}"
-
-
 class LogRegistry:
-    """Append-only run log; frame indices never decrease."""
+    """Streaming run log: writes each row as it is appended and folds the summary totals.
 
-    def __init__(self) -> None:
-        self._metrics: list[MetricsRecord] = []
-        self._events: list[DecisionRecord | SwitchEvent] = []
+    Rows go to the metrics and events text streams as they arrive, so memory
+    does not grow with the run; frame indices never decrease. The totals the
+    summary reads are folded in row order: per-model metrics row counts, the
+    CPU and confidence sums and the explore count.
+    """
+
+    def __init__(self, metrics_out: TextIO, events_out: TextIO) -> None:
+        metrics_out.write(METRICS_HEADER + "\n")
+        events_out.write(EVENTS_HEADER + "\n")
+        self._write_metrics = metrics_out.write
+        self._write_event = events_out.write
         self._last_frame = -1
+        self.usage_counts: dict[ModelId, int] = {}
+        self.cpu_total = 0.0
+        self.confidence_total = 0.0
+        self.explore_count = 0
 
     def _advance(self, frame_index: int) -> None:
         if frame_index < self._last_frame:
@@ -139,62 +135,34 @@ class LogRegistry:
 
     def append_metrics(self, metrics: FrameMetrics, sim_time_ms: float) -> None:
         self._advance(metrics.frame_index)
-        self._metrics.append(MetricsRecord(sim_time_ms=sim_time_ms, metrics=metrics))
+        model = metrics.model
+        # battery_mah stays empty: the simulator measures no battery.
+        self._write_metrics(
+            f"{metrics.frame_index},{sim_time_ms:.4f},{model},"
+            f"{metrics.cpu_usage:.4f},{metrics.confidence_score:.4f},"
+            f"{metrics.detection_count},{metrics.inference_time_ms:.4f},\n"
+        )
+        counts = self.usage_counts
+        counts[model] = counts.get(model, 0) + 1
+        self.cpu_total += metrics.cpu_usage
+        self.confidence_total += metrics.confidence_score
 
     def append_decision(self, frame_index: int, decision: SelectionDecision) -> None:
         self._advance(frame_index)
-        self._events.append(DecisionRecord(frame_index=frame_index, decision=decision))
+        draw = "" if decision.random_draw is None else f"{decision.random_draw:.4f}"
+        self._write_event(
+            f"{frame_index},decision,{decision.mode.value},{draw},"
+            f"{decision.previous},{decision.selected},\n"
+        )
+        if decision.mode is SelectionMode.EXPLORE:
+            self.explore_count += 1
 
     def append_switch(self, event: SwitchEvent) -> None:
         self._advance(event.frame_index)
-        self._events.append(event)
-
-    @property
-    def metrics_records(self) -> tuple[MetricsRecord, ...]:
-        return tuple(self._metrics)
-
-    @property
-    def event_records(self) -> tuple[DecisionRecord | SwitchEvent, ...]:
-        return tuple(self._events)
-
-    def export(self, out_dir: Path | str) -> tuple[Path, Path]:
-        """Write metrics.csv and events.csv into out_dir; returns both paths."""
-        out = Path(out_dir)
-        metrics_path = out / METRICS_FILENAME
-        events_path = out / EVENTS_FILENAME
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-            with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(METRICS_HEADER + "\n")
-                for rec in self._metrics:
-                    m = rec.metrics
-                    # battery_mah stays empty: the simulator measures no battery.
-                    fh.write(
-                        f"{m.frame_index},{_fmt(rec.sim_time_ms)},{m.model},"
-                        f"{_fmt(m.cpu_usage)},{_fmt(m.confidence_score)},"
-                        f"{m.detection_count},{_fmt(m.inference_time_ms)},\n"
-                    )
-        except OSError as exc:
-            raise IoFailure(metrics_path, exc) from exc
-        try:
-            with open(events_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(EVENTS_HEADER + "\n")
-                for rec in self._events:
-                    if isinstance(rec, DecisionRecord):
-                        d = rec.decision
-                        draw = "" if d.random_draw is None else _fmt(d.random_draw)
-                        fh.write(
-                            f"{rec.frame_index},decision,{d.mode.value},{draw},"
-                            f"{d.previous},{d.selected},\n"
-                        )
-                    else:
-                        fh.write(
-                            f"{rec.frame_index},switch,,,{rec.from_model},{rec.to_model},"
-                            f"{_fmt(rec.switch_time_ms)}\n"
-                        )
-        except OSError as exc:
-            raise IoFailure(events_path, exc) from exc
-        return metrics_path, events_path
+        self._write_event(
+            f"{event.frame_index},switch,,,{event.from_model},{event.to_model},"
+            f"{event.switch_time_ms:.4f}\n"
+        )
 
 
 def load_metrics_csv(path: Path | str) -> list[tuple[float, FrameMetrics]]:

@@ -38,6 +38,7 @@ def run_loop(
     repo: ModelRepository,
     strategy: SelectionStrategy,
     *,
+    registry: LogRegistry,
     fps: int,
     inference_seed: int,
     decision_period: int = 1,
@@ -45,12 +46,11 @@ def run_loop(
     confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR,
     initial_model: str | None = None,
 ) -> LoopResult:
-    """Drive one strategy across a trace and return the run's artifacts."""
+    """Drive one strategy across a trace, logging every row to registry as it is made."""
     if len(repo) == 0:
         raise ValueError("repository is empty")
     if decision_period < 1:
         raise ValueError(f"decision_period must be >= 1: {decision_period}")
-    registry = LogRegistry()
     monitor = Monitor(repo.ids(), registry, capacity=window_capacity)
     table = ScoreTable.initialize(repo.ids())
     analyzer = Analyzer(monitor, table)

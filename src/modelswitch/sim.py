@@ -276,23 +276,38 @@ def synth_inference(
     confidences: list[float] = []
     append = confidences.append
     random = rng.random
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    sqrt, log, cos, two_pi = math.sqrt, math.log, math.cos, 2.0 * math.pi
+    labels = len(OBJECT_CLASSES)
+    label_bits = labels.bit_length()
     recall = profile.detection_recall
     noise_sd = profile.confidence_noise_sd
     degraded = profile.base_confidence * (1.0 - 0.5 * frame.complexity)
     for _ in range(frame.object_count):
         if random() >= recall:
             continue
-        conf = degraded + gaussian(rng, 0.0, noise_sd)
-        append(min(1.0, max(0.0, conf)))
-        # The label index and the bbox's w, h, x and y: drawn, never built.
-        randrange(len(OBJECT_CLASSES))
+        # gaussian(rng, 0.0, noise_sd), inlined with the same operations in the same order.
+        u1 = 1.0 - random()
+        u2 = random()
+        conf = degraded + (0.0 + noise_sd * sqrt(-2.0 * log(u1)) * cos(two_pi * u2))
+        if conf < 0.0:
+            conf = 0.0
+        elif conf > 1.0:
+            conf = 1.0
+        append(conf)
+        # The label index, drawn as randrange(labels) draws it (rejection
+        # sampling on getrandbits), and the bbox's w, h, x and y: drawn, never built.
+        while getrandbits(label_bits) >= labels:
+            pass
         random()
         random()
         random()
         random()
     cpu = profile.base_cpu_pct + profile.cpu_per_object_pct * frame.object_count + gaussian(rng)
-    cpu = min(100.0, max(0.0, cpu))
+    if cpu < 0.0:
+        cpu = 0.0
+    elif cpu > 100.0:
+        cpu = 100.0
     return confidences, cpu, profile.inference_time_ms
 
 
@@ -405,7 +420,8 @@ def parse_config(path: str) -> SimConfig:
     """Read trace settings and model profiles from an INI-style file.
 
     Recognized sections: ``[trace]`` (TraceConfig's fields but the segments),
-    ``[segment.N]`` (ScheduleSegment's fields; N orders them) and
+    ``[segment.N]`` (ScheduleSegment's fields; N, an integer no other
+    segment shares, orders them) and
     ``[model.<id>]`` (ModelProfile's fields but the id, all required). Any
     other section is passed through untouched for the caller. Missing
     sections fall back to the built-in defaults. Raises ConfigError on a
@@ -422,13 +438,18 @@ def parse_config(path: str) -> SimConfig:
             raise ConfigError(str(exc)) from None
     sections = {name: dict(parser[name]) for name in parser.sections()}
 
-    segment_names = sorted(
-        (name for name in sections if name.startswith("segment.")),
-        key=lambda name: int(name.split(".", 1)[1]),
-    )
+    numbered: dict[int, str] = {}
+    for name in (name for name in sections if name.startswith("segment.")):
+        try:
+            number = int(name.split(".", 1)[1])
+        except ValueError:
+            raise ConfigError(f"[{name}]: N in [segment.N] must be an integer") from None
+        if number in numbered:
+            raise ConfigError(f"[{name}]: same segment number as [{numbered[number]}]")
+        numbered[number] = name
     segments = tuple(
         ScheduleSegment(**section_kwargs(name, sections.pop(name), ScheduleSegment))
-        for name in segment_names
+        for _, name in sorted(numbered.items())
     )
     model_names = [name for name in sections if name.startswith("model.")]
     profiles = tuple(

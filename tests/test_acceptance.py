@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from io import StringIO
 from pathlib import Path
 from random import Random
 
@@ -152,7 +153,7 @@ def test_window_aggregates_match_brute_force() -> None:
     rng = Random(99)
     for _ in range(1000):
         capacity = rng.randrange(1, 40)
-        monitor = Monitor(("m",), LogRegistry(), capacity=capacity)
+        monitor = Monitor(("m",), LogRegistry(StringIO(), StringIO()), capacity=capacity)
         seen = []
         for i in range(rng.randrange(0, 3 * capacity)):
             count = rng.randrange(0, 6)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from io import StringIO
+
 import pytest
 
 from modelswitch.analyzer import (
@@ -58,7 +60,7 @@ def test_compute_score_rejects_zero_confidence() -> None:
 
 
 def test_refresh_scores_updates_only_the_observed_model() -> None:
-    registry = LogRegistry()
+    registry = LogRegistry(StringIO(), StringIO())
     monitor = Monitor(("a", "b"), registry, capacity=4)
     table = ScoreTable.initialize(("a", "b"))
     analyzer = Analyzer(monitor, table)
@@ -84,7 +86,7 @@ def test_refresh_scores_updates_only_the_observed_model() -> None:
 
 
 def test_refresh_scores_writes_sentinel_on_zero_confidence() -> None:
-    registry = LogRegistry()
+    registry = LogRegistry(StringIO(), StringIO())
     monitor = Monitor(("a",), registry, capacity=4)
     table = ScoreTable.initialize(("a",))
     analyzer = Analyzer(monitor, table)
@@ -97,7 +99,7 @@ def test_refresh_scores_writes_sentinel_on_zero_confidence() -> None:
 
 
 def test_refresh_scores_requires_recorded_frame() -> None:
-    monitor = Monitor(("a",), LogRegistry(), capacity=4)
+    monitor = Monitor(("a",), LogRegistry(StringIO(), StringIO()), capacity=4)
     table = ScoreTable.initialize(("a",))
     analyzer = Analyzer(monitor, table)
     with pytest.raises(RuntimeError):

@@ -96,7 +96,8 @@ def _capture_run(monkeypatch, strategy: str, config: str) -> dict:
     monkeypatch.setattr(cli, "generate_trace", fake_generate_trace)
     monkeypatch.setattr(cli, "run_loop", fake_run_loop)
     with pytest.raises(Stop):
-        run_experiment(strategy, "never-written", config_path=config)
+        # The run opens its CSV files before the loop starts, so they land beside the config.
+        run_experiment(strategy, Path(config).parent / "out", config_path=config)
     return run
 
 
@@ -198,6 +199,19 @@ def test_bad_config_exits_one_before_writing(
     assert code == 1
     assert err.startswith("config error:")
     assert f"[{section}]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["segment.one", "segment.01"])
+def test_segment_number_must_be_a_new_integer(name, tmp_path, capsys) -> None:
+    """[segment.one] has no number and [segment.01] repeats [segment.1]'s; either stops the run."""
+    sections = {name: dict(values) for name, values in SMALL.items()}
+    sections[name] = {**SMALL["segment.2"], "start_s": "5"}
+    out = tmp_path / "out"
+    code, err = _run_main("naive", _write_ini(tmp_path / "bad.ini", sections), out, capsys)
+    assert code == 1
+    assert err.startswith("config error:")
+    assert f"[{name}]" in err
     assert not out.exists()
 
 

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import statistics
+from io import StringIO
 from random import Random
 
 import pytest
 
 from modelswitch.domain import SelectionDecision, SelectionMode
 from modelswitch.executor import Executor, ExecutorState, apply_decision
-from modelswitch.knowledge import LogRegistry, ModelRepository, UnknownModel
+from modelswitch.knowledge import (
+    METRICS_FILENAME,
+    LogRegistry,
+    ModelRepository,
+    UnknownModel,
+    load_metrics_csv,
+)
 from modelswitch.monitor import Monitor
 from modelswitch.sim import ModelProfile, SimFrame, synth_inference
 
@@ -91,23 +98,33 @@ def test_average_switch_time_accounting() -> None:
 
 def test_executor_rejects_unknown_initial_model() -> None:
     repo = _repo()
-    monitor = Monitor(repo.ids(), LogRegistry())
+    monitor = Monitor(repo.ids(), LogRegistry(StringIO(), StringIO()))
     with pytest.raises(UnknownModel):
         Executor(repo, monitor, Random(0), initial_model="ghost")
 
 
-def test_run_inference_records_into_monitor_and_registry() -> None:
+def test_run_inference_records_into_monitor_and_registry(tmp_path) -> None:
     repo = _repo()
-    registry = LogRegistry()
-    monitor = Monitor(repo.ids(), registry)
-    executor = Executor(repo, monitor, Random(3), initial_model="small")
+    metrics_path = tmp_path / METRICS_FILENAME
+    with open(metrics_path, "w", encoding="utf-8", newline="") as metrics_out:
+        monitor = Monitor(repo.ids(), LogRegistry(metrics_out, StringIO()))
+        executor = Executor(repo, monitor, Random(3), initial_model="small")
 
-    frame = SimFrame(frame_index=0, object_count=5, complexity=0.2)
-    metrics = executor.run_inference(frame, sim_time_ms=0.0)
+        frame = SimFrame(frame_index=0, object_count=5, complexity=0.2)
+        metrics = executor.run_inference(frame, sim_time_ms=0.0)
 
     assert metrics.model == "small"
     assert monitor.latest("small") == metrics
-    assert registry.metrics_records[-1].metrics == metrics
+    [(sim_time_ms, logged)] = load_metrics_csv(metrics_path)
+    assert sim_time_ms == 0.0
+    assert (logged.frame_index, logged.model, logged.detection_count) == (
+        metrics.frame_index,
+        metrics.model,
+        metrics.detection_count,
+    )
+    # Reals come back at the file's 4-decimal precision.
+    assert logged.confidence_score == pytest.approx(metrics.confidence_score, abs=5e-5)
+    assert logged.cpu_usage == pytest.approx(metrics.cpu_usage, abs=5e-5)
 
 
 def test_confidence_floor_filters_detections() -> None:
@@ -124,7 +141,7 @@ def test_confidence_floor_filters_detections() -> None:
     kept = [c for c in reference if c >= floor]
     assert 0 < len(kept) < len(reference)
 
-    monitor = Monitor(repo.ids(), LogRegistry())
+    monitor = Monitor(repo.ids(), LogRegistry(StringIO(), StringIO()))
     executor = Executor(repo, monitor, Random(seed), initial_model="small", confidence_floor=floor)
     metrics = executor.run_inference(frame, sim_time_ms=0.0)
     assert metrics.detection_count == len(kept)
@@ -133,7 +150,7 @@ def test_confidence_floor_filters_detections() -> None:
 
 def test_total_confidence_floor_yields_an_empty_frame() -> None:
     repo = _repo()
-    monitor = Monitor(repo.ids(), LogRegistry())
+    monitor = Monitor(repo.ids(), LogRegistry(StringIO(), StringIO()))
     executor = Executor(repo, monitor, Random(5), initial_model="small", confidence_floor=1.1)
     frame = SimFrame(frame_index=0, object_count=6, complexity=0.2)
     metrics = executor.run_inference(frame, sim_time_ms=0.0)

@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import replace
+from io import StringIO
+from pathlib import Path
+from typing import Iterator
+
 import pytest
 
+from modelswitch.cli import run_experiment
 from modelswitch.domain import (
     FrameMetrics,
     Score,
@@ -10,7 +17,9 @@ from modelswitch.domain import (
     SwitchEvent,
 )
 from modelswitch.knowledge import (
+    EVENTS_FILENAME,
     EVENTS_HEADER,
+    METRICS_FILENAME,
     METRICS_HEADER,
     IoFailure,
     LogRegistry,
@@ -53,6 +62,16 @@ def _decision(selected: str = "b", previous: str = "a") -> SelectionDecision:
     )
 
 
+@contextmanager
+def _registry(directory: Path) -> Iterator[LogRegistry]:
+    """A registry streaming into metrics.csv and events.csv under directory."""
+    with (
+        open(directory / METRICS_FILENAME, "w", encoding="utf-8", newline="") as metrics_out,
+        open(directory / EVENTS_FILENAME, "w", encoding="utf-8", newline="") as events_out,
+    ):
+        yield LogRegistry(metrics_out, events_out)
+
+
 def test_repository_preserves_registration_order() -> None:
     repo = ModelRepository((_profile("b"), _profile("a")))
     assert repo.ids() == ("b", "a")
@@ -88,7 +107,7 @@ def test_score_table_rejects_unknown_model() -> None:
 
 
 def test_registry_rejects_backwards_frame_indices() -> None:
-    registry = LogRegistry()
+    registry = LogRegistry(StringIO(), StringIO())
     registry.append_metrics(_metrics(5), sim_time_ms=0.0)
     with pytest.raises(ValueError):
         registry.append_metrics(_metrics(4), sim_time_ms=1.0)
@@ -99,17 +118,33 @@ def test_registry_rejects_backwards_frame_indices() -> None:
     )
 
 
-def test_export_writes_both_csv_files(tmp_path) -> None:
-    registry = LogRegistry()
+def test_registry_folds_the_summary_totals() -> None:
+    registry = LogRegistry(StringIO(), StringIO())
+    registry.append_decision(0, _decision())
+    registry.append_metrics(_metrics(0, model="b"), sim_time_ms=0.0)
+    registry.append_decision(1, replace(_decision(), mode=SelectionMode.EXPLOIT))
+    registry.append_metrics(_metrics(1, model="b"), sim_time_ms=16.7)
+    registry.append_metrics(_metrics(2, model="a"), sim_time_ms=33.3)
+    assert registry.usage_counts == {"b": 2, "a": 1}
+    assert registry.cpu_total == 17.25 + 17.25 + 17.25
+    assert registry.confidence_total == 0.512345 + 0.512345 + 0.512345
+    assert registry.explore_count == 1
+
+
+def test_export_writes_both_csv_files() -> None:
+    """Each append writes its row to the open stream at once."""
+    metrics_out, events_out = StringIO(), StringIO()
+    registry = LogRegistry(metrics_out, events_out)
+    assert metrics_out.getvalue() == METRICS_HEADER + "\n"
+    assert events_out.getvalue() == EVENTS_HEADER + "\n"
     registry.append_decision(0, _decision())
     registry.append_switch(
         SwitchEvent(frame_index=0, from_model="a", to_model="b", switch_time_ms=312.5)
     )
     registry.append_metrics(_metrics(0, model="b"), sim_time_ms=312.5)
 
-    metrics_path, events_path = registry.export(tmp_path)
-    metrics_lines = metrics_path.read_text(encoding="utf-8").splitlines()
-    events_lines = events_path.read_text(encoding="utf-8").splitlines()
+    metrics_lines = metrics_out.getvalue().splitlines()
+    events_lines = events_out.getvalue().splitlines()
 
     assert metrics_lines[0] == METRICS_HEADER
     assert metrics_lines[1] == "0,312.5000,b,17.2500,0.5123,3,40.0000,"
@@ -119,22 +154,20 @@ def test_export_writes_both_csv_files(tmp_path) -> None:
 
 
 def test_export_uses_lf_line_endings(tmp_path) -> None:
-    registry = LogRegistry()
-    registry.append_metrics(_metrics(0), sim_time_ms=0.0)
-    metrics_path, events_path = registry.export(tmp_path)
-    for path in (metrics_path, events_path):
+    with _registry(tmp_path) as registry:
+        registry.append_metrics(_metrics(0), sim_time_ms=0.0)
+    for path in (tmp_path / METRICS_FILENAME, tmp_path / EVENTS_FILENAME):
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
 
 def test_export_round_trips_metrics(tmp_path) -> None:
-    registry = LogRegistry()
-    registry.append_metrics(_metrics(0), sim_time_ms=0.0)
-    registry.append_metrics(_metrics(1), sim_time_ms=16.6667)
-    metrics_path, _ = registry.export(tmp_path)
+    with _registry(tmp_path) as registry:
+        registry.append_metrics(_metrics(0), sim_time_ms=0.0)
+        registry.append_metrics(_metrics(1), sim_time_ms=16.6667)
 
-    rows = load_metrics_csv(metrics_path)
+    rows = load_metrics_csv(tmp_path / METRICS_FILENAME)
     assert len(rows) == 2
     sim_time, parsed = rows[1]
     assert sim_time == pytest.approx(16.6667)
@@ -146,13 +179,12 @@ def test_export_round_trips_metrics(tmp_path) -> None:
 
 
 def test_load_events_csv_round_trip(tmp_path) -> None:
-    registry = LogRegistry()
-    registry.append_decision(0, _decision())
-    registry.append_switch(
-        SwitchEvent(frame_index=0, from_model="a", to_model="b", switch_time_ms=312.5)
-    )
-    _, events_path = registry.export(tmp_path)
-    rows = load_events_csv(events_path)
+    with _registry(tmp_path) as registry:
+        registry.append_decision(0, _decision())
+        registry.append_switch(
+            SwitchEvent(frame_index=0, from_model="a", to_model="b", switch_time_ms=312.5)
+        )
+    rows = load_events_csv(tmp_path / EVENTS_FILENAME)
     assert [r["event_type"] for r in rows] == ["decision", "switch"]
     assert rows[0]["mode"] == "explore"
     assert rows[0]["random_draw"] == "0.0421"
@@ -182,7 +214,11 @@ def test_io_errors_carry_the_path(tmp_path) -> None:
 
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory", encoding="utf-8")
-    registry = LogRegistry()
-    registry.append_metrics(_metrics(0), sim_time_ms=0.0)
-    with pytest.raises(IoFailure):
-        registry.export(blocker)
+    config = tmp_path / "short.ini"
+    config.write_text(
+        "[trace]\nduration_s = 1\n[segment.1]\nstart_s = 0\nmean_objects = 3\ncomplexity = 0.1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(IoFailure) as excinfo:
+        run_experiment("naive", blocker, config_path=str(config))
+    assert excinfo.value.path == blocker

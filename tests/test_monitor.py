@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+from io import StringIO
 from random import Random
 
 import pytest
 
 from modelswitch.domain import FrameMetrics
-from modelswitch.knowledge import LogRegistry, UnknownModel
+from modelswitch.knowledge import METRICS_FILENAME, LogRegistry, UnknownModel, load_metrics_csv
 from modelswitch.monitor import MetricsWindow, Monitor, OutOfOrderFrame
 
 
@@ -79,12 +80,13 @@ def test_window_aggregate_matches_brute_force() -> None:
         )
 
 
-def test_monitor_routes_by_model_and_logs() -> None:
-    registry = LogRegistry()
-    monitor = Monitor(("a", "b"), registry, capacity=4)
-    monitor.record(_metrics(0, model="a", confidence=0.2), sim_time_ms=0.0)
-    monitor.record(_metrics(1, model="b", confidence=0.8), sim_time_ms=16.7)
-    monitor.record(_metrics(2, model="a", confidence=0.4), sim_time_ms=33.3)
+def test_monitor_routes_by_model_and_logs(tmp_path) -> None:
+    metrics_path = tmp_path / METRICS_FILENAME
+    with open(metrics_path, "w", encoding="utf-8", newline="") as metrics_out:
+        monitor = Monitor(("a", "b"), LogRegistry(metrics_out, StringIO()), capacity=4)
+        monitor.record(_metrics(0, model="a", confidence=0.2), sim_time_ms=0.0)
+        monitor.record(_metrics(1, model="b", confidence=0.8), sim_time_ms=16.7)
+        monitor.record(_metrics(2, model="a", confidence=0.4), sim_time_ms=33.3)
 
     agg_a = monitor.aggregate("a")
     assert agg_a is not None
@@ -93,13 +95,13 @@ def test_monitor_routes_by_model_and_logs() -> None:
     latest_b = monitor.latest("b")
     assert latest_b is not None and latest_b.frame_index == 1
 
-    records = registry.metrics_records
-    assert [r.metrics.frame_index for r in records] == [0, 1, 2]
-    assert records[1].sim_time_ms == pytest.approx(16.7)
+    rows = load_metrics_csv(metrics_path)
+    assert [metrics.frame_index for _, metrics in rows] == [0, 1, 2]
+    assert rows[1][0] == pytest.approx(16.7)
 
 
 def test_monitor_rejects_unknown_model() -> None:
-    monitor = Monitor(("a",), LogRegistry())
+    monitor = Monitor(("a",), LogRegistry(StringIO(), StringIO()))
     with pytest.raises(UnknownModel):
         monitor.record(_metrics(0, model="zzz"), sim_time_ms=0.0)
     with pytest.raises(UnknownModel):
