@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import sys
 
-from modelswitch.domain import FrameMetrics, Score, WindowAggregate
-from modelswitch.knowledge import ScoreTable
+from modelswitch.domain import FrameMetrics
+from modelswitch.knowledge import ScoreTable, UnknownModel
 from modelswitch.monitor import Monitor
 
 # Written in place of a score when the current confidence is zero: the
@@ -27,35 +27,41 @@ class ZeroConfidence(Exception):
 
 
 def compute_score(
-    current_cpu: float, current_confidence: float, aggregate: WindowAggregate
+    current_cpu: float, current_confidence: float, avg_cpu: float, avg_confidence: float
 ) -> float:
     """Score one model from its latest frame and its window averages."""
     if current_confidence == 0.0:
-        raise ZeroConfidence(aggregate.model)
-    return min(current_cpu, aggregate.avg_cpu) * (
-        1.0 - aggregate.avg_confidence / current_confidence
-    )
+        raise ZeroConfidence()
+    return min(current_cpu, avg_cpu) * (1.0 - avg_confidence / current_confidence)
 
 
 class Analyzer:
     """Keeps the score table in step with what the monitor has seen."""
 
     def __init__(self, monitor: Monitor, table: ScoreTable):
-        self._monitor = monitor
+        self._windows = monitor.windows
         self._table = table
 
-    def refresh_scores(self, frame: FrameMetrics) -> Score:
-        """Re-score the model that just processed a frame; other entries keep
-        their previous (possibly stale) values."""
-        aggregate = self._monitor.aggregate(frame.model)
-        if aggregate is None:
+    def refresh_scores(self, frame: FrameMetrics) -> float:
+        """Re-score the model that just processed a frame from its window's
+        means and return the score; other entries keep their previous
+        (possibly stale) values."""
+        model = frame.model
+        try:
+            window = self._windows[model]
+        except KeyError:
+            raise UnknownModel(model) from None
+        cpus = window.cpus
+        n = len(cpus)
+        if not n:
             # refresh_scores is only called after the frame was recorded,
             # so the window cannot be empty here.
-            raise RuntimeError(f"no window data for {frame.model}")
+            raise RuntimeError(f"no window data for {model}")
         try:
-            value = compute_score(frame.cpu_usage, frame.confidence_score, aggregate)
+            value = compute_score(
+                frame.cpu_usage, frame.confidence_score, sum(cpus) / n, sum(window.confidences) / n
+            )
         except ZeroConfidence:
             value = ZERO_CONFIDENCE_SCORE
-        score = Score(model=frame.model, value=value, computed_at_frame=frame.frame_index)
-        self._table.update(score)
-        return score
+        self._table.update(model, value)
+        return value

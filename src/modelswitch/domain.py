@@ -76,15 +76,6 @@ class WindowAggregate:
 
 
 @dataclass(frozen=True, slots=True)
-class Score:
-    """One model's current desirability; lower is better."""
-
-    model: ModelId
-    value: float
-    computed_at_frame: int
-
-
-@dataclass(frozen=True, slots=True)
 class SelectionDecision:
     """Outcome of one planner invocation."""
 

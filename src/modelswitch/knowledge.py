@@ -9,12 +9,12 @@ byte-identical files.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Mapping, TextIO
+from types import MappingProxyType
+from typing import Mapping, TextIO
 
 from modelswitch.domain import (
     FrameMetrics,
     ModelId,
-    Score,
     SelectionDecision,
     SelectionMode,
     SwitchEvent,
@@ -74,36 +74,26 @@ class ModelRepository:
 
 
 class ScoreTable:
-    """Current score per model. Lower value means a more attractive model."""
+    """Current score per model. Lower value means a more attractive model.
 
-    def __init__(self, entries: Mapping[ModelId, Score]):
-        self._entries: dict[ModelId, Score] = dict(entries)
+    ``scores`` is the table itself behind a read-only mapping: it follows
+    every update, so readers take it once and never copy it.
+    """
+
+    def __init__(self, entries: Mapping[ModelId, float]):
+        self._entries: dict[ModelId, float] = dict(entries)
+        self.scores: Mapping[ModelId, float] = MappingProxyType(self._entries)
 
     @classmethod
     def initialize(cls, model_ids: tuple[ModelId, ...], value: float = 0.0) -> "ScoreTable":
-        """Fresh table: every model starts at the given value (frame 0)."""
-        return cls({m: Score(model=m, value=value, computed_at_frame=0) for m in model_ids})
+        """Fresh table: every model starts at the given value."""
+        return cls(dict.fromkeys(model_ids, value))
 
-    def update(self, score: Score) -> None:
-        if score.model not in self._entries:
-            raise UnknownModel(score.model)
-        self._entries[score.model] = score
-
-    def get(self, model: ModelId) -> Score:
-        try:
-            return self._entries[model]
-        except KeyError:
-            raise UnknownModel(model) from None
-
-    def values(self) -> dict[ModelId, float]:
-        """Plain id -> score-value mapping (what planners consume)."""
-        return {m: s.value for m, s in self._entries.items()}
-
-    def __iter__(self) -> Iterator[Score]:
-        return iter(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    def update(self, model: ModelId, value: float) -> None:
+        entries = self._entries
+        if model not in entries:
+            raise UnknownModel(model)
+        entries[model] = value
 
 
 class LogRegistry:

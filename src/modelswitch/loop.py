@@ -1,9 +1,11 @@
 """The adaptation loop: monitor, analyze, plan, execute over one trace.
 
 Frames arrive at a fixed rate. Every decision_period processed frames the
-strategy is consulted; if it switches models, the switch latency is paid
-on the simulated clock and the frames that arrive inside that window are
-dropped unprocessed. Each processed frame is scored and recorded, so the
+strategy is consulted with the frame index, the active model and one
+RunView built for the whole run; if it switches models, the switch latency
+is paid on the simulated clock and the frames that arrive inside that
+window are dropped unprocessed. Each processed frame is recorded and
+scored, and the view reads the monitor and the score table live, so the
 next decision sees it.
 """
 
@@ -17,7 +19,7 @@ from modelswitch.analyzer import Analyzer
 from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor, ExecutorState
 from modelswitch.knowledge import LogRegistry, ModelRepository, ScoreTable
 from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY, Monitor
-from modelswitch.planner import DecisionContext, SelectionStrategy, rank_models_by_cpu
+from modelswitch.planner import RunView, SelectionStrategy
 from modelswitch.sim import SimFrame
 
 
@@ -63,42 +65,32 @@ def run_loop(
         confidence_floor=confidence_floor,
     )
 
+    view = RunView(
+        model_ids=repo.ids(),
+        scores=table.scores,
+        latest=monitor.latest,
+        aggregate=monitor.aggregate,
+    )
+
     period_ms = 1000.0 / fps
-    cpu_rank = rank_models_by_cpu(repo.ids(), {})
-    last_rank_slot = -1
     acc_switch_ms = 0.0
     processed = dropped = decisions = 0
     n = len(trace)
     i = 0
     while i < n:
         frame = trace[i]
-        arrival_ms = frame.frame_index * period_ms
+        frame_index = frame.frame_index
         drop_count = 0
         if processed % decision_period == 0:
-            refresh = strategy.rank_refresh_period
-            if refresh is not None:
-                slot = frame.frame_index // refresh
-                if slot > last_rank_slot:
-                    cpu_rank = rank_models_by_cpu(
-                        repo.ids(), {m: monitor.aggregate(m) for m in repo.ids()}
-                    )
-                    last_rank_slot = slot
-            ctx = DecisionContext(
-                frame_index=frame.frame_index,
-                active=executor.active,
-                scores=table.values(),
-                latest=monitor.latest(executor.active),
-                cpu_rank=cpu_rank,
-            )
-            decision = strategy.decide(ctx)
+            decision = strategy.decide(frame_index, executor.active, view)
             decisions += 1
-            registry.append_decision(frame.frame_index, decision)
-            event = executor.apply(decision, frame.frame_index)
+            registry.append_decision(frame_index, decision)
+            event = executor.apply(decision, frame_index)
             if event is not None:
                 acc_switch_ms += event.switch_time_ms
                 registry.append_switch(event)
                 drop_count = round(event.switch_time_ms * fps / 1000.0)
-        metrics = executor.run_inference(frame, arrival_ms + acc_switch_ms)
+        metrics = executor.run_inference(frame, frame_index * period_ms + acc_switch_ms)
         analyzer.refresh_scores(metrics)
         processed += 1
         if drop_count:

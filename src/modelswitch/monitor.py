@@ -10,7 +10,8 @@ exactly one window entry and one log row.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from modelswitch.domain import FrameMetrics, ModelId, WindowAggregate
 from modelswitch.knowledge import LogRegistry, UnknownModel
@@ -23,15 +24,19 @@ class OutOfOrderFrame(Exception):
 
 
 class MetricsWindow:
-    """Fixed-capacity FIFO of one model's recent confidence and CPU figures."""
+    """Fixed-capacity FIFO of one model's recent confidence and CPU figures.
+
+    ``confidences`` and ``cpus`` are the window itself, oldest first, for
+    readers that average it without an aggregate; only ``record`` writes them.
+    """
 
     def __init__(self, model: ModelId, capacity: int):
         if capacity <= 0:
             raise ValueError(f"window capacity must be positive: {capacity}")
         self.model = model
         self.capacity = capacity
-        self._confidences: deque[float] = deque(maxlen=capacity)
-        self._cpus: deque[float] = deque(maxlen=capacity)
+        self.confidences: deque[float] = deque(maxlen=capacity)
+        self.cpus: deque[float] = deque(maxlen=capacity)
         self._latest: FrameMetrics | None = None
 
     def record(self, metrics: FrameMetrics) -> None:
@@ -41,18 +46,18 @@ class MetricsWindow:
                 f"{self.model}: frame {metrics.frame_index} after {latest.frame_index}"
             )
         self._latest = metrics
-        self._confidences.append(metrics.confidence_score)
-        self._cpus.append(metrics.cpu_usage)
+        self.confidences.append(metrics.confidence_score)
+        self.cpus.append(metrics.cpu_usage)
 
     def aggregate(self) -> WindowAggregate | None:
         """Mean confidence and CPU over the current window; None when empty."""
-        n = len(self._cpus)
+        n = len(self.cpus)
         if not n:
             return None
         return WindowAggregate(
             model=self.model,
-            avg_confidence=sum(self._confidences) / n,
-            avg_cpu=sum(self._cpus) / n,
+            avg_confidence=sum(self.confidences) / n,
+            avg_cpu=sum(self.cpus) / n,
             sample_count=n,
         )
 
@@ -60,11 +65,14 @@ class MetricsWindow:
         return self._latest
 
     def __len__(self) -> int:
-        return len(self._cpus)
+        return len(self.cpus)
 
 
 class Monitor:
-    """Routes frame metrics into per-model windows and the log registry."""
+    """Routes frame metrics into per-model windows and the log registry.
+
+    ``windows`` maps each model to its window, read-only.
+    """
 
     def __init__(
         self,
@@ -73,6 +81,7 @@ class Monitor:
         capacity: int = DEFAULT_WINDOW_CAPACITY,
     ):
         self._windows = {m: MetricsWindow(m, capacity) for m in model_ids}
+        self.windows: Mapping[ModelId, MetricsWindow] = MappingProxyType(self._windows)
         self._registry = registry
 
     def _window(self, model: ModelId) -> MetricsWindow:

@@ -1,16 +1,19 @@
 """Model-selection strategies.
 
-Three planners share one interface: an epsilon-greedy policy over the
-score table, a naive two-threshold policy, and round-robin over time
-slices with periodic CPU-rank boosting. Each returns a SelectionDecision;
-actually performing the switch is the executor's job.
+Three planners share one interface, ``decide(frame_index, active, view)``:
+an epsilon-greedy policy over the score table, a naive two-threshold policy
+on the active model's latest frame, and round-robin over time slices that
+re-ranks the models by observed CPU once per boost period. The ``RunView``
+is built once per run and is live and read-only: each decision reads the
+run as it stands, and no strategy can change it. Each decision is a
+SelectionDecision; actually performing the switch is the executor's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from modelswitch.domain import (
     FrameMetrics,
@@ -86,14 +89,19 @@ class RoundRobinBoostConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class DecisionContext:
-    """Everything the loop hands a strategy for one decision."""
+class RunView:
+    """What a strategy may read of a run: built once, live and read-only.
 
-    frame_index: int
-    active: ModelId
+    ``scores`` is the score table behind a read-only mapping, and ``latest``
+    and ``aggregate`` are the monitor's per-model readers (the most recent
+    frame metrics and the window means, None before the model's first
+    frame). None of it is a copy, so every decision sees the current values.
+    """
+
+    model_ids: tuple[ModelId, ...]
     scores: Mapping[ModelId, float]
-    latest: FrameMetrics | None  # most recent metrics of the active model
-    cpu_rank: tuple[ModelId, ...]
+    latest: Callable[[ModelId], FrameMetrics | None]
+    aggregate: Callable[[ModelId], WindowAggregate | None]
 
 
 def best_model(scores: Mapping[ModelId, float]) -> ModelId:
@@ -168,11 +176,9 @@ class SelectionStrategy:
     name = "strategy"
     # Processed frames between two decisions; the runner passes it to run_loop.
     decision_period: int = 1
-    # When set, the loop refreshes the context's cpu_rank every this many
-    # frames (used by round-robin boosting; None means never).
-    rank_refresh_period: int | None = None
 
-    def decide(self, ctx: DecisionContext) -> SelectionDecision:
+    def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
+        """Pick the model for frame_index; active is the model live now."""
         raise NotImplementedError
 
 
@@ -186,10 +192,10 @@ class EpsilonGreedyStrategy(SelectionStrategy):
         self.decision_period = config.decision_period
         self.rng = Random(config.rng_seed)
 
-    def decide(self, ctx: DecisionContext) -> SelectionDecision:
+    def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
         p = self.rng.random()
         return select_epsilon_greedy(
-            ctx.scores, ctx.active, p, self.config.epsilon, self.rng, self.config.exclude_best
+            view.scores, active, p, self.config.epsilon, self.rng, self.config.exclude_best
         )
 
 
@@ -199,35 +205,42 @@ class NaiveThresholdStrategy(SelectionStrategy):
     def __init__(self, config: NaiveConfig):
         self.config = config
 
-    def decide(self, ctx: DecisionContext) -> SelectionDecision:
-        return select_naive(ctx.latest, self.config, ctx.active)
+    def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
+        return select_naive(view.latest(active), self.config, active)
 
 
 class RoundRobinBoostStrategy(SelectionStrategy):
-    """Advances through cpu_rank one step per elapsed time slice.
+    """Advances through its CPU rank one step per elapsed time slice.
 
-    The rank itself is refreshed by the loop every boost period (see
-    rank_refresh_period); between refreshes it is deliberately stale.
+    The strategy re-ranks the models by their window CPU (rank_models_by_cpu)
+    at its first decision in each boost period, before it picks; between
+    refreshes the rank is deliberately stale.
     """
 
     name = "round-robin-boost"
 
     def __init__(self, config: RoundRobinBoostConfig = RoundRobinBoostConfig()):
         self.config = config
-        self.rank_refresh_period = config.boost_period_frames
+        self.rank: tuple[ModelId, ...] = ()
+        self._rank_slot = -1
         self._slot = -1
         self._position = -1
 
-    def decide(self, ctx: DecisionContext) -> SelectionDecision:
-        if not ctx.cpu_rank:
-            raise EmptyRepository("cpu_rank is empty")
-        slot = ctx.frame_index // self.config.time_slice_frames
+    def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
+        rank_slot = frame_index // self.config.boost_period_frames
+        if rank_slot > self._rank_slot:
+            ids = view.model_ids
+            self.rank = rank_models_by_cpu(ids, {m: view.aggregate(m) for m in ids})
+            self._rank_slot = rank_slot
+        if not self.rank:
+            raise EmptyRepository("no models to rank")
+        slot = frame_index // self.config.time_slice_frames
         if slot > self._slot:
             # A single step per observed boundary keeps the rotation order
             # even when a long switch swallows whole slices.
             self._position += 1
             self._slot = slot
-        selected = ctx.cpu_rank[self._position % len(ctx.cpu_rank)]
+        selected = self.rank[self._position % len(self.rank)]
         return SelectionDecision(
-            selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=ctx.active
+            selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=active
         )

@@ -370,11 +370,20 @@ class ConfigError(ValueError):
     """The experiment config could not be used."""
 
 
-# How an INI value becomes its field's type: a bool takes the words
-# configparser knows (true/false, yes/no, on/off, 1/0), a tuple a comma list.
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+# How an INI value becomes its field's type: a float must be finite (nan
+# slips past the one-sided range checks and inf overflows the arithmetic
+# downstream), a bool takes the words configparser knows (true/false, yes/no,
+# on/off, 1/0), a tuple a comma list.
 _PARSERS: dict[type, Callable[[str], Any]] = {
     int: int,
-    float: float,
+    float: _finite_float,
     bool: lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()],
     tuple: lambda raw: tuple(part.strip() for part in raw.split(",") if part.strip()),
 }
@@ -407,7 +416,8 @@ def section_kwargs(
         try:
             parsed[key] = _PARSERS[kind](value)
         except (KeyError, ValueError):
-            raise ConfigError(f"[{section}] {key}: expected {kind.__name__}: {value!r}") from None
+            expected = "finite float" if kind is float else kind.__name__
+            raise ConfigError(f"[{section}] {key}: expected {expected}: {value!r}") from None
     merged = {**defaults, **parsed, **overrides, **fixed}
     kwargs = {key: value for key, value in merged.items() if key in types}
     for f in fields(cls):

@@ -23,15 +23,14 @@ from modelswitch.domain import (
     Detection,
     FrameMetrics,
     SelectionMode,
-    WindowAggregate,
     frame_confidence,
 )
 from modelswitch.knowledge import LogRegistry, load_events_csv, load_metrics_csv
 from modelswitch.monitor import Monitor
 from modelswitch.planner import (
-    DecisionContext,
     EpsilonGreedyStrategy,
     PlannerConfig,
+    RunView,
     select_epsilon_greedy,
 )
 
@@ -70,10 +69,8 @@ def full_runs(tmp_path_factory) -> dict[str, tuple[RunSummary, Path, float]]:
 
 
 def test_score_matches_reference_operating_point() -> None:
-    aggregate = WindowAggregate(
-        model="efficientdet-lite2", avg_confidence=55.94, avg_cpu=18.0, sample_count=30
-    )
-    assert compute_score(13.0, 54.42, aggregate) == pytest.approx(-0.3627, abs=5e-4)
+    value = compute_score(13.0, 54.42, avg_cpu=18.0, avg_confidence=55.94)
+    assert value == pytest.approx(-0.3627, abs=5e-4)
 
 
 def test_frame_confidence_matches_reference_example() -> None:
@@ -102,16 +99,17 @@ def test_selection_fixture_exploit_and_explore() -> None:
 
 def test_exploration_rate_within_binomial_bound() -> None:
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.1, rng_seed=7))
-    ctx = DecisionContext(
-        frame_index=0,
-        active="efficientdet-lite0",
+    view = RunView(
+        model_ids=MODEL_IDS,
         scores=FIXTURE_SCORES,
-        latest=None,
-        cpu_rank=MODEL_IDS,
+        latest=lambda model: None,
+        aggregate=lambda model: None,
     )
     started = time.perf_counter()
     explored = sum(
-        1 for _ in range(100_000) if strategy.decide(ctx).mode is SelectionMode.EXPLORE
+        1
+        for _ in range(100_000)
+        if strategy.decide(0, "efficientdet-lite0", view).mode is SelectionMode.EXPLORE
     )
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -216,10 +214,7 @@ def test_score_sign_tracks_confidence_difference() -> None:
         scale = rng.choice((1.0, 100.0))
         current_confidence = scale * (0.01 + 0.99 * rng.random())
         avg_confidence = scale * rng.random()
-        aggregate = WindowAggregate(
-            model="m", avg_confidence=avg_confidence, avg_cpu=avg_cpu, sample_count=30
-        )
-        value = compute_score(current_cpu, current_confidence, aggregate)
+        value = compute_score(current_cpu, current_confidence, avg_cpu, avg_confidence)
         if current_confidence > avg_confidence:
             assert value > 0.0
         elif current_confidence < avg_confidence:

@@ -202,6 +202,37 @@ def test_bad_config_exits_one_before_writing(
     assert not out.exists()
 
 
+# (section, float key, non-finite value): one case per section kind, and every
+# value that escaped as a traceback or ran silently before it was rejected.
+NON_FINITE = [
+    ("trace", "duration_s", "nan"),
+    ("segment.2", "start_s", "nan"),
+    ("segment.2", "mean_objects", "nan"),
+    ("model.tiny", "cpu_per_object_pct", "nan"),
+    ("model.tiny", "confidence_noise_sd", "nan"),
+    ("model.tiny", "switch_latency_ms", "inf"),
+    ("engine", "confidence_floor", "-inf"),
+    ("naive", "cpu_high_threshold", "Infinity"),
+    ("epsilon-greedy", "epsilon", "NaN"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value", NON_FINITE, ids=[f"{s}-{k}-{v}" for s, k, v in NON_FINITE]
+)
+def test_non_finite_float_exits_one_naming_section_and_key(
+    section, key, value, tmp_path, capsys
+) -> None:
+    sections = {name: dict(values) for name, values in SMALL.items()}
+    sections.setdefault(section, {})[key] = value
+    out = tmp_path / "out"
+    code, err = _run_main("naive", _write_ini(tmp_path / "bad.ini", sections), out, capsys)
+    assert code == 1
+    assert err.startswith("config error:")
+    assert f"[{section}] {key}: expected finite float" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["segment.one", "segment.01"])
 def test_segment_number_must_be_a_new_integer(name, tmp_path, capsys) -> None:
     """[segment.one] has no number and [segment.01] repeats [segment.1]'s; either stops the run."""

@@ -22,6 +22,31 @@ DURATION_S = 120.0
 # The naive thresholds that never fire: no switches, every frame processed.
 STATIC_NAIVE = "[naive]\ncpu_high_threshold = 100\nconfidence_low_threshold = 0\n"
 
+# Round-robin with slices and boost periods shorter than a switch (300-1000 ms
+# is 18-60 frames at 60 fps), so a switch swallows whole boost slots.
+SHORT_SLOTS = "[round-robin-boost]\ntime_slice_frames = 7\nboost_period_frames = 20\n"
+
+# Epsilon-greedy exploring half the time, deciding every third processed frame.
+HALF_EXPLORE = "[epsilon-greedy]\nepsilon = 0.5\ndecision_period = 3\n"
+
+# A one-frame window: every window mean is the latest frame itself. Naive reads
+# only the latest frame, so its bytes match the default naive run's.
+ONE_FRAME_WINDOW = "[engine]\nwindow_capacity = 1\n"
+
+
+def _model(name: str, base_cpu: float, recall: float, latency_ms: float) -> str:
+    return (
+        f"[model.{name}]\nbase_cpu_pct = {base_cpu!r}\ncpu_per_object_pct = 0.3\n"
+        "base_confidence = 0.6\nconfidence_noise_sd = 0.05\n"
+        f"detection_recall = {recall!r}\nswitch_latency_ms = {latency_ms!r}\n"
+        "inference_time_ms = 40\n\n"
+    )
+
+
+# A model that detects nothing: every frame it processes has confidence 0, so
+# its score is the zero-confidence sentinel.
+BLIND_MODEL = _model("blind", 12.0, 0.0, 300.0) + _model("sighted", 16.0, 0.9, 500.0)
+
 # case id -> (strategy, extra config text, {file: sha256})
 GOLDEN = {
     "epsilon-greedy": (
@@ -58,6 +83,42 @@ GOLDEN = {
             "metrics.csv": "e3fa8e574371ee911a3817871c6c1b3ea008c488ff64a540a3c2aee210724f36",
             "events.csv": "7763ed5babe2b3927349e4e38e7aa0096e74c931e54eea960b74573920340bd3",
             "summary.txt": "9db56c39fedfa92cc5c4db786449d33052d7fee849b799188cafc2eee574202a",
+        },
+    ),
+    "round-robin-short-slots": (
+        "round-robin-boost",
+        SHORT_SLOTS,
+        {
+            "metrics.csv": "28283125a98f9ca950151abb5f4fce3a41d656ce17247cb3cb51217bce9323d2",
+            "events.csv": "cea2be0a6829e73383789564a9b57cdfd89b3bc34a4339c57c566fae4cba1883",
+            "summary.txt": "56c8e01e6be4ed89cf150597013c649b9dc7516663b866c9368dd9730a6825ae",
+        },
+    ),
+    "epsilon-greedy-half-explore": (
+        "epsilon-greedy",
+        HALF_EXPLORE,
+        {
+            "metrics.csv": "556e8810ea77281fa6f1497312413e6910b6c7c47222b1b15ce6b35b8850bc2e",
+            "events.csv": "5fdff1131665741bee7e83d6e25a78e881ef15a7c1b76d7032392f3d2d65d64f",
+            "summary.txt": "4899c4bcf07fc75cf4101b54b378cfb5329989a8bd761834b67e309b79f6fc63",
+        },
+    ),
+    "naive-one-frame-window": (
+        "naive",
+        ONE_FRAME_WINDOW,
+        {
+            "metrics.csv": "7f059e6c33eaf9eb54fad691acab1287a32c8c9d711c4fdbff94305a5c0087cd",
+            "events.csv": "a7535c85e01561ccc5d1f85ce437167fa647191394a6a73a10192df5f0b05f5a",
+            "summary.txt": "c86958625eb4f5c757447f47207bed0ffc883a7028b440ba8aaab34577562ae0",
+        },
+    ),
+    "epsilon-greedy-blind-model": (
+        "epsilon-greedy",
+        BLIND_MODEL,
+        {
+            "metrics.csv": "53207059dd14a18d97bd1c6edcc79593a15f091e505841a94363b4ba599b964d",
+            "events.csv": "1475d32a7cc11d921c099bcd73bc0650067aa69f933ccd2b633a7621b8a55aa2",
+            "summary.txt": "4dc9da0821f7ce01b482c8bb0c8680db079714a8e71b8299c0ff4ac91aea9b49",
         },
     ),
 }

@@ -11,7 +11,6 @@ import pytest
 from modelswitch.cli import run_experiment
 from modelswitch.domain import (
     FrameMetrics,
-    Score,
     SelectionDecision,
     SelectionMode,
     SwitchEvent,
@@ -90,20 +89,29 @@ def test_repository_rejects_duplicates_and_unknowns() -> None:
 
 def test_score_table_initialize_and_update() -> None:
     table = ScoreTable.initialize(("a", "b"))
-    assert table.values() == {"a": 0.0, "b": 0.0}
-    assert all(s.computed_at_frame == 0 for s in table)
-    table.update(Score(model="a", value=-0.5, computed_at_frame=7))
-    assert table.get("a").value == -0.5
-    assert table.get("b").value == 0.0
-    assert len(table) == 2
+    scores = table.scores
+    assert scores == {"a": 0.0, "b": 0.0}
+    assert list(scores) == ["a", "b"]
+    table.update("a", -0.5)
+    # The mapping taken before the update follows it: it is the table, not a copy.
+    assert scores == {"a": -0.5, "b": 0.0}
+    assert len(scores) == 2
 
 
 def test_score_table_rejects_unknown_model() -> None:
     table = ScoreTable.initialize(("a",))
     with pytest.raises(UnknownModel):
-        table.update(Score(model="ghost", value=1.0, computed_at_frame=0))
-    with pytest.raises(UnknownModel):
-        table.get("ghost")
+        table.update("ghost", 1.0)
+    assert table.scores == {"a": 0.0}
+
+
+def test_score_table_scores_are_read_only() -> None:
+    table = ScoreTable.initialize(("a",))
+    with pytest.raises(TypeError):
+        table.scores["a"] = 1.0  # type: ignore[index]
+    with pytest.raises(TypeError):
+        del table.scores["a"]  # type: ignore[attr-defined]
+    assert table.scores == {"a": 0.0}
 
 
 def test_registry_rejects_backwards_frame_indices() -> None:

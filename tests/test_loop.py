@@ -15,9 +15,11 @@ from modelswitch.knowledge import (
 )
 from modelswitch.loop import run_loop
 from modelswitch.planner import (
-    DecisionContext,
     EpsilonGreedyStrategy,
     PlannerConfig,
+    RoundRobinBoostConfig,
+    RoundRobinBoostStrategy,
+    RunView,
     SelectionStrategy,
 )
 from modelswitch.sim import ModelProfile, ScheduleSegment, TraceConfig, generate_trace
@@ -66,17 +68,17 @@ def _logged_run(tmp_path, *args, **kwargs):
 
 
 class _StayPut(SelectionStrategy):
-    """Always keeps the active model; records the contexts it was shown."""
+    """Always keeps the active model; records (frame_index, active, view) per decision."""
 
     name = "stay-put"
 
     def __init__(self) -> None:
-        self.contexts: list[DecisionContext] = []
+        self.calls: list[tuple[int, str, RunView]] = []
 
-    def decide(self, ctx: DecisionContext) -> SelectionDecision:
-        self.contexts.append(ctx)
+    def decide(self, frame_index: int, active: str, view: RunView) -> SelectionDecision:
+        self.calls.append((frame_index, active, view))
         return SelectionDecision(
-            selected=ctx.active, mode=SelectionMode.FORCED, random_draw=None, previous=ctx.active
+            selected=active, mode=SelectionMode.FORCED, random_draw=None, previous=active
         )
 
 
@@ -89,11 +91,11 @@ class _SwitchOnce(_StayPut):
         super().__init__()
         self.target = target
 
-    def decide(self, ctx: DecisionContext) -> SelectionDecision:
-        self.contexts.append(ctx)
-        selected = self.target if ctx.frame_index == 0 else ctx.active
+    def decide(self, frame_index: int, active: str, view: RunView) -> SelectionDecision:
+        self.calls.append((frame_index, active, view))
+        selected = self.target if frame_index == 0 else active
         return SelectionDecision(
-            selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=ctx.active
+            selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=active
         )
 
 
@@ -116,7 +118,7 @@ def test_decision_period_thins_out_decisions() -> None:
     )
     # Decisions land on processed-frame counts 0, 7, 14, ... -> ceil(50 / 7).
     assert result.decision_count == 8
-    assert len(strategy.contexts) == 8
+    assert [frame_index for frame_index, _, _ in strategy.calls] == [0, 7, 14, 21, 28, 35, 42, 49]
 
 
 def test_switch_drops_the_frames_inside_the_latency_window(monkeypatch, tmp_path) -> None:
@@ -137,13 +139,13 @@ def test_switch_near_the_end_cannot_drop_past_the_trace(monkeypatch) -> None:
     monkeypatch.setattr("modelswitch.executor.SWITCH_JITTER", 0.0)
 
     class _SwitchLate(_StayPut):
-        def decide(self, ctx: DecisionContext) -> SelectionDecision:
-            selected = "b" if ctx.frame_index == 48 else ctx.active
+        def decide(self, frame_index: int, active: str, view: RunView) -> SelectionDecision:
+            selected = "b" if frame_index == 48 else active
             return SelectionDecision(
                 selected=selected,
                 mode=SelectionMode.FORCED,
                 random_draw=None,
-                previous=ctx.active,
+                previous=active,
             )
 
     result = run_loop(
@@ -187,22 +189,54 @@ def test_metrics_time_includes_accumulated_switch_latency(monkeypatch, tmp_path)
     assert metrics_rows[1][0] == pytest.approx(1100.0)
 
 
-def test_rank_refresh_follows_observed_cpu() -> None:
-    class _RankWatcher(_SwitchOnce):
-        rank_refresh_period = 30
+def test_one_live_view_serves_every_decision() -> None:
+    class _ViewWatcher(_StayPut):
+        def __init__(self) -> None:
+            super().__init__()
+            self.seen: list[tuple[int | None, dict[str, float]]] = []
 
-    strategy = _RankWatcher("b")
+        def decide(self, frame_index: int, active: str, view: RunView) -> SelectionDecision:
+            # What the view shows at each decision: the frames seen so far.
+            latest = view.latest(active)
+            self.seen.append((latest and latest.frame_index, dict(view.scores)))
+            return super().decide(frame_index, active, view)
+
+    strategy = _ViewWatcher()
+    run_loop(_trace(5), _repo(), strategy, registry=_sink(), fps=10, inference_seed=3)
+    views = {id(view) for _, _, view in strategy.calls}
+    assert len(views) == 1
+    view = strategy.calls[0][2]
+    assert view.model_ids == ("a", "b")
+    # Before the first frame nothing is observed; later decisions see the frame before.
+    assert [frame_index for frame_index, _ in strategy.seen] == [None, 0, 1, 2, 3]
+    assert strategy.seen[0][1] == {"a": 0.0, "b": 0.0}
+    # The view is live: after the run it shows the last frame and score.
+    assert view.latest("a").frame_index == 4
+    assert view.aggregate("b") is None
+    with pytest.raises(TypeError):
+        view.scores["a"] = 1.0  # type: ignore[index]
+
+
+def test_round_robin_ranks_by_the_cpu_the_loop_observed() -> None:
+    strategy = RoundRobinBoostStrategy(
+        RoundRobinBoostConfig(time_slice_frames=1000, boost_period_frames=30)
+    )
     run_loop(_trace(90), _repo(), strategy, registry=_sink(), fps=10, inference_seed=3)
-    # Before any data the rank is repository order; once model b (the
-    # lighter CPU profile) has samples it must lead the refreshed rank.
-    assert strategy.contexts[0].cpu_rank == ("a", "b")
-    assert strategy.contexts[-1].cpu_rank[0] == "b"
+    # Only model a ran (the slice never ends), so b, unobserved, ranks last.
+    assert strategy.rank == ("a", "b")
+
+    strategy = RoundRobinBoostStrategy(
+        RoundRobinBoostConfig(time_slice_frames=10, boost_period_frames=30)
+    )
+    run_loop(_trace(200), _repo(), strategy, registry=_sink(), fps=10, inference_seed=3)
+    # Both ran; b has the lighter CPU profile, so it leads the last re-rank.
+    assert strategy.rank == ("b", "a")
 
 
 def test_initial_model_defaults_to_first_registered() -> None:
     strategy = _StayPut()
     result = run_loop(_trace(10), _repo(), strategy, registry=_sink(), fps=10, inference_seed=1)
-    assert strategy.contexts[0].active == "a"
+    assert strategy.calls[0][1] == "a"
     assert result.final_state.active == "a"
 
     strategy = _StayPut()

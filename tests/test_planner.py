@@ -6,8 +6,8 @@ from random import Random
 import pytest
 
 from modelswitch.domain import FrameMetrics, SelectionMode, WindowAggregate
+from modelswitch.knowledge import ScoreTable
 from modelswitch.planner import (
-    DecisionContext,
     EmptyRepository,
     EpsilonGreedyStrategy,
     NaiveConfig,
@@ -15,6 +15,7 @@ from modelswitch.planner import (
     PlannerConfig,
     RoundRobinBoostConfig,
     RoundRobinBoostStrategy,
+    RunView,
     best_model,
     rank_models_by_cpu,
     select_epsilon_greedy,
@@ -24,14 +25,19 @@ from modelswitch.planner import (
 SCORES = {"a": 0.5, "b": -0.2, "c": 0.1}
 
 
-def _ctx(frame_index: int, active: str = "a", scores=None, latest=None, rank=("a", "b", "c")) -> DecisionContext:
-    return DecisionContext(
-        frame_index=frame_index,
-        active=active,
+def _view(
+    scores=None, latest: FrameMetrics | None = None, model_ids=("a", "b", "c"), aggregates=None
+) -> RunView:
+    """A view over fixed scores and latest metrics; aggregate reads the given dict."""
+    return RunView(
+        model_ids=model_ids,
         scores=SCORES if scores is None else scores,
-        latest=latest,
-        cpu_rank=rank,
+        latest=lambda model: latest,
+        aggregate=({} if aggregates is None else aggregates).get,
     )
+
+
+VIEW = _view()
 
 
 def _metrics(cpu: float, confidence: float) -> FrameMetrics:
@@ -109,20 +115,30 @@ def test_strategy_is_deterministic_per_seed() -> None:
     config = PlannerConfig(rng_seed=9)
     first = EpsilonGreedyStrategy(config)
     second = EpsilonGreedyStrategy(config)
-    contexts = [_ctx(i) for i in range(500)]
-    assert [first.decide(c) for c in contexts] == [second.decide(c) for c in contexts]
+    assert [first.decide(i, "a", VIEW) for i in range(500)] == [
+        second.decide(i, "a", VIEW) for i in range(500)
+    ]
 
 
 def test_zero_epsilon_never_explores() -> None:
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.0, rng_seed=3))
-    decisions = [strategy.decide(_ctx(i)) for i in range(10_000)]
+    decisions = [strategy.decide(i, "a", VIEW) for i in range(10_000)]
     assert all(d.mode is SelectionMode.EXPLOIT for d in decisions)
 
 
 def test_unit_epsilon_always_explores() -> None:
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=1.0, rng_seed=3))
-    decisions = [strategy.decide(_ctx(i)) for i in range(1000)]
+    decisions = [strategy.decide(i, "a", VIEW) for i in range(1000)]
     assert all(d.mode is SelectionMode.EXPLORE for d in decisions)
+
+
+def test_epsilon_greedy_reads_the_live_score_table() -> None:
+    table = ScoreTable.initialize(("a", "b"))
+    view = _view(scores=table.scores, model_ids=("a", "b"))
+    strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.0))
+    assert strategy.decide(0, "a", view).selected == "a"
+    table.update("b", -1.0)
+    assert strategy.decide(1, "a", view).selected == "b"
 
 
 def test_planner_config_validation() -> None:
@@ -171,6 +187,19 @@ def test_naive_stays_put_without_metrics() -> None:
     assert select_naive(None, config, active="m").selected == "m"
 
 
+def test_naive_strategy_reads_the_latest_metrics_of_the_active_model() -> None:
+    asked = []
+
+    def latest(model: str) -> FrameMetrics:
+        asked.append(model)
+        return _metrics(cpu=30.0, confidence=0.9)
+
+    view = RunView(model_ids=("s", "m", "l"), scores={}, latest=latest, aggregate=lambda m: None)
+    strategy = NaiveThresholdStrategy(NaiveConfig(model_order=("s", "m", "l")))
+    assert strategy.decide(5, "m", view).selected == "s"
+    assert asked == ["m"]
+
+
 def test_naive_config_validation() -> None:
     with pytest.raises(EmptyRepository):
         NaiveConfig(model_order=())
@@ -206,40 +235,96 @@ def test_rank_ties_break_on_model_id() -> None:
 
 def test_round_robin_holds_within_a_slice() -> None:
     strategy = RoundRobinBoostStrategy(RoundRobinBoostConfig(time_slice_frames=10))
-    picks = [strategy.decide(_ctx(i)).selected for i in range(10)]
+    picks = [strategy.decide(i, "a", VIEW).selected for i in range(10)]
     assert picks == ["a"] * 10
 
 
 def test_round_robin_advances_one_step_per_slice() -> None:
     strategy = RoundRobinBoostStrategy(RoundRobinBoostConfig(time_slice_frames=10))
-    picks = [strategy.decide(_ctx(i)).selected for i in (0, 10, 20, 30, 40)]
+    picks = [strategy.decide(i, "a", VIEW).selected for i in (0, 10, 20, 30, 40)]
     assert picks == ["a", "b", "c", "a", "b"]
 
 
 def test_round_robin_advances_once_even_after_a_gap() -> None:
     """Skipped slices (frames dropped during long switches) cost one step, not many."""
     strategy = RoundRobinBoostStrategy(RoundRobinBoostConfig(time_slice_frames=10))
-    assert strategy.decide(_ctx(0)).selected == "a"
-    assert strategy.decide(_ctx(57)).selected == "b"
-    assert strategy.decide(_ctx(60)).selected == "c"
+    assert strategy.decide(0, "a", VIEW).selected == "a"
+    assert strategy.decide(57, "a", VIEW).selected == "b"
+    assert strategy.decide(60, "a", VIEW).selected == "c"
 
 
 def test_round_robin_reports_forced_mode() -> None:
     strategy = RoundRobinBoostStrategy(RoundRobinBoostConfig(time_slice_frames=10))
-    decision = strategy.decide(_ctx(0, active="c"))
+    decision = strategy.decide(0, "c", VIEW)
     assert decision.mode is SelectionMode.FORCED
     assert decision.previous == "c"
 
 
-def test_round_robin_exposes_boost_period_for_rank_refresh() -> None:
-    strategy = RoundRobinBoostStrategy(RoundRobinBoostConfig(boost_period_frames=600))
-    assert strategy.rank_refresh_period == 600
+class _CountingAggregates(dict):
+    """Window aggregates by model that count the reads a re-rank makes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reads = 0
+
+    def get(self, model, default=None):
+        self.reads += 1
+        return super().get(model, default)
+
+
+def _boosting(boost_period_frames: int) -> tuple[RoundRobinBoostStrategy, _CountingAggregates, RunView]:
+    # A slice longer than any test's frames: the pick is always the head of the rank.
+    strategy = RoundRobinBoostStrategy(
+        RoundRobinBoostConfig(time_slice_frames=10_000, boost_period_frames=boost_period_frames)
+    )
+    aggregates = _CountingAggregates()
+    return strategy, aggregates, _view(aggregates=aggregates)
+
+
+def test_round_robin_reranks_at_the_first_decision_of_each_boost_slot() -> None:
+    strategy, aggregates, view = _boosting(100)
+    # Nothing observed yet: the first decision ranks in repository order.
+    assert strategy.decide(0, "a", view).selected == "a"
+    assert strategy.rank == ("a", "b", "c")
+    assert aggregates.reads == 3
+
+    aggregates["c"] = _agg("c", 5.0)
+    aggregates["a"] = _agg("a", 9.0)
+    # The same boost slot keeps the stale rank and reads nothing.
+    assert strategy.decide(99, "a", view).selected == "a"
+    assert aggregates.reads == 3
+
+    # The next slot's first decision re-ranks before it picks.
+    assert strategy.decide(100, "a", view).selected == "c"
+    assert strategy.rank == ("c", "a", "b")
+    assert aggregates.reads == 6
+    strategy.decide(150, "c", view)
+    assert aggregates.reads == 6
+
+
+def test_round_robin_reranks_once_after_skipped_boost_slots() -> None:
+    """A switch that swallows whole boost slots costs one re-rank, not one per slot."""
+    strategy, aggregates, view = _boosting(100)
+    strategy.decide(0, "a", view)
+    aggregates["b"] = _agg("b", 5.0)
+    assert strategy.decide(350, "a", view).selected == "b"
+    assert aggregates.reads == 6
+    strategy.decide(399, "b", view)
+    assert aggregates.reads == 6
+    aggregates["c"] = _agg("c", 1.0)
+    assert strategy.decide(400, "b", view).selected == "c"
+    assert aggregates.reads == 9
 
 
 def test_round_robin_rejects_empty_rank() -> None:
     strategy = RoundRobinBoostStrategy()
     with pytest.raises(EmptyRepository):
-        strategy.decide(_ctx(0, rank=()))
+        strategy.decide(0, "a", _view(model_ids=()))
+
+
+def test_run_view_is_frozen() -> None:
+    with pytest.raises(AttributeError):
+        VIEW.scores = {}  # type: ignore[misc]
 
 
 def test_round_robin_config_validation() -> None:

@@ -59,7 +59,7 @@ def test_peak_memory_is_flat_in_trace_length(tmp_path) -> None:
     assert per_frame < 16, f"peak grows by {per_frame:.1f} bytes per processed frame"
 
 
-def _write_config(directory: Path, fps: int, duration_s: int, calm, rush) -> str:
+def _write_config(directory: Path, fps: int, duration_s: int, calm, rush, profiles) -> str:
     lines = [f"[trace]\nfps = {fps}\nduration_s = {duration_s}\n"]
     for i, (start_s, (mean_objects, complexity)) in enumerate(
         ((0, calm), (duration_s / 2, rush)), start=1
@@ -68,12 +68,34 @@ def _write_config(directory: Path, fps: int, duration_s: int, calm, rush) -> str
             f"[segment.{i}]\nstart_s = {start_s!r}\nmean_objects = {mean_objects!r}\n"
             f"complexity = {complexity!r}\n"
         )
+    for i, (base_cpu, recall, noise_sd, latency_ms, inference_ms) in enumerate(profiles):
+        lines.append(
+            f"[model.m{i}]\nbase_cpu_pct = {base_cpu!r}\ncpu_per_object_pct = 0.3\n"
+            f"base_confidence = 0.6\nconfidence_noise_sd = {noise_sd!r}\n"
+            f"detection_recall = {recall!r}\nswitch_latency_ms = {latency_ms!r}\n"
+            f"inference_time_ms = {inference_ms!r}\n"
+        )
     path = directory / "run.ini"
     path.write_text("\n".join(lines), encoding="utf-8")
     return str(path)
 
 
 _segments = st.tuples(st.floats(0.0, 15.0), st.floats(0.0, 1.0))
+
+# One to four models: (base CPU %, recall, confidence noise sd, switch latency
+# ms, inference time ms). Recall 0 is drawn often: such a model scores the
+# zero-confidence sentinel on every frame it processes.
+_profiles = st.lists(
+    st.tuples(
+        st.floats(0.0, 100.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        st.floats(0.0, 0.5),
+        st.floats(0.0, 2000.0),
+        st.floats(1.0, 100.0),
+    ),
+    min_size=1,
+    max_size=4,
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,11 +106,14 @@ _segments = st.tuples(st.floats(0.0, 15.0), st.floats(0.0, 1.0))
     duration_s=st.integers(2, 90),
     calm=_segments,
     rush=_segments,
+    profiles=_profiles,
 )
-def test_written_run_agrees_with_its_summary(strategy, seed, fps, duration_s, calm, rush) -> None:
+def test_written_run_agrees_with_its_summary(
+    strategy, seed, fps, duration_s, calm, rush, profiles
+) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        config = _write_config(directory, fps, duration_s, calm, rush)
+        config = _write_config(directory, fps, duration_s, calm, rush, profiles)
         returned = run_experiment(strategy, directory / "run", config_path=config, seed=seed)
         summary = read_summary(directory / "run" / SUMMARY_FILENAME)
         metrics_rows = load_metrics_csv(directory / "run" / METRICS_FILENAME)
@@ -100,8 +125,15 @@ def test_written_run_agrees_with_its_summary(strategy, seed, fps, duration_s, ca
     assert processed + int(summary["frames_dropped"]) == total
     assert len(metrics_rows) == processed
     usage = {k.split(".", 1)[1]: int(v) for k, v in summary.items() if k.startswith("usage_count.")}
+    assert list(usage) == [f"m{i}" for i in range(len(profiles))]
     assert sum(usage.values()) == processed
     assert Counter(metrics.model for _, metrics in metrics_rows) == +Counter(usage)
+    blind = {f"m{i}" for i, profile in enumerate(profiles) if profile[1] == 0.0}
+    assert all(
+        m.detection_count == 0 and m.confidence_score == 0.0
+        for _, m in metrics_rows
+        if m.model in blind
+    )
 
     decisions = [row for row in event_rows if row["event_type"] == "decision"]
     assert len(decisions) == int(summary["decision_count"])
