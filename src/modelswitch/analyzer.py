@@ -6,17 +6,20 @@ goes negative exactly when the model's current confidence sits below its
 own recent average, so a dip reads as attractive and a lucky streak reads
 as expensive. Confidence enters only as a ratio, so current and windowed
 confidence merely have to share a unit.
+
+A model's score changes only when that model records a frame, so scores
+are computed when read and nothing stores them.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator, Mapping
 
-from modelswitch.domain import FrameMetrics
-from modelswitch.knowledge import ScoreTable, UnknownModel
-from modelswitch.monitor import Monitor
+from modelswitch.domain import FrameMetrics, ModelId
+from modelswitch.monitor import MetricsWindow
 
-# Written in place of a score when the current confidence is zero: the
+# Read in place of a score when the current confidence is zero: the
 # largest finite float, so exploitation can never prefer the model while
 # exploration may still visit it.
 ZERO_CONFIDENCE_SCORE = sys.float_info.max
@@ -35,33 +38,36 @@ def compute_score(
     return min(current_cpu, avg_cpu) * (1.0 - avg_confidence / current_confidence)
 
 
-class Analyzer:
-    """Keeps the score table in step with what the monitor has seen."""
+class Scores(Mapping[ModelId, float]):
+    """Read-only score per model over the monitor's windows: 0.0 before the
+    model's first frame, then its latest frame against its window means,
+    cached until the window records a newer frame."""
 
-    def __init__(self, monitor: Monitor, table: ScoreTable):
-        self._windows = monitor.windows
-        self._table = table
+    def __init__(self, windows: Mapping[ModelId, MetricsWindow]):
+        self._windows = windows
+        self._cache: dict[ModelId, tuple[FrameMetrics, float]] = {}
 
-    def refresh_scores(self, frame: FrameMetrics) -> float:
-        """Re-score the model that just processed a frame from its window's
-        means and return the score; other entries keep their previous
-        (possibly stale) values."""
-        model = frame.model
-        try:
-            window = self._windows[model]
-        except KeyError:
-            raise UnknownModel(model) from None
+    def __getitem__(self, model: ModelId) -> float:
+        window = self._windows[model]
+        frame = window.latest()
+        if frame is None:
+            return 0.0
+        cached = self._cache.get(model)
+        if cached is not None and cached[0] is frame:
+            return cached[1]
         cpus = window.cpus
         n = len(cpus)
-        if not n:
-            # refresh_scores is only called after the frame was recorded,
-            # so the window cannot be empty here.
-            raise RuntimeError(f"no window data for {model}")
         try:
             value = compute_score(
                 frame.cpu_usage, frame.confidence_score, sum(cpus) / n, sum(window.confidences) / n
             )
         except ZeroConfidence:
             value = ZERO_CONFIDENCE_SCORE
-        self._table.update(model, value)
+        self._cache[model] = (frame, value)
         return value
+
+    def __iter__(self) -> Iterator[ModelId]:
+        return iter(self._windows)
+
+    def __len__(self) -> int:
+        return len(self._windows)

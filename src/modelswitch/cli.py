@@ -250,6 +250,8 @@ def run_experiment(
         raise ConfigError(f"[{unknown[0]}]: unknown section")
     effective_seed = seed if seed is not None else sim_config.trace.rng_seed
     trace_config = replace(sim_config.trace, rng_seed=effective_seed)
+    if trace_config.total_frames == 0:
+        raise ConfigError("[trace] fps * duration_s rounds to 0 frames")
     repo = ModelRepository(sim_config.profiles)
     engine_kwargs = section_kwargs(ENGINE_SECTION, extras.get(ENGINE_SECTION, {}), EngineConfig)
     try:

@@ -2,9 +2,10 @@
 
 A switch costs the incoming model's base latency plus or minus up to 10%
 uniform jitter; the loop drops the frames that arrive while the switch is
-in progress. Inference output is post-filtered by a confidence floor
-before the frame confidence is computed, mirroring a detector's
-score-threshold stage.
+in progress. The executor looks a profile up only when it switches to that
+model, and runs inference with the profile it keeps. Inference output is
+post-filtered by a confidence floor before the frame confidence is
+computed, mirroring a detector's score-threshold stage.
 """
 
 from __future__ import annotations
@@ -42,34 +43,6 @@ class ExecutorState:
         return self.cumulative_switch_time_ms / self.switch_count
 
 
-def apply_decision(
-    decision: SelectionDecision,
-    state: ExecutorState,
-    repo: ModelRepository,
-    rng: Random,
-    frame_index: int,
-) -> tuple[ExecutorState, SwitchEvent | None]:
-    """Carry out a decision; same-model selections are free no-ops."""
-    profile = repo.get(decision.selected)  # raises UnknownModel early
-    if decision.selected == state.active:
-        return state, None
-    jitter = 1.0 + SWITCH_JITTER * (2.0 * rng.random() - 1.0)
-    switch_time_ms = profile.switch_latency_ms * jitter
-    event = SwitchEvent(
-        frame_index=frame_index,
-        from_model=state.active,
-        to_model=decision.selected,
-        switch_time_ms=switch_time_ms,
-    )
-    new_state = replace(
-        state,
-        active=decision.selected,
-        cumulative_switch_time_ms=state.cumulative_switch_time_ms + switch_time_ms,
-        switch_count=state.switch_count + 1,
-    )
-    return new_state, event
-
-
 class Executor:
     """Owns the live model state and runs inference for arriving frames."""
 
@@ -81,7 +54,7 @@ class Executor:
         initial_model: ModelId,
         confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR,
     ):
-        repo.get(initial_model)
+        self._profile = repo.get(initial_model)
         self._repo = repo
         self._monitor = monitor
         self._rng = rng
@@ -93,15 +66,32 @@ class Executor:
         return self.state.active
 
     def apply(self, decision: SelectionDecision, frame_index: int) -> SwitchEvent | None:
-        self.state, event = apply_decision(
-            decision, self.state, self._repo, self._rng, frame_index
+        """Carry out a decision. A same-model selection is a free no-op; a switch
+        looks up the incoming profile (UnknownModel if unregistered) and keeps it."""
+        selected = decision.selected
+        state = self.state
+        if selected == state.active:
+            return None
+        profile = self._repo.get(selected)
+        jitter = 1.0 + SWITCH_JITTER * (2.0 * self._rng.random() - 1.0)
+        switch_time_ms = profile.switch_latency_ms * jitter
+        self._profile = profile
+        self.state = replace(
+            state,
+            active=selected,
+            cumulative_switch_time_ms=state.cumulative_switch_time_ms + switch_time_ms,
+            switch_count=state.switch_count + 1,
         )
-        return event
+        return SwitchEvent(
+            frame_index=frame_index,
+            from_model=state.active,
+            to_model=selected,
+            switch_time_ms=switch_time_ms,
+        )
 
     def run_inference(self, frame: SimFrame, sim_time_ms: float) -> FrameMetrics:
         """Process one frame with the active model and record the result."""
-        profile = self._repo.get(self.state.active)
-        confidences, cpu_usage, inference_time_ms = synth_inference(frame, profile, self._rng)
+        confidences, cpu_usage, inference_time_ms = synth_inference(frame, self._profile, self._rng)
         floor = self.confidence_floor
         kept = [c for c in confidences if c >= floor]
         metrics = FrameMetrics(

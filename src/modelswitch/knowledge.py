@@ -1,4 +1,4 @@
-"""Shared knowledge for the control loop: models, scores, run logs.
+"""Shared knowledge for the control loop: models and run logs.
 
 The log registry is append-only and is the single source of truth for
 everything a run emits. It streams plain UTF-8 CSV with LF line endings
@@ -9,8 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 from pathlib import Path
-from types import MappingProxyType
-from typing import Mapping, TextIO
+from typing import TextIO
 
 from modelswitch.domain import (
     FrameMetrics,
@@ -68,32 +67,6 @@ class ModelRepository:
 
     def __len__(self) -> int:
         return len(self._profiles)
-
-    def __contains__(self, model: ModelId) -> bool:
-        return model in self._profiles
-
-
-class ScoreTable:
-    """Current score per model. Lower value means a more attractive model.
-
-    ``scores`` is the table itself behind a read-only mapping: it follows
-    every update, so readers take it once and never copy it.
-    """
-
-    def __init__(self, entries: Mapping[ModelId, float]):
-        self._entries: dict[ModelId, float] = dict(entries)
-        self.scores: Mapping[ModelId, float] = MappingProxyType(self._entries)
-
-    @classmethod
-    def initialize(cls, model_ids: tuple[ModelId, ...], value: float = 0.0) -> "ScoreTable":
-        """Fresh table: every model starts at the given value."""
-        return cls(dict.fromkeys(model_ids, value))
-
-    def update(self, model: ModelId, value: float) -> None:
-        entries = self._entries
-        if model not in entries:
-            raise UnknownModel(model)
-        entries[model] = value
 
 
 class LogRegistry:

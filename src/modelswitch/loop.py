@@ -4,9 +4,9 @@ Frames arrive at a fixed rate. Every decision_period processed frames the
 strategy is consulted with the frame index, the active model and one
 RunView built for the whole run; if it switches models, the switch latency
 is paid on the simulated clock and the frames that arrive inside that
-window are dropped unprocessed. Each processed frame is recorded and
-scored, and the view reads the monitor and the score table live, so the
-next decision sees it.
+window are dropped unprocessed. Each processed frame is recorded by the
+monitor; the view reads the monitor live and scores a model when the
+strategy reads its score, so the next decision sees the frame.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-from modelswitch.analyzer import Analyzer
+from modelswitch.analyzer import Scores
 from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor, ExecutorState
-from modelswitch.knowledge import LogRegistry, ModelRepository, ScoreTable
+from modelswitch.knowledge import LogRegistry, ModelRepository
 from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY, Monitor
 from modelswitch.planner import RunView, SelectionStrategy
 from modelswitch.sim import SimFrame
@@ -54,8 +54,6 @@ def run_loop(
     if decision_period < 1:
         raise ValueError(f"decision_period must be >= 1: {decision_period}")
     monitor = Monitor(repo.ids(), registry, capacity=window_capacity)
-    table = ScoreTable.initialize(repo.ids())
-    analyzer = Analyzer(monitor, table)
     rng = Random(inference_seed)
     executor = Executor(
         repo,
@@ -67,7 +65,7 @@ def run_loop(
 
     view = RunView(
         model_ids=repo.ids(),
-        scores=table.scores,
+        scores=Scores(monitor.windows),
         latest=monitor.latest,
         aggregate=monitor.aggregate,
     )
@@ -90,8 +88,7 @@ def run_loop(
                 acc_switch_ms += event.switch_time_ms
                 registry.append_switch(event)
                 drop_count = round(event.switch_time_ms * fps / 1000.0)
-        metrics = executor.run_inference(frame, frame_index * period_ms + acc_switch_ms)
-        analyzer.refresh_scores(metrics)
+        executor.run_inference(frame, frame_index * period_ms + acc_switch_ms)
         processed += 1
         if drop_count:
             drop_count = min(drop_count, n - 1 - i)

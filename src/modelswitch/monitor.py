@@ -34,7 +34,6 @@ class MetricsWindow:
         if capacity <= 0:
             raise ValueError(f"window capacity must be positive: {capacity}")
         self.model = model
-        self.capacity = capacity
         self.confidences: deque[float] = deque(maxlen=capacity)
         self.cpus: deque[float] = deque(maxlen=capacity)
         self._latest: FrameMetrics | None = None

@@ -1,7 +1,7 @@
 """Model-selection strategies.
 
 Three planners share one interface, ``decide(frame_index, active, view)``:
-an epsilon-greedy policy over the score table, a naive two-threshold policy
+an epsilon-greedy policy over the model scores, a naive two-threshold policy
 on the active model's latest frame, and round-robin over time slices that
 re-ranks the models by observed CPU once per boost period. The ``RunView``
 is built once per run and is live and read-only: each decision reads the
@@ -92,10 +92,11 @@ class RoundRobinBoostConfig:
 class RunView:
     """What a strategy may read of a run: built once, live and read-only.
 
-    ``scores`` is the score table behind a read-only mapping, and ``latest``
-    and ``aggregate`` are the monitor's per-model readers (the most recent
-    frame metrics and the window means, None before the model's first
-    frame). None of it is a copy, so every decision sees the current values.
+    ``scores`` is a read-only mapping that scores a model when it is read
+    (0.0 before the model's first frame), and ``latest`` and ``aggregate``
+    are the monitor's per-model readers (the most recent frame metrics and
+    the window means, None before the model's first frame). None of it is a
+    copy, so every decision sees the current values.
     """
 
     model_ids: tuple[ModelId, ...]
@@ -107,7 +108,7 @@ class RunView:
 def best_model(scores: Mapping[ModelId, float]) -> ModelId:
     """Minimum-score model; ties break toward the lexicographically first id."""
     if not scores:
-        raise EmptyRepository("score table is empty")
+        raise EmptyRepository("no scores to choose from")
     return min(scores, key=lambda m: (scores[m], m))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
@@ -132,6 +133,10 @@ def validate_segments(segments: Sequence[ScheduleSegment], duration_s: float) ->
             raise InvalidSchedule(f"segment start {seg.start_s} beyond duration {duration_s}")
         if seg.mean_objects < 0.0:
             raise InvalidSchedule(f"negative mean_objects: {seg.mean_objects}")
+        # Knuth's method stops at exp(-mean): past a mean of about 708.4 that is subnormal
+        # or 0, and the draws no longer follow the mean (800 and 1e6 both average 745).
+        if math.exp(-seg.mean_objects) < sys.float_info.min:
+            raise InvalidSchedule(f"mean_objects too large to draw: {seg.mean_objects}")
         if not 0.0 <= seg.complexity <= 1.0:
             raise InvalidSchedule(f"complexity out of range: {seg.complexity}")
 

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+from collections import deque
 from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelswitch.analyzer import (
     ZERO_CONFIDENCE_SCORE,
-    Analyzer,
+    Scores,
     ZeroConfidence,
     compute_score,
 )
 from modelswitch.domain import FrameMetrics
-from modelswitch.knowledge import LogRegistry, ScoreTable, UnknownModel
+from modelswitch.knowledge import LogRegistry
 from modelswitch.monitor import Monitor
 
 
@@ -54,67 +57,100 @@ def test_compute_score_rejects_zero_confidence() -> None:
         compute_score(10.0, 0.0, 20.0, 0.5)
 
 
-def test_refresh_scores_updates_only_the_observed_model() -> None:
-    registry = LogRegistry(StringIO(), StringIO())
-    monitor = Monitor(("a", "b"), registry, capacity=4)
-    table = ScoreTable.initialize(("a", "b"))
-    analyzer = Analyzer(monitor, table)
+def _monitor(model_ids: tuple[str, ...], capacity: int) -> Monitor:
+    return Monitor(model_ids, LogRegistry(StringIO(), StringIO()), capacity=capacity)
 
-    first = _metrics(0, "a", confidence=0.5, cpu=10.0)
-    monitor.record(first, sim_time_ms=0.0)
-    score = analyzer.refresh_scores(first)
 
+def test_scores_move_only_for_the_recorded_model() -> None:
+    monitor = _monitor(("a", "b"), capacity=4)
+    scores = Scores(monitor.windows)
+
+    monitor.record(_metrics(0, "a", confidence=0.5, cpu=10.0), sim_time_ms=0.0)
     # A single-entry window averages to the frame itself, so the ratio is 1.
-    assert score == pytest.approx(0.0)
-    assert table.scores["a"] == score
-    assert table.scores["b"] == 0.0  # untouched initial entry
+    assert scores["a"] == pytest.approx(0.0)
+    assert scores["b"] == 0.0
 
-    second = _metrics(1, "a", confidence=0.4, cpu=12.0)
-    monitor.record(second, sim_time_ms=16.7)
-    score = analyzer.refresh_scores(second)
+    monitor.record(_metrics(1, "a", confidence=0.4, cpu=12.0), sim_time_ms=16.7)
     # Window average is now (0.5 + 0.4) / 2 = 0.45, above the current 0.4,
     # so the score must come out negative: min(12, 11) * (1 - 0.45/0.4).
-    assert score == pytest.approx(11.0 * (1.0 - 0.45 / 0.4))
-    assert score < 0.0
-    assert table.scores == {"a": score, "b": 0.0}
+    assert scores["a"] == pytest.approx(11.0 * (1.0 - 0.45 / 0.4))
+    assert scores["a"] < 0.0
+    assert scores == {"a": scores["a"], "b": 0.0}
+    assert list(scores) == ["a", "b"] and len(scores) == 2
 
 
-def test_refresh_scores_writes_sentinel_on_zero_confidence() -> None:
-    registry = LogRegistry(StringIO(), StringIO())
-    monitor = Monitor(("a",), registry, capacity=4)
-    table = ScoreTable.initialize(("a",))
-    analyzer = Analyzer(monitor, table)
-
-    empty = _metrics(0, "a", confidence=0.0, cpu=15.0)
-    monitor.record(empty, sim_time_ms=0.0)
-    assert analyzer.refresh_scores(empty) == ZERO_CONFIDENCE_SCORE
-    assert table.scores["a"] == ZERO_CONFIDENCE_SCORE
+def test_scores_read_the_sentinel_on_zero_confidence() -> None:
+    monitor = _monitor(("a",), capacity=4)
+    scores = Scores(monitor.windows)
+    monitor.record(_metrics(0, "a", confidence=0.0, cpu=15.0), sim_time_ms=0.0)
+    assert scores["a"] == ZERO_CONFIDENCE_SCORE
 
 
-def test_refresh_scores_requires_recorded_frame() -> None:
-    monitor = Monitor(("a",), LogRegistry(StringIO(), StringIO()), capacity=4)
-    table = ScoreTable.initialize(("a",))
-    analyzer = Analyzer(monitor, table)
-    with pytest.raises(RuntimeError):
-        analyzer.refresh_scores(_metrics(0, "a", confidence=0.5, cpu=10.0))
+def test_scores_are_zero_before_a_models_first_frame() -> None:
+    monitor = _monitor(("a", "b"), capacity=4)
+    scores = Scores(monitor.windows)
+    assert scores == {"a": 0.0, "b": 0.0}
+    monitor.record(_metrics(0, "b", confidence=0.0, cpu=15.0), sim_time_ms=0.0)
+    assert scores["a"] == 0.0
 
 
-def test_refresh_scores_uses_the_window_means_of_the_aggregate() -> None:
-    monitor = Monitor(("a",), LogRegistry(StringIO(), StringIO()), capacity=3)
-    table = ScoreTable.initialize(("a",))
-    analyzer = Analyzer(monitor, table)
+def test_scores_use_the_window_means_of_the_aggregate() -> None:
+    monitor = _monitor(("a",), capacity=3)
+    scores = Scores(monitor.windows)
     for frame_index, (confidence, cpu) in enumerate(
         ((0.7, 12.5), (0.3, 19.0), (0.55, 11.25), (0.45, 16.0), (0.6, 14.0))
     ):
-        metrics = _metrics(frame_index, "a", confidence=confidence, cpu=cpu)
-        monitor.record(metrics, sim_time_ms=0.0)
+        monitor.record(_metrics(frame_index, "a", confidence=confidence, cpu=cpu), sim_time_ms=0.0)
         aggregate = monitor.aggregate("a")
         expected = compute_score(cpu, confidence, aggregate.avg_cpu, aggregate.avg_confidence)
-        assert analyzer.refresh_scores(metrics) == expected  # bit for bit
+        assert scores["a"] == expected  # bit for bit
 
 
-def test_refresh_scores_rejects_unknown_model() -> None:
-    monitor = Monitor(("a",), LogRegistry(StringIO(), StringIO()), capacity=4)
-    analyzer = Analyzer(monitor, ScoreTable.initialize(("a",)))
-    with pytest.raises(UnknownModel):
-        analyzer.refresh_scores(_metrics(0, "ghost", confidence=0.5, cpu=10.0))
+def test_scores_raise_key_error_for_an_unknown_model() -> None:
+    scores = Scores(_monitor(("a",), capacity=4).windows)
+    with pytest.raises(KeyError):
+        scores["ghost"]
+    assert "ghost" not in scores
+
+
+def test_scores_are_read_only() -> None:
+    scores = Scores(_monitor(("a",), capacity=4).windows)
+    with pytest.raises(TypeError):
+        scores["a"] = 1.0  # type: ignore[index]
+    with pytest.raises(TypeError):
+        del scores["a"]  # type: ignore[attr-defined]
+    assert scores == {"a": 0.0}
+
+
+_frames = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        st.floats(0.0, 100.0),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(models=st.integers(1, 4), capacity=st.integers(1, 5), frames=_frames)
+def test_scores_equal_a_table_refreshed_after_every_frame(models, capacity, frames) -> None:
+    """Scores computed on read equal, bit for bit, a table that re-scores each
+    model from its own window right after that model records a frame."""
+    ids = tuple("abcd"[:models])
+    monitor = _monitor(ids, capacity)
+    scores = Scores(monitor.windows)
+    table = dict.fromkeys(ids, 0.0)
+    windows = {m: (deque(maxlen=capacity), deque(maxlen=capacity)) for m in ids}
+    for frame_index, (slot, confidence, cpu) in enumerate(frames):
+        model = ids[slot % models]
+        monitor.record(_metrics(frame_index, model, confidence, cpu), sim_time_ms=0.0)
+        cpus, confidences = windows[model]
+        cpus.append(cpu)
+        confidences.append(confidence)
+        n = len(cpus)
+        try:
+            table[model] = compute_score(cpu, confidence, sum(cpus) / n, sum(confidences) / n)
+        except ZeroConfidence:
+            table[model] = ZERO_CONFIDENCE_SCORE
+        assert dict(scores) == table

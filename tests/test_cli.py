@@ -264,6 +264,31 @@ def test_main_reports_config_errors_as_exit_one(tmp_path) -> None:
     assert code == 1
 
 
+def test_main_rejects_a_trace_with_no_frames(tmp_path, capsys) -> None:
+    bad = tmp_path / "empty.ini"
+    bad.write_text(
+        "[trace]\nfps = 60\nduration_s = 0.001\n"
+        "[segment.1]\nstart_s = 0\nmean_objects = 3\ncomplexity = 0.1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = main(["run", "--strategy", "naive", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: [trace] ")
+    assert not out.exists()
+
+
+def test_main_rejects_a_mean_objects_too_large_to_draw(tmp_path, capsys) -> None:
+    bad = tmp_path / "dense.ini"
+    bad.write_text(SMALL_CONFIG.replace("mean_objects = 10", "mean_objects = 800"), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--strategy", "naive", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "mean_objects" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "engine",
     [

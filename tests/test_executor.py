@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from modelswitch.domain import SelectionDecision, SelectionMode
-from modelswitch.executor import Executor, ExecutorState, apply_decision
+from modelswitch.executor import Executor, ExecutorState
 from modelswitch.knowledge import (
     METRICS_FILENAME,
     LogRegistry,
@@ -42,23 +42,52 @@ def _decision(selected: str, previous: str) -> SelectionDecision:
     )
 
 
-def test_same_model_selection_is_a_free_no_op() -> None:
-    state = ExecutorState(active="small")
-    new_state, event = apply_decision(_decision("small", "small"), state, _repo(), Random(0), 10)
-    assert event is None
-    assert new_state == state
+def _executor(active: str, rng: Random, repo: ModelRepository | None = None) -> Executor:
+    repo = repo or _repo()
+    monitor = Monitor(repo.ids(), LogRegistry(StringIO(), StringIO()))
+    return Executor(repo, monitor, rng, initial_model=active)
 
 
-def test_switch_produces_event_and_accounting() -> None:
-    state = ExecutorState(active="small")
-    new_state, event = apply_decision(_decision("large", "small"), state, _repo(), Random(0), 10)
+def _count_lookups(monkeypatch: pytest.MonkeyPatch) -> list[str]:
+    """Record every ModelRepository.get call from now on; returns the looked-up ids."""
+    looked_up: list[str] = []
+    get = ModelRepository.get
+
+    def counting_get(self, model):
+        looked_up.append(model)
+        return get(self, model)
+
+    monkeypatch.setattr(ModelRepository, "get", counting_get)
+    return looked_up
+
+
+def test_same_model_selection_is_a_free_no_op(monkeypatch) -> None:
+    rng = Random(0)
+    executor = _executor("small", rng)
+    state = executor.state
+    looked_up = _count_lookups(monkeypatch)
+    rng_state = rng.getstate()
+    assert executor.apply(_decision("small", "small"), 10) is None
+    assert executor.state == state
+    assert looked_up == []
+    assert rng.getstate() == rng_state
+
+
+def test_switch_produces_event_and_accounting(monkeypatch) -> None:
+    executor = _executor("small", Random(0))
+    looked_up = _count_lookups(monkeypatch)
+    event = executor.apply(_decision("large", "small"), 10)
     assert event is not None
     assert event.frame_index == 10
     assert event.from_model == "small"
     assert event.to_model == "large"
-    assert new_state.active == "large"
-    assert new_state.switch_count == 1
-    assert new_state.cumulative_switch_time_ms == pytest.approx(event.switch_time_ms)
+    assert executor.active == "large"
+    assert executor.state.switch_count == 1
+    assert executor.state.cumulative_switch_time_ms == pytest.approx(event.switch_time_ms)
+    # One lookup per switch; inference then runs on the kept profile.
+    metrics = executor.run_inference(SimFrame(frame_index=10, object_count=3, complexity=0.2), 0.0)
+    assert metrics.model == "large"
+    assert looked_up == ["large"]
 
 
 def test_switch_time_jitters_within_ten_percent() -> None:
@@ -66,8 +95,7 @@ def test_switch_time_jitters_within_ten_percent() -> None:
     rng = Random(7)
     times = []
     for i in range(2000):
-        state = ExecutorState(active="small")
-        _, event = apply_decision(_decision("large", "small"), state, repo, rng, i)
+        event = _executor("small", rng, repo).apply(_decision("large", "small"), i)
         assert event is not None
         times.append(event.switch_time_ms)
     assert min(times) >= 800.0 * 0.9
@@ -77,17 +105,17 @@ def test_switch_time_jitters_within_ten_percent() -> None:
 
 
 def test_switch_latency_belongs_to_the_incoming_model() -> None:
-    repo = _repo()
-    state = ExecutorState(active="large")
-    _, event = apply_decision(_decision("small", "large"), state, repo, Random(1), 0)
+    event = _executor("large", Random(1)).apply(_decision("small", "large"), 0)
     assert event is not None
     assert 300.0 * 0.9 <= event.switch_time_ms <= 300.0 * 1.1
 
 
 def test_unknown_selection_is_rejected() -> None:
-    state = ExecutorState(active="small")
+    executor = _executor("small", Random(0))
+    state = executor.state
     with pytest.raises(UnknownModel):
-        apply_decision(_decision("ghost", "small"), state, _repo(), Random(0), 0)
+        executor.apply(_decision("ghost", "small"), 0)
+    assert executor.state == state
 
 
 def test_average_switch_time_accounting() -> None:

@@ -23,7 +23,6 @@ from modelswitch.knowledge import (
     IoFailure,
     LogRegistry,
     ModelRepository,
-    ScoreTable,
     UnknownModel,
     load_events_csv,
     load_metrics_csv,
@@ -75,8 +74,9 @@ def test_repository_preserves_registration_order() -> None:
     repo = ModelRepository((_profile("b"), _profile("a")))
     assert repo.ids() == ("b", "a")
     assert len(repo) == 2
-    assert "a" in repo and "z" not in repo
     assert repo.get("a").model == "a"
+    with pytest.raises(UnknownModel):
+        repo.get("z")
 
 
 def test_repository_rejects_duplicates_and_unknowns() -> None:
@@ -85,33 +85,6 @@ def test_repository_rejects_duplicates_and_unknowns() -> None:
         repo.register(_profile("a"))
     with pytest.raises(UnknownModel):
         repo.get("ghost")
-
-
-def test_score_table_initialize_and_update() -> None:
-    table = ScoreTable.initialize(("a", "b"))
-    scores = table.scores
-    assert scores == {"a": 0.0, "b": 0.0}
-    assert list(scores) == ["a", "b"]
-    table.update("a", -0.5)
-    # The mapping taken before the update follows it: it is the table, not a copy.
-    assert scores == {"a": -0.5, "b": 0.0}
-    assert len(scores) == 2
-
-
-def test_score_table_rejects_unknown_model() -> None:
-    table = ScoreTable.initialize(("a",))
-    with pytest.raises(UnknownModel):
-        table.update("ghost", 1.0)
-    assert table.scores == {"a": 0.0}
-
-
-def test_score_table_scores_are_read_only() -> None:
-    table = ScoreTable.initialize(("a",))
-    with pytest.raises(TypeError):
-        table.scores["a"] = 1.0  # type: ignore[index]
-    with pytest.raises(TypeError):
-        del table.scores["a"]  # type: ignore[attr-defined]
-    assert table.scores == {"a": 0.0}
 
 
 def test_registry_rejects_backwards_frame_indices() -> None:

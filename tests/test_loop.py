@@ -4,6 +4,7 @@ from io import StringIO
 
 import pytest
 
+from modelswitch import analyzer
 from modelswitch.domain import SelectionDecision, SelectionMode
 from modelswitch.knowledge import (
     EVENTS_FILENAME,
@@ -16,6 +17,8 @@ from modelswitch.knowledge import (
 from modelswitch.loop import run_loop
 from modelswitch.planner import (
     EpsilonGreedyStrategy,
+    NaiveConfig,
+    NaiveThresholdStrategy,
     PlannerConfig,
     RoundRobinBoostConfig,
     RoundRobinBoostStrategy,
@@ -215,6 +218,50 @@ def test_one_live_view_serves_every_decision() -> None:
     assert view.aggregate("b") is None
     with pytest.raises(TypeError):
         view.scores["a"] = 1.0  # type: ignore[index]
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Replace owner.name with a wrapper that counts its calls; returns [count]."""
+    count = [0]
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return count
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        NaiveThresholdStrategy(NaiveConfig(model_order=("b", "a"))),
+        RoundRobinBoostStrategy(RoundRobinBoostConfig(time_slice_frames=10)),
+    ],
+    ids=["naive", "round-robin-boost"],
+)
+def test_strategies_that_read_no_score_compute_none(monkeypatch, strategy) -> None:
+    calls = _count_calls(monkeypatch, analyzer, "compute_score")
+    result = run_loop(_trace(200), _repo(), strategy, registry=_sink(), fps=10, inference_seed=3)
+    assert result.frames_processed > 0
+    assert calls == [0]
+
+
+def test_epsilon_greedy_computes_at_most_one_score_per_processed_frame(monkeypatch) -> None:
+    calls = _count_calls(monkeypatch, analyzer, "compute_score")
+    strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.3, rng_seed=4))
+    result = run_loop(_trace(300), _repo(), strategy, registry=_sink(), fps=10, inference_seed=3)
+    assert 0 < calls[0] <= result.frames_processed
+
+
+def test_a_run_looks_a_profile_up_once_per_switch(monkeypatch) -> None:
+    calls = _count_calls(monkeypatch, ModelRepository, "get")
+    strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.3, rng_seed=4))
+    result = run_loop(_trace(300), _repo(), strategy, registry=_sink(), fps=10, inference_seed=3)
+    assert result.final_state.switch_count > 0
+    # One lookup for the initial model, then one per switch.
+    assert calls == [1 + result.final_state.switch_count]
 
 
 def test_round_robin_ranks_by_the_cpu_the_loop_observed() -> None:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 from collections import Counter
+from io import StringIO
 from random import Random
 
 import pytest
 
 from modelswitch.domain import FrameMetrics, SelectionMode, WindowAggregate
-from modelswitch.knowledge import ScoreTable
+from modelswitch.analyzer import Scores
+from modelswitch.knowledge import LogRegistry
+from modelswitch.monitor import Monitor
 from modelswitch.planner import (
     EmptyRepository,
     EpsilonGreedyStrategy,
@@ -40,10 +43,10 @@ def _view(
 VIEW = _view()
 
 
-def _metrics(cpu: float, confidence: float) -> FrameMetrics:
+def _metrics(cpu: float, confidence: float, model: str = "a", frame_index: int = 0) -> FrameMetrics:
     return FrameMetrics(
-        frame_index=0,
-        model="a",
+        frame_index=frame_index,
+        model=model,
         confidence_score=confidence,
         cpu_usage=cpu,
         detection_count=1 if confidence > 0.0 else 0,
@@ -133,11 +136,14 @@ def test_unit_epsilon_always_explores() -> None:
 
 
 def test_epsilon_greedy_reads_the_live_score_table() -> None:
-    table = ScoreTable.initialize(("a", "b"))
-    view = _view(scores=table.scores, model_ids=("a", "b"))
+    monitor = Monitor(("a", "b"), LogRegistry(StringIO(), StringIO()))
+    view = _view(scores=Scores(monitor.windows), model_ids=("a", "b"))
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.0))
+    # Both score 0.0 before any frame; the tie goes to the first id.
     assert strategy.decide(0, "a", view).selected == "a"
-    table.update("b", -1.0)
+    # b's confidence drops below its window mean: 10 * (1 - 0.6 / 0.4) = -5.
+    monitor.record(_metrics(cpu=10.0, confidence=0.8, model="b", frame_index=0), 0.0)
+    monitor.record(_metrics(cpu=10.0, confidence=0.4, model="b", frame_index=1), 0.0)
     assert strategy.decide(1, "a", view).selected == "b"
 
 

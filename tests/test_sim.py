@@ -128,6 +128,13 @@ def test_validate_segments_rejects_bad_schedules() -> None:
         validate_segments((ScheduleSegment(0.0, 3.0, 1.5),), 100.0)
 
 
+def test_validate_segments_bounds_mean_objects_by_what_poisson_can_draw() -> None:
+    # exp(-mean) stays a normal float up to a mean of about 708.4.
+    validate_segments((ScheduleSegment(0.0, 708.0, 0.1),), 100.0)
+    with pytest.raises(InvalidSchedule):
+        validate_segments((ScheduleSegment(0.0, 709.0, 0.1),), 100.0)
+
+
 def test_trace_config_rejects_bad_rates() -> None:
     with pytest.raises(ValueError):
         TraceConfig(fps=0)
