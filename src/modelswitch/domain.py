@@ -13,9 +13,6 @@ from typing import Sequence
 
 ModelId = str
 
-# Axis-aligned box in the unit square: (x, y, width, height).
-BBox = tuple[float, float, float, float]
-
 
 class SelectionMode(Enum):
     """How a selection decision was reached."""
@@ -23,22 +20,6 @@ class SelectionMode(Enum):
     EXPLORE = "explore"
     EXPLOIT = "exploit"
     FORCED = "forced"
-
-
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """A single detected object in a frame."""
-
-    confidence: float
-    class_label: str
-    bbox: BBox
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"detection confidence out of range: {self.confidence}")
-        x, y, w, h = self.bbox
-        if min(x, y, w, h) < 0.0 or x + w > 1.0 + 1e-9 or y + h > 1.0 + 1e-9:
-            raise ValueError(f"bbox outside unit square: {self.bbox}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,8 +81,3 @@ def mean_confidence(confidences: Sequence[float]) -> float:
     if not confidences:
         return 0.0
     return sum(confidences) / len(confidences)
-
-
-def frame_confidence(detections: Sequence[Detection]) -> float:
-    """Mean confidence over a frame's detections; 0.0 when nothing was detected."""
-    return mean_confidence([d.confidence for d in detections])

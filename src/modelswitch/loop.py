@@ -5,8 +5,9 @@ strategy is consulted with the frame index, the active model and one
 RunView built for the whole run; if it switches models, the switch latency
 is paid on the simulated clock and the frames that arrive inside that
 window are dropped unprocessed. Each processed frame is recorded by the
-monitor; the view reads the monitor live and scores a model when the
-strategy reads its score, so the next decision sees the frame.
+monitor; the view hands out the monitor's windows themselves and scores a
+model when the strategy reads its score, so the next decision sees the
+frame.
 """
 
 from __future__ import annotations
@@ -63,12 +64,7 @@ def run_loop(
         confidence_floor=confidence_floor,
     )
 
-    view = RunView(
-        model_ids=repo.ids(),
-        scores=Scores(monitor.windows),
-        latest=monitor.latest,
-        aggregate=monitor.aggregate,
-    )
+    view = RunView(model_ids=repo.ids(), scores=Scores(monitor.windows), windows=monitor.windows)
 
     period_ms = 1000.0 / fps
     acc_switch_ms = 0.0

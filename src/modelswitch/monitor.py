@@ -70,7 +70,8 @@ class MetricsWindow:
 class Monitor:
     """Routes frame metrics into per-model windows and the log registry.
 
-    ``windows`` maps each model to its window, read-only.
+    ``windows`` maps each model to its window, read-only; readers ask a
+    window for its ``latest()`` metrics and its ``aggregate()``.
     """
 
     def __init__(
@@ -83,18 +84,10 @@ class Monitor:
         self.windows: Mapping[ModelId, MetricsWindow] = MappingProxyType(self._windows)
         self._registry = registry
 
-    def _window(self, model: ModelId) -> MetricsWindow:
-        try:
-            return self._windows[model]
-        except KeyError:
-            raise UnknownModel(model) from None
-
     def record(self, metrics: FrameMetrics, sim_time_ms: float) -> None:
-        self._window(metrics.model).record(metrics)
+        try:
+            window = self._windows[metrics.model]
+        except KeyError:
+            raise UnknownModel(metrics.model) from None
+        window.record(metrics)
         self._registry.append_metrics(metrics, sim_time_ms)
-
-    def aggregate(self, model: ModelId) -> WindowAggregate | None:
-        return self._window(model).aggregate()
-
-    def latest(self, model: ModelId) -> FrameMetrics | None:
-        return self._window(model).latest()

@@ -1,27 +1,23 @@
 """Model-selection strategies.
 
-Three planners share one interface, ``decide(frame_index, active, view)``:
-an epsilon-greedy policy over the model scores, a naive two-threshold policy
-on the active model's latest frame, and round-robin over time slices that
-re-ranks the models by observed CPU once per boost period. The ``RunView``
-is built once per run and is live and read-only: each decision reads the
-run as it stands, and no strategy can change it. Each decision is a
-SelectionDecision; actually performing the switch is the executor's job.
+Three planners share one interface, ``decide(frame_index, active, view)``,
+and each keeps its rule in that method: an epsilon-greedy policy over the
+model scores, a naive two-threshold policy on the active model's latest
+frame, and round-robin over time slices that re-ranks the models by window
+CPU once per boost period. The ``RunView`` is built once per run and is live
+and read-only: each decision reads the run as it stands, and no strategy can
+change it. Each decision is a SelectionDecision; actually performing the
+switch is the executor's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from modelswitch.domain import (
-    FrameMetrics,
-    ModelId,
-    SelectionDecision,
-    SelectionMode,
-    WindowAggregate,
-)
+from modelswitch.domain import ModelId, SelectionDecision, SelectionMode, WindowAggregate
+from modelswitch.monitor import MetricsWindow
 
 DEFAULT_EPSILON = 0.1
 DEFAULT_DECISION_PERIOD = 1
@@ -93,16 +89,16 @@ class RunView:
     """What a strategy may read of a run: built once, live and read-only.
 
     ``scores`` is a read-only mapping that scores a model when it is read
-    (0.0 before the model's first frame), and ``latest`` and ``aggregate``
-    are the monitor's per-model readers (the most recent frame metrics and
-    the window means, None before the model's first frame). None of it is a
-    copy, so every decision sees the current values.
+    (0.0 before the model's first frame), and ``windows`` is the monitor's
+    read-only map of per-model windows: ``windows[m].latest()`` is the most
+    recent frame metrics and ``windows[m].aggregate()`` the window means,
+    each None before the model's first frame. None of it is a copy, so
+    every decision sees the current values.
     """
 
     model_ids: tuple[ModelId, ...]
     scores: Mapping[ModelId, float]
-    latest: Callable[[ModelId], FrameMetrics | None]
-    aggregate: Callable[[ModelId], WindowAggregate | None]
+    windows: Mapping[ModelId, MetricsWindow]
 
 
 def best_model(scores: Mapping[ModelId, float]) -> ModelId:
@@ -110,51 +106,6 @@ def best_model(scores: Mapping[ModelId, float]) -> ModelId:
     if not scores:
         raise EmptyRepository("no scores to choose from")
     return min(scores, key=lambda m: (scores[m], m))
-
-
-def select_epsilon_greedy(
-    scores: Mapping[ModelId, float],
-    active: ModelId,
-    p: float,
-    epsilon: float,
-    rng: Random,
-    exclude_best: bool = True,
-) -> SelectionDecision:
-    """One epsilon-greedy decision given an already-drawn p in [0, 1).
-
-    p <= epsilon explores: a uniform pick over the repository, minus the
-    current best scorer when exclusion is on. Otherwise (and when a lone
-    model leaves nothing to explore) exploit the minimum score.
-    """
-    best = best_model(scores)
-    if p <= epsilon:
-        candidates = sorted(m for m in scores if m != best) if exclude_best else sorted(scores)
-        if candidates:
-            pick = candidates[rng.randrange(len(candidates))]
-            return SelectionDecision(
-                selected=pick, mode=SelectionMode.EXPLORE, random_draw=p, previous=active
-            )
-    return SelectionDecision(
-        selected=best, mode=SelectionMode.EXPLOIT, random_draw=p, previous=active
-    )
-
-
-def select_naive(
-    latest: FrameMetrics | None, config: NaiveConfig, active: ModelId
-) -> SelectionDecision:
-    """Two-threshold policy: step lighter on high CPU, heavier on low
-    confidence, otherwise stay. Clamps at both ends of model_order."""
-    order = config.model_order
-    position = order.index(active)
-    selected = active
-    if latest is not None:
-        if latest.cpu_usage > config.cpu_high_threshold:
-            selected = order[max(position - 1, 0)]
-        elif latest.confidence_score < config.confidence_low_threshold:
-            selected = order[min(position + 1, len(order) - 1)]
-    return SelectionDecision(
-        selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=active
-    )
 
 
 def rank_models_by_cpu(
@@ -184,7 +135,12 @@ class SelectionStrategy:
 
 
 class EpsilonGreedyStrategy(SelectionStrategy):
-    """Draws p once per decision and delegates to select_epsilon_greedy."""
+    """Draws p in [0, 1) once per decision; p <= epsilon explores.
+
+    Exploring is a uniform pick over the repository, minus the current best
+    scorer when exclusion is on. Otherwise (and when a lone model leaves
+    nothing to explore) it exploits the minimum score.
+    """
 
     name = "epsilon-greedy"
 
@@ -195,19 +151,46 @@ class EpsilonGreedyStrategy(SelectionStrategy):
 
     def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
         p = self.rng.random()
-        return select_epsilon_greedy(
-            view.scores, active, p, self.config.epsilon, self.rng, self.config.exclude_best
+        scores = view.scores
+        best = best_model(scores)
+        if p <= self.config.epsilon:
+            candidates = sorted(scores)
+            if self.config.exclude_best:
+                candidates.remove(best)
+            if candidates:
+                pick = candidates[self.rng.randrange(len(candidates))]
+                return SelectionDecision(
+                    selected=pick, mode=SelectionMode.EXPLORE, random_draw=p, previous=active
+                )
+        return SelectionDecision(
+            selected=best, mode=SelectionMode.EXPLOIT, random_draw=p, previous=active
         )
 
 
 class NaiveThresholdStrategy(SelectionStrategy):
+    """Two-threshold policy on the active model's latest frame: step lighter
+    on high CPU, heavier on low confidence, otherwise stay. Clamps at both
+    ends of model_order."""
+
     name = "naive"
 
     def __init__(self, config: NaiveConfig):
         self.config = config
 
     def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
-        return select_naive(view.latest(active), self.config, active)
+        config = self.config
+        order = config.model_order
+        position = order.index(active)
+        selected = active
+        latest = view.windows[active].latest()
+        if latest is not None:
+            if latest.cpu_usage > config.cpu_high_threshold:
+                selected = order[max(position - 1, 0)]
+            elif latest.confidence_score < config.confidence_low_threshold:
+                selected = order[min(position + 1, len(order) - 1)]
+        return SelectionDecision(
+            selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=active
+        )
 
 
 class RoundRobinBoostStrategy(SelectionStrategy):
@@ -231,7 +214,7 @@ class RoundRobinBoostStrategy(SelectionStrategy):
         rank_slot = frame_index // self.config.boost_period_frames
         if rank_slot > self._rank_slot:
             ids = view.model_ids
-            self.rank = rank_models_by_cpu(ids, {m: view.aggregate(m) for m in ids})
+            self.rank = rank_models_by_cpu(ids, {m: view.windows[m].aggregate() for m in ids})
             self._rank_slot = rank_slot
         if not self.rank:
             raise EmptyRepository("no models to rank")

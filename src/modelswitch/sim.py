@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
 from random import Random
-from typing import Any, Callable, Mapping, Sequence, get_origin, get_type_hints, overload
+from typing import Any, Callable, Mapping, Sequence, get_origin, get_type_hints
 
 from modelswitch.domain import ModelId
 
@@ -36,7 +36,15 @@ COUNT_TYPECODE = "I"
 
 
 class InvalidSchedule(Exception):
-    """Density schedule does not cover the trace duration."""
+    """Density schedule does not cover the trace duration.
+
+    ``position`` is the index of the offending segment, or None when the
+    schedule has no segments at all.
+    """
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,21 +132,21 @@ def validate_segments(segments: Sequence[ScheduleSegment], duration_s: float) ->
     if not segments:
         raise InvalidSchedule("schedule needs at least one segment")
     if segments[0].start_s != 0.0:
-        raise InvalidSchedule(f"first segment must start at 0, got {segments[0].start_s}")
-    for before, after in zip(segments, segments[1:]):
+        raise InvalidSchedule(f"first segment must start at 0, got {segments[0].start_s}", 0)
+    for i, (before, after) in enumerate(zip(segments, segments[1:]), 1):
         if after.start_s <= before.start_s:
-            raise InvalidSchedule("segment starts must be strictly increasing")
-    for seg in segments:
+            raise InvalidSchedule("segment starts must be strictly increasing", i)
+    for i, seg in enumerate(segments):
         if seg.start_s >= duration_s:
-            raise InvalidSchedule(f"segment start {seg.start_s} beyond duration {duration_s}")
+            raise InvalidSchedule(f"segment start {seg.start_s} beyond duration {duration_s}", i)
         if seg.mean_objects < 0.0:
-            raise InvalidSchedule(f"negative mean_objects: {seg.mean_objects}")
+            raise InvalidSchedule(f"negative mean_objects: {seg.mean_objects}", i)
         # Knuth's method stops at exp(-mean): past a mean of about 708.4 that is subnormal
         # or 0, and the draws no longer follow the mean (800 and 1e6 both average 745).
         if math.exp(-seg.mean_objects) < sys.float_info.min:
-            raise InvalidSchedule(f"mean_objects too large to draw: {seg.mean_objects}")
+            raise InvalidSchedule(f"mean_objects too large to draw: {seg.mean_objects}", i)
         if not 0.0 <= seg.complexity <= 1.0:
-            raise InvalidSchedule(f"complexity out of range: {seg.complexity}")
+            raise InvalidSchedule(f"complexity out of range: {seg.complexity}", i)
 
 
 def gaussian(rng: Random, mu: float = 0.0, sigma: float = 1.0) -> float:
@@ -171,11 +179,6 @@ def _poisson_draws(rng: Random, mean: float, n: int) -> array:
     return draws
 
 
-def poisson(rng: Random, mean: float) -> int:
-    """One poisson draw via Knuth's product-of-uniforms method."""
-    return _poisson_draws(rng, mean, 1)[0]
-
-
 def _first_frame_at(t: float, fps: int) -> int:
     """Smallest frame index f whose clock f / fps has reached t."""
     f = max(0, math.ceil(t * fps))
@@ -192,8 +195,8 @@ class Trace(Sequence[SimFrame]):
     Segment ``j`` covers the frames from ``bounds[j - 1]`` (0 for the first)
     up to ``bounds[j]``; ``ramps[j]`` is its (start_s, complexity, step to the
     target complexity, width_s). Indexing evaluates the complexity ramp for
-    that one frame, so a frame nobody indexes costs nothing beyond its count;
-    a slice is a list of the frames it selects.
+    that one frame, so a frame nobody indexes costs nothing beyond its count.
+    It takes integer indexes only, negative ones counting from the end.
     """
 
     __slots__ = ("_counts", "_fps", "_bounds", "_ramps")
@@ -213,15 +216,7 @@ class Trace(Sequence[SimFrame]):
     def __len__(self) -> int:
         return len(self._counts)
 
-    @overload
-    def __getitem__(self, index: int) -> SimFrame: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> list[SimFrame]: ...
-
-    def __getitem__(self, index: int | slice) -> SimFrame | list[SimFrame]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self._counts)))]
+    def __getitem__(self, index: int) -> SimFrame:
         count = self._counts[index]  # raises IndexError/TypeError like a list
         if index < 0:
             index += len(self._counts)
@@ -232,11 +227,6 @@ class Trace(Sequence[SimFrame]):
             object_count=count,
             complexity=complexity + step * ((t - start) / width),
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def generate_trace(config: TraceConfig) -> Trace:
@@ -302,12 +292,11 @@ def synth_inference(
         append(conf)
         # The label index, drawn as randrange(labels) draws it (rejection
         # sampling on getrandbits), and the bbox's w, h, x and y: drawn, never built.
+        # Each random() consumes two 32-bit Mersenne Twister words, so the four
+        # uniforms are the 8 words of one getrandbits(256) call.
         while getrandbits(label_bits) >= labels:
             pass
-        random()
-        random()
-        random()
-        random()
+        getrandbits(256)
     cpu = profile.base_cpu_pct + profile.cpu_per_object_pct * frame.object_count + gaussian(rng)
     if cpu < 0.0:
         cpu = 0.0
@@ -440,8 +429,9 @@ def parse_config(path: str) -> SimConfig:
     ``[model.<id>]`` (ModelProfile's fields but the id, all required). Any
     other section is passed through untouched for the caller. Missing
     sections fall back to the built-in defaults. Raises ConfigError on a
-    malformed file, an unknown or missing key or an unparsable value,
-    ``ValueError`` or ``InvalidSchedule`` on values out of range, and
+    malformed file, an unknown or missing key, an unparsable value or a
+    segment that breaks the schedule (naming its section), ``ValueError``
+    or ``InvalidSchedule`` on other values out of range, and
     ``OSError`` if the file cannot be read.
     """
     # Values are read as written (no %-interpolation), and [DEFAULT] is a plain section.
@@ -462,9 +452,10 @@ def parse_config(path: str) -> SimConfig:
         if number in numbered:
             raise ConfigError(f"[{name}]: same segment number as [{numbered[number]}]")
         numbered[number] = name
+    segment_names = [name for _, name in sorted(numbered.items())]
     segments = tuple(
         ScheduleSegment(**section_kwargs(name, sections.pop(name), ScheduleSegment))
-        for _, name in sorted(numbered.items())
+        for name in segment_names
     )
     model_names = [name for name in sections if name.startswith("model.")]
     profiles = tuple(
@@ -475,12 +466,12 @@ def parse_config(path: str) -> SimConfig:
         )
         for name in model_names
     )
-    trace = TraceConfig(
-        **section_kwargs(
-            "trace",
-            sections.pop("trace", {}),
-            TraceConfig,
-            fixed={"segments": segments or default_segments()},
-        )
-    )
+    fixed = {"segments": segments or default_segments()}
+    trace_kwargs = section_kwargs("trace", sections.pop("trace", {}), TraceConfig, fixed)
+    try:
+        trace = TraceConfig(**trace_kwargs)
+    except InvalidSchedule as exc:
+        if not segments:  # the file's duration cuts the built-in schedule short
+            raise
+        raise ConfigError(f"[{segment_names[exc.position]}] {exc}") from exc
     return SimConfig(trace=trace, profiles=profiles or default_profiles(), extras=sections)

@@ -19,20 +19,10 @@ import pytest
 
 from modelswitch.analyzer import compute_score
 from modelswitch.cli import RunSummary, max_share, run_experiment
-from modelswitch.domain import (
-    Detection,
-    FrameMetrics,
-    SelectionMode,
-    frame_confidence,
-)
+from modelswitch.domain import FrameMetrics, SelectionMode, mean_confidence
 from modelswitch.knowledge import LogRegistry, load_events_csv, load_metrics_csv
 from modelswitch.monitor import Monitor
-from modelswitch.planner import (
-    EpsilonGreedyStrategy,
-    PlannerConfig,
-    RunView,
-    select_epsilon_greedy,
-)
+from modelswitch.planner import EpsilonGreedyStrategy, PlannerConfig, RunView
 
 MODEL_IDS = (
     "ssd-mobilenet-v1",
@@ -74,24 +64,34 @@ def test_score_matches_reference_operating_point() -> None:
 
 
 def test_frame_confidence_matches_reference_example() -> None:
-    detections = [
-        Detection(confidence=c, class_label="car", bbox=(0.1, 0.1, 0.2, 0.2))
-        for c in (0.85, 0.75, 0.9)
-    ]
-    assert frame_confidence(detections) == pytest.approx(0.8333, abs=1e-4)
+    assert mean_confidence([0.85, 0.75, 0.9]) == pytest.approx(0.8333, abs=1e-4)
+
+
+class _FixtureDraws:
+    """A draw source whose random() is the fixture's p; randrange comes from Random(seed)."""
+
+    def __init__(self, p: float, seed: int):
+        self.p = p
+        self.randrange = Random(seed).randrange
+
+    def random(self) -> float:
+        return self.p
+
+
+def _fixture_decision(p: float, seed: int):
+    strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.1))
+    strategy.rng = _FixtureDraws(p, seed)
+    view = RunView(model_ids=MODEL_IDS, scores=FIXTURE_SCORES, windows={})
+    return strategy.decide(0, "efficientdet-lite0", view)
 
 
 def test_selection_fixture_exploit_and_explore() -> None:
-    exploit = select_epsilon_greedy(
-        FIXTURE_SCORES, active="efficientdet-lite0", p=0.3, epsilon=0.1, rng=Random(0)
-    )
+    exploit = _fixture_decision(p=0.3, seed=0)
     assert exploit.mode is SelectionMode.EXPLOIT
     assert exploit.selected == "efficientdet-lite2"
 
     for seed in range(500):
-        explore = select_epsilon_greedy(
-            FIXTURE_SCORES, active="efficientdet-lite0", p=0.08, epsilon=0.1, rng=Random(seed)
-        )
+        explore = _fixture_decision(p=0.08, seed=seed)
         assert explore.mode is SelectionMode.EXPLORE
         assert explore.selected in FIXTURE_SCORES
         assert explore.selected != "efficientdet-lite2"
@@ -99,12 +99,7 @@ def test_selection_fixture_exploit_and_explore() -> None:
 
 def test_exploration_rate_within_binomial_bound() -> None:
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.1, rng_seed=7))
-    view = RunView(
-        model_ids=MODEL_IDS,
-        scores=FIXTURE_SCORES,
-        latest=lambda model: None,
-        aggregate=lambda model: None,
-    )
+    view = RunView(model_ids=MODEL_IDS, scores=FIXTURE_SCORES, windows={})
     started = time.perf_counter()
     explored = sum(
         1
@@ -165,7 +160,7 @@ def test_window_aggregates_match_brute_force() -> None:
             )
             monitor.record(entry, sim_time_ms=float(i))
             seen.append(entry)
-        aggregate = monitor.aggregate("m")
+        aggregate = monitor.windows["m"].aggregate()
         if not seen:
             assert aggregate is None
             continue

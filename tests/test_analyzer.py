@@ -101,7 +101,7 @@ def test_scores_use_the_window_means_of_the_aggregate() -> None:
         ((0.7, 12.5), (0.3, 19.0), (0.55, 11.25), (0.45, 16.0), (0.6, 14.0))
     ):
         monitor.record(_metrics(frame_index, "a", confidence=confidence, cpu=cpu), sim_time_ms=0.0)
-        aggregate = monitor.aggregate("a")
+        aggregate = monitor.windows["a"].aggregate()
         expected = compute_score(cpu, confidence, aggregate.avg_cpu, aggregate.avg_confidence)
         assert scores["a"] == expected  # bit for bit
 

@@ -289,6 +289,40 @@ def test_main_rejects_a_mean_objects_too_large_to_draw(tmp_path, capsys) -> None
     assert not out.exists()
 
 
+def _segment(number: int, start_s: float, mean_objects: float = 3, complexity: float = 0.1) -> str:
+    return (
+        f"[segment.{number}]\nstart_s = {start_s}\n"
+        f"mean_objects = {mean_objects}\ncomplexity = {complexity}\n"
+    )
+
+
+# One case per validate_segments failure. The sections are written out of
+# order, so the named one must come from the segment numbers, not the file.
+@pytest.mark.parametrize(
+    "segments, section, message",
+    [
+        (_segment(3, 1), "segment.3", "first segment must start at 0"),
+        (_segment(9, 5) + _segment(1, 0) + _segment(4, 5), "segment.9", "strictly increasing"),
+        (_segment(7, 50) + _segment(1, 0), "segment.7", "segment start 50.0 beyond duration"),
+        (_segment(2, 5, mean_objects=-1) + _segment(1, 0), "segment.2", "negative mean_objects"),
+        (_segment(2, 5, mean_objects=800) + _segment(1, 0), "segment.2", "too large to draw"),
+        (_segment(1, 0) + _segment(5, 5, complexity=1.5), "segment.5", "complexity out of range"),
+    ],
+)
+def test_main_names_the_segment_that_breaks_the_schedule(
+    segments, section, message, tmp_path, capsys
+) -> None:
+    bad = tmp_path / "schedule.ini"
+    bad.write_text("[trace]\nduration_s = 10\n" + segments, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--strategy", "naive", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: [{section}] ")
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "engine",
     [

@@ -5,11 +5,7 @@ from random import Random
 
 import pytest
 
-from modelswitch.domain import Detection, FrameMetrics, SelectionMode, frame_confidence
-
-
-def _detection(confidence: float) -> Detection:
-    return Detection(confidence=confidence, class_label="car", bbox=(0.1, 0.1, 0.2, 0.2))
+from modelswitch.domain import FrameMetrics, SelectionMode, mean_confidence
 
 
 def test_selection_mode_serialized_values() -> None:
@@ -19,40 +15,20 @@ def test_selection_mode_serialized_values() -> None:
 
 
 def test_frame_confidence_empty_is_zero() -> None:
-    assert frame_confidence([]) == 0.0
+    assert mean_confidence([]) == 0.0
 
 
 def test_frame_confidence_is_the_mean() -> None:
-    detections = [_detection(0.85), _detection(0.75), _detection(0.9)]
-    assert frame_confidence(detections) == pytest.approx(2.5 / 3.0)
+    assert mean_confidence([0.85, 0.75, 0.9]) == pytest.approx(2.5 / 3.0)
 
 
 def test_frame_confidence_matches_stdlib_mean() -> None:
     rng = Random(271)
     for _ in range(200):
         confidences = [rng.random() for _ in range(rng.randrange(1, 12))]
-        detections = [_detection(c) for c in confidences]
-        assert frame_confidence(detections) == pytest.approx(
+        assert mean_confidence(confidences) == pytest.approx(
             statistics.fmean(confidences), abs=1e-12
         )
-
-
-def test_detection_rejects_confidence_out_of_range() -> None:
-    with pytest.raises(ValueError):
-        _detection(1.2)
-    with pytest.raises(ValueError):
-        _detection(-0.01)
-
-
-def test_detection_rejects_bbox_outside_unit_square() -> None:
-    with pytest.raises(ValueError):
-        Detection(confidence=0.5, class_label="car", bbox=(0.9, 0.1, 0.2, 0.2))
-    with pytest.raises(ValueError):
-        Detection(confidence=0.5, class_label="car", bbox=(-0.1, 0.1, 0.2, 0.2))
-
-
-def test_detection_accepts_bbox_touching_the_border() -> None:
-    Detection(confidence=0.5, class_label="bus", bbox=(0.8, 0.0, 0.2, 1.0))
 
 
 def test_frame_metrics_validation() -> None:

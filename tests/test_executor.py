@@ -142,7 +142,7 @@ def test_run_inference_records_into_monitor_and_registry(tmp_path) -> None:
         metrics = executor.run_inference(frame, sim_time_ms=0.0)
 
     assert metrics.model == "small"
-    assert monitor.latest("small") == metrics
+    assert monitor.windows["small"].latest() == metrics
     [(sim_time_ms, logged)] = load_metrics_csv(metrics_path)
     assert sim_time_ms == 0.0
     assert (logged.frame_index, logged.model, logged.detection_count) == (

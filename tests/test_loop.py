@@ -200,7 +200,7 @@ def test_one_live_view_serves_every_decision() -> None:
 
         def decide(self, frame_index: int, active: str, view: RunView) -> SelectionDecision:
             # What the view shows at each decision: the frames seen so far.
-            latest = view.latest(active)
+            latest = view.windows[active].latest()
             self.seen.append((latest and latest.frame_index, dict(view.scores)))
             return super().decide(frame_index, active, view)
 
@@ -214,8 +214,8 @@ def test_one_live_view_serves_every_decision() -> None:
     assert [frame_index for frame_index, _ in strategy.seen] == [None, 0, 1, 2, 3]
     assert strategy.seen[0][1] == {"a": 0.0, "b": 0.0}
     # The view is live: after the run it shows the last frame and score.
-    assert view.latest("a").frame_index == 4
-    assert view.aggregate("b") is None
+    assert view.windows["a"].latest().frame_index == 4
+    assert view.windows["b"].aggregate() is None
     with pytest.raises(TypeError):
         view.scores["a"] = 1.0  # type: ignore[index]
 

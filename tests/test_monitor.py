@@ -88,11 +88,11 @@ def test_monitor_routes_by_model_and_logs(tmp_path) -> None:
         monitor.record(_metrics(1, model="b", confidence=0.8), sim_time_ms=16.7)
         monitor.record(_metrics(2, model="a", confidence=0.4), sim_time_ms=33.3)
 
-    agg_a = monitor.aggregate("a")
+    agg_a = monitor.windows["a"].aggregate()
     assert agg_a is not None
     assert agg_a.sample_count == 2
     assert agg_a.avg_confidence == pytest.approx(0.3)
-    latest_b = monitor.latest("b")
+    latest_b = monitor.windows["b"].latest()
     assert latest_b is not None and latest_b.frame_index == 1
 
     rows = load_metrics_csv(metrics_path)
@@ -104,7 +104,3 @@ def test_monitor_rejects_unknown_model() -> None:
     monitor = Monitor(("a",), LogRegistry(StringIO(), StringIO()))
     with pytest.raises(UnknownModel):
         monitor.record(_metrics(0, model="zzz"), sim_time_ms=0.0)
-    with pytest.raises(UnknownModel):
-        monitor.aggregate("zzz")
-    with pytest.raises(UnknownModel):
-        monitor.latest("zzz")

@@ -21,26 +21,56 @@ from modelswitch.planner import (
     RunView,
     best_model,
     rank_models_by_cpu,
-    select_epsilon_greedy,
-    select_naive,
 )
 
 SCORES = {"a": 0.5, "b": -0.2, "c": 0.1}
 
 
-def _view(
-    scores=None, latest: FrameMetrics | None = None, model_ids=("a", "b", "c"), aggregates=None
-) -> RunView:
-    """A view over fixed scores and latest metrics; aggregate reads the given dict."""
+class _Window:
+    """A stand-in for a model's MetricsWindow with a fixed latest frame and a
+    settable agg; it counts the aggregate() reads a re-rank makes."""
+
+    def __init__(self, latest: FrameMetrics | None = None) -> None:
+        self.latest_metrics = latest
+        self.agg: WindowAggregate | None = None
+        self.reads = 0
+
+    def latest(self) -> FrameMetrics | None:
+        return self.latest_metrics
+
+    def aggregate(self) -> WindowAggregate | None:
+        self.reads += 1
+        return self.agg
+
+
+def _view(scores=None, model_ids=("a", "b", "c"), windows=None) -> RunView:
+    """A view over fixed scores and empty stand-in windows, unless windows are given."""
     return RunView(
         model_ids=model_ids,
         scores=SCORES if scores is None else scores,
-        latest=lambda model: latest,
-        aggregate=({} if aggregates is None else aggregates).get,
+        windows={m: _Window() for m in model_ids} if windows is None else windows,
     )
 
 
 VIEW = _view()
+
+
+class _Draws:
+    """A draw source whose random() is a fixed p; randrange comes from Random(seed)."""
+
+    def __init__(self, p: float, seed: int) -> None:
+        self.p = p
+        self.randrange = Random(seed).randrange
+
+    def random(self) -> float:
+        return self.p
+
+
+def _greedy(scores, active, p, epsilon, seed, exclude_best=True):
+    """One EpsilonGreedyStrategy decision over scores with p drawn as given."""
+    strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=epsilon, exclude_best=exclude_best))
+    strategy.rng = _Draws(p, seed)
+    return strategy.decide(0, active, _view(scores=scores, model_ids=tuple(scores)))
 
 
 def _metrics(cpu: float, confidence: float, model: str = "a", frame_index: int = 0) -> FrameMetrics:
@@ -68,7 +98,7 @@ def test_best_model_rejects_empty_scores() -> None:
 
 
 def test_exploit_above_epsilon() -> None:
-    decision = select_epsilon_greedy(SCORES, "a", p=0.3, epsilon=0.1, rng=Random(0))
+    decision = _greedy(SCORES, "a", p=0.3, epsilon=0.1, seed=0)
     assert decision.mode is SelectionMode.EXPLOIT
     assert decision.selected == "b"
     assert decision.random_draw == 0.3
@@ -77,20 +107,20 @@ def test_exploit_above_epsilon() -> None:
 
 def test_explore_at_or_below_epsilon_excludes_best() -> None:
     for seed in range(50):
-        decision = select_epsilon_greedy(SCORES, "a", p=0.05, epsilon=0.1, rng=Random(seed))
+        decision = _greedy(SCORES, "a", p=0.05, epsilon=0.1, seed=seed)
         assert decision.mode is SelectionMode.EXPLORE
         assert decision.selected in SCORES
         assert decision.selected != "b"
 
 
 def test_draw_equal_to_epsilon_explores() -> None:
-    decision = select_epsilon_greedy(SCORES, "a", p=0.1, epsilon=0.1, rng=Random(1))
+    decision = _greedy(SCORES, "a", p=0.1, epsilon=0.1, seed=1)
     assert decision.mode is SelectionMode.EXPLORE
 
 
 def test_explore_can_revisit_best_without_exclusion() -> None:
     hits = Counter(
-        select_epsilon_greedy(SCORES, "a", p=0.0, epsilon=0.1, rng=Random(seed), exclude_best=False).selected
+        _greedy(SCORES, "a", p=0.0, epsilon=0.1, seed=seed, exclude_best=False).selected
         for seed in range(300)
     )
     assert hits["b"] > 0
@@ -98,17 +128,15 @@ def test_explore_can_revisit_best_without_exclusion() -> None:
 
 
 def test_lone_model_falls_back_to_exploit() -> None:
-    decision = select_epsilon_greedy({"only": 0.0}, "only", p=0.0, epsilon=1.0, rng=Random(2))
+    decision = _greedy({"only": 0.0}, "only", p=0.0, epsilon=1.0, seed=2)
     assert decision.mode is SelectionMode.EXPLOIT
     assert decision.selected == "only"
 
 
 def test_explore_picks_uniformly_among_candidates() -> None:
-    rng = Random(43)
-    hits = Counter(
-        select_epsilon_greedy(SCORES, "a", p=0.0, epsilon=0.1, rng=rng).selected
-        for _ in range(30_000)
-    )
+    strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.1))
+    strategy.rng = _Draws(p=0.0, seed=43)
+    hits = Counter(strategy.decide(i, "a", VIEW).selected for i in range(30_000))
     assert set(hits) == {"a", "c"}
     for count in hits.values():
         assert count / 30_000 == pytest.approx(0.5, abs=0.02)
@@ -137,7 +165,7 @@ def test_unit_epsilon_always_explores() -> None:
 
 def test_epsilon_greedy_reads_the_live_score_table() -> None:
     monitor = Monitor(("a", "b"), LogRegistry(StringIO(), StringIO()))
-    view = _view(scores=Scores(monitor.windows), model_ids=("a", "b"))
+    view = _view(scores=Scores(monitor.windows), model_ids=("a", "b"), windows=monitor.windows)
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.0))
     # Both score 0.0 before any frame; the tie goes to the first id.
     assert strategy.decide(0, "a", view).selected == "a"
@@ -156,54 +184,52 @@ def test_planner_config_validation() -> None:
         PlannerConfig(decision_period=0)
 
 
+def _naive(latest: FrameMetrics | None, active: str):
+    """One NaiveThresholdStrategy decision over s < m < l, the active model's latest frame given."""
+    strategy = NaiveThresholdStrategy(NaiveConfig(model_order=("s", "m", "l")))
+    windows = {m: _Window() for m in ("s", "m", "l")}
+    windows[active] = _Window(latest)
+    return strategy.decide(0, active, _view(scores={}, model_ids=("s", "m", "l"), windows=windows))
+
+
 def test_naive_steps_lighter_on_high_cpu() -> None:
-    config = NaiveConfig(model_order=("s", "m", "l"))
-    decision = select_naive(_metrics(cpu=30.0, confidence=0.9), config, active="m")
+    decision = _naive(_metrics(cpu=30.0, confidence=0.9), active="m")
     assert decision.selected == "s"
     assert decision.mode is SelectionMode.FORCED
     assert decision.random_draw is None
 
 
 def test_naive_steps_heavier_on_low_confidence() -> None:
-    config = NaiveConfig(model_order=("s", "m", "l"))
-    decision = select_naive(_metrics(cpu=10.0, confidence=0.1), config, active="m")
+    decision = _naive(_metrics(cpu=10.0, confidence=0.1), active="m")
     assert decision.selected == "l"
 
 
 def test_naive_clamps_at_both_ends() -> None:
-    config = NaiveConfig(model_order=("s", "m", "l"))
-    assert select_naive(_metrics(cpu=30.0, confidence=0.9), config, active="s").selected == "s"
-    assert select_naive(_metrics(cpu=10.0, confidence=0.1), config, active="l").selected == "l"
+    assert _naive(_metrics(cpu=30.0, confidence=0.9), active="s").selected == "s"
+    assert _naive(_metrics(cpu=10.0, confidence=0.1), active="l").selected == "l"
 
 
 def test_naive_high_cpu_wins_over_low_confidence() -> None:
-    config = NaiveConfig(model_order=("s", "m", "l"))
-    decision = select_naive(_metrics(cpu=30.0, confidence=0.1), config, active="m")
+    decision = _naive(_metrics(cpu=30.0, confidence=0.1), active="m")
     assert decision.selected == "s"
 
 
 def test_naive_stays_put_in_the_comfortable_band() -> None:
-    config = NaiveConfig(model_order=("s", "m", "l"))
-    decision = select_naive(_metrics(cpu=10.0, confidence=0.9), config, active="m")
+    decision = _naive(_metrics(cpu=10.0, confidence=0.9), active="m")
     assert decision.selected == "m"
 
 
 def test_naive_stays_put_without_metrics() -> None:
-    config = NaiveConfig(model_order=("s", "m", "l"))
-    assert select_naive(None, config, active="m").selected == "m"
+    assert _naive(None, active="m").selected == "m"
 
 
 def test_naive_strategy_reads_the_latest_metrics_of_the_active_model() -> None:
-    asked = []
-
-    def latest(model: str) -> FrameMetrics:
-        asked.append(model)
-        return _metrics(cpu=30.0, confidence=0.9)
-
-    view = RunView(model_ids=("s", "m", "l"), scores={}, latest=latest, aggregate=lambda m: None)
+    monitor = Monitor(("s", "m", "l"), LogRegistry(StringIO(), StringIO()))
+    monitor.record(_metrics(cpu=30.0, confidence=0.9, model="m"), 0.0)
+    monitor.record(_metrics(cpu=10.0, confidence=0.1, model="s"), 0.0)
+    view = _view(scores={}, model_ids=("s", "m", "l"), windows=monitor.windows)
     strategy = NaiveThresholdStrategy(NaiveConfig(model_order=("s", "m", "l")))
     assert strategy.decide(5, "m", view).selected == "s"
-    assert asked == ["m"]
 
 
 def test_naive_config_validation() -> None:
@@ -266,60 +292,52 @@ def test_round_robin_reports_forced_mode() -> None:
     assert decision.previous == "c"
 
 
-class _CountingAggregates(dict):
-    """Window aggregates by model that count the reads a re-rank makes."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.reads = 0
-
-    def get(self, model, default=None):
-        self.reads += 1
-        return super().get(model, default)
-
-
-def _boosting(boost_period_frames: int) -> tuple[RoundRobinBoostStrategy, _CountingAggregates, RunView]:
+def _boosting(boost_period_frames: int) -> tuple[RoundRobinBoostStrategy, dict, RunView]:
     # A slice longer than any test's frames: the pick is always the head of the rank.
     strategy = RoundRobinBoostStrategy(
         RoundRobinBoostConfig(time_slice_frames=10_000, boost_period_frames=boost_period_frames)
     )
-    aggregates = _CountingAggregates()
-    return strategy, aggregates, _view(aggregates=aggregates)
+    windows = {m: _Window() for m in ("a", "b", "c")}
+    return strategy, windows, _view(windows=windows)
+
+
+def _reads(windows: dict) -> int:
+    return sum(window.reads for window in windows.values())
 
 
 def test_round_robin_reranks_at_the_first_decision_of_each_boost_slot() -> None:
-    strategy, aggregates, view = _boosting(100)
+    strategy, windows, view = _boosting(100)
     # Nothing observed yet: the first decision ranks in repository order.
     assert strategy.decide(0, "a", view).selected == "a"
     assert strategy.rank == ("a", "b", "c")
-    assert aggregates.reads == 3
+    assert _reads(windows) == 3
 
-    aggregates["c"] = _agg("c", 5.0)
-    aggregates["a"] = _agg("a", 9.0)
+    windows["c"].agg = _agg("c", 5.0)
+    windows["a"].agg = _agg("a", 9.0)
     # The same boost slot keeps the stale rank and reads nothing.
     assert strategy.decide(99, "a", view).selected == "a"
-    assert aggregates.reads == 3
+    assert _reads(windows) == 3
 
     # The next slot's first decision re-ranks before it picks.
     assert strategy.decide(100, "a", view).selected == "c"
     assert strategy.rank == ("c", "a", "b")
-    assert aggregates.reads == 6
+    assert _reads(windows) == 6
     strategy.decide(150, "c", view)
-    assert aggregates.reads == 6
+    assert _reads(windows) == 6
 
 
 def test_round_robin_reranks_once_after_skipped_boost_slots() -> None:
     """A switch that swallows whole boost slots costs one re-rank, not one per slot."""
-    strategy, aggregates, view = _boosting(100)
+    strategy, windows, view = _boosting(100)
     strategy.decide(0, "a", view)
-    aggregates["b"] = _agg("b", 5.0)
+    windows["b"].agg = _agg("b", 5.0)
     assert strategy.decide(350, "a", view).selected == "b"
-    assert aggregates.reads == 6
+    assert _reads(windows) == 6
     strategy.decide(399, "b", view)
-    assert aggregates.reads == 6
-    aggregates["c"] = _agg("c", 1.0)
+    assert _reads(windows) == 6
+    windows["c"].agg = _agg("c", 1.0)
     assert strategy.decide(400, "b", view).selected == "c"
-    assert aggregates.reads == 9
+    assert _reads(windows) == 9
 
 
 def test_round_robin_rejects_empty_rank() -> None:

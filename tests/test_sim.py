@@ -2,27 +2,29 @@ from __future__ import annotations
 
 import math
 import statistics
+from dataclasses import dataclass
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modelswitch.domain import Detection
+from modelswitch import sim
 from modelswitch.sim import (
     DEFAULT_SEED,
     OBJECT_CLASSES,
+    ConfigError,
     InvalidSchedule,
     ModelProfile,
     ScheduleSegment,
     SimFrame,
+    Trace,
     TraceConfig,
     default_profiles,
     default_segments,
     gaussian,
     generate_trace,
     parse_config,
-    poisson,
     synth_inference,
     validate_segments,
 )
@@ -44,7 +46,7 @@ def _profile(**overrides) -> ModelProfile:
 
 
 @pytest.fixture(scope="module")
-def default_trace() -> list[SimFrame]:
+def default_trace() -> Trace:
     return generate_trace(TraceConfig())
 
 
@@ -56,8 +58,7 @@ def test_gaussian_moments() -> None:
 
 
 def test_poisson_moments() -> None:
-    rng = Random(13)
-    draws = [poisson(rng, 4.0) for _ in range(50_000)]
+    draws = sim._poisson_draws(Random(13), 4.0, 50_000)
     assert min(draws) >= 0
     assert statistics.fmean(draws) == pytest.approx(4.0, abs=0.05)
     # For a poisson distribution the variance equals the mean.
@@ -65,42 +66,40 @@ def test_poisson_moments() -> None:
 
 
 def test_poisson_zero_mean_is_always_zero() -> None:
-    rng = Random(17)
-    assert all(poisson(rng, 0.0) == 0 for _ in range(100))
+    assert all(count == 0 for count in sim._poisson_draws(Random(17), 0.0, 100))
 
 
 def test_poisson_rejects_negative_mean() -> None:
     with pytest.raises(ValueError):
-        poisson(Random(0), -1.0)
+        sim._poisson_draws(Random(0), -1.0, 1)
 
 
 def test_trace_is_deterministic_per_seed() -> None:
     segments = (ScheduleSegment(start_s=0.0, mean_objects=5.0, complexity=0.3),)
     config = TraceConfig(fps=20, duration_s=30.0, segments=segments)
-    assert generate_trace(config) == generate_trace(config)
+    assert list(generate_trace(config)) == list(generate_trace(config))
     other = TraceConfig(
         fps=20, duration_s=30.0, segments=segments, rng_seed=DEFAULT_SEED + 1
     )
-    assert generate_trace(other) != generate_trace(config)
+    assert list(generate_trace(other)) != list(generate_trace(config))
 
 
-def test_default_trace_shape(default_trace: list[SimFrame]) -> None:
+def test_default_trace_shape(default_trace: Trace) -> None:
     assert len(default_trace) == 108_000
     assert default_trace[0].frame_index == 0
     assert default_trace[-1].frame_index == 107_999
 
 
-def test_default_trace_segment_densities(default_trace: list[SimFrame]) -> None:
+def test_default_trace_segment_densities(default_trace: Trace) -> None:
     """Off-peak thirds hover around 3 objects, the rush-hour third around 12."""
-    first = [f.object_count for f in default_trace[:36_000]]
-    middle = [f.object_count for f in default_trace[36_000:72_000]]
-    last = [f.object_count for f in default_trace[72_000:]]
+    counts = [f.object_count for f in default_trace]
+    first, middle, last = counts[:36_000], counts[36_000:72_000], counts[72_000:]
     assert statistics.fmean(first) == pytest.approx(3.0, abs=0.1)
     assert statistics.fmean(middle) == pytest.approx(12.0, abs=0.1)
     assert statistics.fmean(last) == pytest.approx(3.0, abs=0.1)
 
 
-def test_default_trace_complexity_ramp(default_trace: list[SimFrame]) -> None:
+def test_default_trace_complexity_ramp(default_trace: Trace) -> None:
     assert default_trace[0].complexity == pytest.approx(0.1)
     # Halfway into the first segment the ramp toward 0.6 is half done.
     assert default_trace[18_000].complexity == pytest.approx(0.35)
@@ -187,6 +186,20 @@ def test_synth_inference_cpu_tracks_object_count() -> None:
         _, cpu, _ = synth_inference(frame, profile, rng)
         cpus.append(cpu)
     assert statistics.fmean(cpus) == pytest.approx(17.0, abs=0.1)
+
+
+@dataclass(frozen=True)
+class Detection:
+    """A detected object as synthesis once built it: confidence, label and unit-square bbox."""
+
+    confidence: float
+    class_label: str
+    bbox: tuple[float, float, float, float]
+
+    def __post_init__(self) -> None:
+        assert 0.0 <= self.confidence <= 1.0
+        x, y, w, h = self.bbox
+        assert min(x, y, w, h) >= 0.0 and x + w <= 1.0 + 1e-9 and y + h <= 1.0 + 1e-9
 
 
 def _synth_inference_with_detections(
@@ -309,16 +322,8 @@ def _trace_configs(draw) -> TraceConfig:
     return TraceConfig(fps=fps, duration_s=duration_s, segments=segments, rng_seed=seed)
 
 
-_slice_bound = st.one_of(st.none(), st.integers(-5000, 5000))
-
-
 @settings(max_examples=200, deadline=None)
-@given(
-    config=_trace_configs(),
-    cut=st.builds(
-        slice, _slice_bound, _slice_bound, st.one_of(st.none(), st.integers(-3, 3).filter(bool))
-    ),
-)
+@given(config=_trace_configs())
 @example(
     config=TraceConfig(
         fps=7,
@@ -330,9 +335,8 @@ _slice_bound = st.one_of(st.none(), st.integers(-5000, 5000))
         ),
         rng_seed=DEFAULT_SEED,
     ),
-    cut=slice(-100, None, 3),
 )
-def test_trace_matches_the_eager_reference(config: TraceConfig, cut: slice) -> None:
+def test_trace_matches_the_eager_reference(config: TraceConfig) -> None:
     trace = generate_trace(config)
     reference = _eager_trace(config)
     n = len(reference)
@@ -347,19 +351,6 @@ def test_trace_matches_the_eager_reference(config: TraceConfig, cut: slice) -> N
     for bad in (n, -n - 1):
         with pytest.raises(IndexError):
             trace[bad]
-    assert trace[cut] == reference[cut]
-    assert trace[::-1] == reference[::-1]
-
-    assert generate_trace(config) == trace
-    other_config = TraceConfig(
-        fps=config.fps,
-        duration_s=config.duration_s,
-        segments=config.segments,
-        rng_seed=config.rng_seed + 1,
-    )
-    other = generate_trace(other_config)
-    assert (other != trace) == (_eager_trace(other_config) != reference)
-    assert (other == trace) == (_eager_trace(other_config) == reference)
 
 
 def test_model_profile_validation() -> None:
@@ -459,7 +450,7 @@ def test_parse_config_rejects_bad_values(tmp_path) -> None:
         "[segment.2]\nstart_s = 50\nmean_objects = 3\ncomplexity = 0.3\n",
         encoding="utf-8",
     )
-    with pytest.raises(InvalidSchedule):
+    with pytest.raises(ConfigError, match=r"^\[segment\.2\] segment start 50.0 beyond duration"):
         parse_config(str(bad_schedule))
 
 
