@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterator, Mapping
 
-from modelswitch.domain import FrameMetrics, ModelId
+from modelswitch.domain import ModelId
 from modelswitch.monitor import MetricsWindow
 
 # Read in place of a score when the current confidence is zero: the
@@ -32,10 +32,17 @@ class ZeroConfidence(Exception):
 def compute_score(
     current_cpu: float, current_confidence: float, avg_cpu: float, avg_confidence: float
 ) -> float:
-    """Score one model from its latest frame and its window averages."""
+    """Score one model from its latest frame and its window averages.
+
+    A zero CPU factor scores 0.0 outright: the ratio can overflow to
+    infinity (a subnormal current confidence), and 0 * inf is NaN.
+    """
     if current_confidence == 0.0:
         raise ZeroConfidence()
-    return min(current_cpu, avg_cpu) * (1.0 - avg_confidence / current_confidence)
+    cpu = min(current_cpu, avg_cpu)
+    if cpu == 0.0:
+        return 0.0
+    return cpu * (1.0 - avg_confidence / current_confidence)
 
 
 class Scores(Mapping[ModelId, float]):
@@ -45,25 +52,24 @@ class Scores(Mapping[ModelId, float]):
 
     def __init__(self, windows: Mapping[ModelId, MetricsWindow]):
         self._windows = windows
-        self._cache: dict[ModelId, tuple[FrameMetrics, float]] = {}
+        # model -> (the window's last frame index when scored, score)
+        self._cache: dict[ModelId, tuple[int, float]] = {}
 
     def __getitem__(self, model: ModelId) -> float:
         window = self._windows[model]
-        frame = window.latest()
-        if frame is None:
+        last_frame = window.last_frame
+        if last_frame < 0:
             return 0.0
         cached = self._cache.get(model)
-        if cached is not None and cached[0] is frame:
+        if cached is not None and cached[0] == last_frame:
             return cached[1]
-        cpus = window.cpus
+        cpus, confidences = window.cpus, window.confidences
         n = len(cpus)
         try:
-            value = compute_score(
-                frame.cpu_usage, frame.confidence_score, sum(cpus) / n, sum(window.confidences) / n
-            )
+            value = compute_score(cpus[-1], confidences[-1], sum(cpus) / n, sum(confidences) / n)
         except ZeroConfidence:
             value = ZERO_CONFIDENCE_SCORE
-        self._cache[model] = (frame, value)
+        self._cache[model] = (last_frame, value)
         return value
 
     def __iter__(self) -> Iterator[ModelId]:

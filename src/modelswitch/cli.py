@@ -279,7 +279,6 @@ def run_experiment(
                 repo,
                 planner,
                 registry=LogRegistry(metrics_out, events_out),
-                fps=trace_config.fps,
                 inference_seed=effective_seed + 2,
                 decision_period=decision_period,
                 window_capacity=engine.window_capacity,

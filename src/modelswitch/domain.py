@@ -3,13 +3,18 @@
 Conventions: CPU usage is a percentage in [0, 100], confidences are
 fractions in [0, 1]. Conversion to display percentages happens only at
 reporting boundaries.
+
+The records the loop builds per decision or switch are NamedTuples, which
+cost a fraction of a frozen dataclass to build. A processed frame's figures
+travel as plain values; FrameMetrics is only the row type of a metrics.csv
+read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 ModelId = str
 
@@ -22,9 +27,25 @@ class SelectionMode(Enum):
     FORCED = "forced"
 
 
+def check_frame(
+    frame_index: int, cpu_usage: float, confidence_score: float, detection_count: int
+) -> None:
+    """Raise ValueError unless the figures describe a processed frame."""
+    if frame_index < 0:
+        raise ValueError(f"negative frame_index: {frame_index}")
+    if not 0.0 <= cpu_usage <= 100.0:
+        raise ValueError(f"cpu_usage out of range: {cpu_usage}")
+    if not 0.0 <= confidence_score <= 1.0:
+        raise ValueError(f"confidence_score out of range: {confidence_score}")
+    if detection_count < 0:
+        raise ValueError(f"negative detection_count: {detection_count}")
+    if detection_count == 0 and confidence_score != 0.0:
+        raise ValueError("empty frame must carry confidence_score 0.0")
+
+
 @dataclass(frozen=True, slots=True)
 class FrameMetrics:
-    """What the monitor records for one processed frame."""
+    """One metrics.csv row as read back: what the monitor recorded for one processed frame."""
 
     frame_index: int
     model: ModelId
@@ -34,16 +55,7 @@ class FrameMetrics:
     inference_time_ms: float
 
     def __post_init__(self) -> None:
-        if self.frame_index < 0:
-            raise ValueError(f"negative frame_index: {self.frame_index}")
-        if not 0.0 <= self.cpu_usage <= 100.0:
-            raise ValueError(f"cpu_usage out of range: {self.cpu_usage}")
-        if not 0.0 <= self.confidence_score <= 1.0:
-            raise ValueError(f"confidence_score out of range: {self.confidence_score}")
-        if self.detection_count < 0:
-            raise ValueError(f"negative detection_count: {self.detection_count}")
-        if self.detection_count == 0 and self.confidence_score != 0.0:
-            raise ValueError("empty frame must carry confidence_score 0.0")
+        check_frame(self.frame_index, self.cpu_usage, self.confidence_score, self.detection_count)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,8 +68,7 @@ class WindowAggregate:
     sample_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class SelectionDecision:
+class SelectionDecision(NamedTuple):
     """Outcome of one planner invocation."""
 
     selected: ModelId
@@ -66,8 +77,7 @@ class SelectionDecision:
     previous: ModelId
 
 
-@dataclass(frozen=True, slots=True)
-class SwitchEvent:
+class SwitchEvent(NamedTuple):
     """An executed model change and what it cost."""
 
     frame_index: int

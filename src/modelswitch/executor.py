@@ -6,23 +6,21 @@ in progress. The executor looks a profile up only when it switches to that
 model, and runs inference with the profile it keeps. Inference output is
 post-filtered by a confidence floor before the frame confidence is
 computed, mirroring a detector's score-threshold stage.
+
+The live model and the switch totals are plain attributes; ``state`` builds
+an ExecutorState from them when read, once per run in the loop. A frame's
+figures go to the monitor as plain values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 
-from modelswitch.domain import (
-    FrameMetrics,
-    ModelId,
-    SelectionDecision,
-    SwitchEvent,
-    mean_confidence,
-)
+from modelswitch.domain import ModelId, SelectionDecision, SwitchEvent, mean_confidence
 from modelswitch.knowledge import ModelRepository
 from modelswitch.monitor import Monitor
-from modelswitch.sim import SimFrame, synth_inference
+from modelswitch.sim import synth_inference
 
 DEFAULT_CONFIDENCE_FLOOR = 0.25
 SWITCH_JITTER = 0.10
@@ -59,48 +57,46 @@ class Executor:
         self._monitor = monitor
         self._rng = rng
         self.confidence_floor = confidence_floor
-        self.state = ExecutorState(active=initial_model)
+        self.active = initial_model
+        self.cumulative_switch_time_ms = 0.0
+        self.switch_count = 0
 
     @property
-    def active(self) -> ModelId:
-        return self.state.active
+    def state(self) -> ExecutorState:
+        """The live model and the switch totals so far, as one value."""
+        return ExecutorState(self.active, self.cumulative_switch_time_ms, self.switch_count)
 
     def apply(self, decision: SelectionDecision, frame_index: int) -> SwitchEvent | None:
         """Carry out a decision. A same-model selection is a free no-op; a switch
         looks up the incoming profile (UnknownModel if unregistered) and keeps it."""
         selected = decision.selected
-        state = self.state
-        if selected == state.active:
+        active = self.active
+        if selected == active:
             return None
         profile = self._repo.get(selected)
         jitter = 1.0 + SWITCH_JITTER * (2.0 * self._rng.random() - 1.0)
         switch_time_ms = profile.switch_latency_ms * jitter
         self._profile = profile
-        self.state = replace(
-            state,
-            active=selected,
-            cumulative_switch_time_ms=state.cumulative_switch_time_ms + switch_time_ms,
-            switch_count=state.switch_count + 1,
-        )
-        return SwitchEvent(
-            frame_index=frame_index,
-            from_model=state.active,
-            to_model=selected,
-            switch_time_ms=switch_time_ms,
-        )
+        self.active = selected
+        self.cumulative_switch_time_ms += switch_time_ms
+        self.switch_count += 1
+        return SwitchEvent(frame_index, active, selected, switch_time_ms)
 
-    def run_inference(self, frame: SimFrame, sim_time_ms: float) -> FrameMetrics:
+    def run_inference(
+        self, frame_index: int, object_count: int, complexity: float, sim_time_ms: float
+    ) -> None:
         """Process one frame with the active model and record the result."""
-        confidences, cpu_usage, inference_time_ms = synth_inference(frame, self._profile, self._rng)
+        confidences, cpu_usage, inference_time_ms = synth_inference(
+            object_count, complexity, self._profile, self._rng
+        )
         floor = self.confidence_floor
         kept = [c for c in confidences if c >= floor]
-        metrics = FrameMetrics(
-            frame_index=frame.frame_index,
-            model=self.state.active,
-            confidence_score=mean_confidence(kept),
-            cpu_usage=cpu_usage,
-            detection_count=len(kept),
-            inference_time_ms=inference_time_ms,
+        self._monitor.record(
+            frame_index,
+            sim_time_ms,
+            self.active,
+            cpu_usage,
+            mean_confidence(kept),
+            len(kept),
+            inference_time_ms,
         )
-        self._monitor.record(metrics, sim_time_ms)
-        return metrics

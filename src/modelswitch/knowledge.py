@@ -96,19 +96,27 @@ class LogRegistry:
             )
         self._last_frame = frame_index
 
-    def append_metrics(self, metrics: FrameMetrics, sim_time_ms: float) -> None:
-        self._advance(metrics.frame_index)
-        model = metrics.model
+    def append_metrics(
+        self,
+        frame_index: int,
+        sim_time_ms: float,
+        model: ModelId,
+        cpu_usage: float,
+        confidence_score: float,
+        detection_count: int,
+        inference_time_ms: float,
+    ) -> None:
+        """One processed frame's row; the arguments are its columns, in order."""
+        self._advance(frame_index)
         # battery_mah stays empty: the simulator measures no battery.
         self._write_metrics(
-            f"{metrics.frame_index},{sim_time_ms:.4f},{model},"
-            f"{metrics.cpu_usage:.4f},{metrics.confidence_score:.4f},"
-            f"{metrics.detection_count},{metrics.inference_time_ms:.4f},\n"
+            f"{frame_index},{sim_time_ms:.4f},{model},{cpu_usage:.4f},{confidence_score:.4f},"
+            f"{detection_count},{inference_time_ms:.4f},\n"
         )
         counts = self.usage_counts
         counts[model] = counts.get(model, 0) + 1
-        self.cpu_total += metrics.cpu_usage
-        self.confidence_total += metrics.confidence_score
+        self.cpu_total += cpu_usage
+        self.confidence_total += confidence_score
 
     def append_decision(self, frame_index: int, decision: SelectionDecision) -> None:
         self._advance(frame_index)

@@ -1,10 +1,12 @@
 """Per-frame metric collection and sliding-window aggregation.
 
 Each model keeps its own fixed-capacity window of recent confidence and
-CPU figures, plus its latest frame metrics; aggregates are plain arithmetic
-means over whatever the window currently holds. Recording also appends the
-metrics to the shared log registry, so every processed frame lands in
-exactly one window entry and one log row.
+CPU figures and the index of its last recorded frame; aggregates are plain
+arithmetic means over whatever the window currently holds. Recording
+checks a frame's figures, then appends them to the model's window and to
+the shared log registry, so every processed frame lands in exactly one
+window entry and one log row. A frame's figures arrive as plain values, in
+metrics.csv column order; no per-frame record is built.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import deque
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from modelswitch.domain import FrameMetrics, ModelId, WindowAggregate
+from modelswitch.domain import ModelId, WindowAggregate, check_frame
 from modelswitch.knowledge import LogRegistry, UnknownModel
 
 DEFAULT_WINDOW_CAPACITY = 30
@@ -26,8 +28,10 @@ class OutOfOrderFrame(Exception):
 class MetricsWindow:
     """Fixed-capacity FIFO of one model's recent confidence and CPU figures.
 
-    ``confidences`` and ``cpus`` are the window itself, oldest first, for
-    readers that average it without an aggregate; only ``record`` writes them.
+    ``cpus`` and ``confidences`` are the window itself, oldest first, so
+    ``cpus[-1]`` and ``confidences[-1]`` are the model's latest frame;
+    ``last_frame`` is that frame's index, -1 before the first. Only
+    ``record`` writes them.
     """
 
     def __init__(self, model: ModelId, capacity: int):
@@ -36,17 +40,14 @@ class MetricsWindow:
         self.model = model
         self.confidences: deque[float] = deque(maxlen=capacity)
         self.cpus: deque[float] = deque(maxlen=capacity)
-        self._latest: FrameMetrics | None = None
+        self.last_frame = -1
 
-    def record(self, metrics: FrameMetrics) -> None:
-        latest = self._latest
-        if latest is not None and metrics.frame_index <= latest.frame_index:
-            raise OutOfOrderFrame(
-                f"{self.model}: frame {metrics.frame_index} after {latest.frame_index}"
-            )
-        self._latest = metrics
-        self.confidences.append(metrics.confidence_score)
-        self.cpus.append(metrics.cpu_usage)
+    def record(self, frame_index: int, cpu_usage: float, confidence_score: float) -> None:
+        if frame_index <= self.last_frame:
+            raise OutOfOrderFrame(f"{self.model}: frame {frame_index} after {self.last_frame}")
+        self.last_frame = frame_index
+        self.confidences.append(confidence_score)
+        self.cpus.append(cpu_usage)
 
     def aggregate(self) -> WindowAggregate | None:
         """Mean confidence and CPU over the current window; None when empty."""
@@ -60,18 +61,14 @@ class MetricsWindow:
             sample_count=n,
         )
 
-    def latest(self) -> FrameMetrics | None:
-        return self._latest
-
     def __len__(self) -> int:
         return len(self.cpus)
 
 
 class Monitor:
-    """Routes frame metrics into per-model windows and the log registry.
+    """Routes frame figures into per-model windows and the log registry.
 
-    ``windows`` maps each model to its window, read-only; readers ask a
-    window for its ``latest()`` metrics and its ``aggregate()``.
+    ``windows`` maps each model to its window, read-only.
     """
 
     def __init__(
@@ -84,10 +81,30 @@ class Monitor:
         self.windows: Mapping[ModelId, MetricsWindow] = MappingProxyType(self._windows)
         self._registry = registry
 
-    def record(self, metrics: FrameMetrics, sim_time_ms: float) -> None:
+    def record(
+        self,
+        frame_index: int,
+        sim_time_ms: float,
+        model: ModelId,
+        cpu_usage: float,
+        confidence_score: float,
+        detection_count: int,
+        inference_time_ms: float,
+    ) -> None:
+        """Record one processed frame; ValueError if its figures are out of range,
+        UnknownModel if model has no window."""
+        check_frame(frame_index, cpu_usage, confidence_score, detection_count)
         try:
-            window = self._windows[metrics.model]
+            window = self._windows[model]
         except KeyError:
-            raise UnknownModel(metrics.model) from None
-        window.record(metrics)
-        self._registry.append_metrics(metrics, sim_time_ms)
+            raise UnknownModel(model) from None
+        window.record(frame_index, cpu_usage, confidence_score)
+        self._registry.append_metrics(
+            frame_index,
+            sim_time_ms,
+            model,
+            cpu_usage,
+            confidence_score,
+            detection_count,
+            inference_time_ms,
+        )

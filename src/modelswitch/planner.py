@@ -7,7 +7,9 @@ frame, and round-robin over time slices that re-ranks the models by window
 CPU once per boost period. The ``RunView`` is built once per run and is live
 and read-only: each decision reads the run as it stands, and no strategy can
 change it. Each decision is a SelectionDecision; actually performing the
-switch is the executor's job.
+switch is the executor's job. At the default decision period a decision is
+built for every processed frame, so the strategies build it by position:
+(selected, mode, random_draw, previous).
 """
 
 from __future__ import annotations
@@ -90,10 +92,11 @@ class RunView:
 
     ``scores`` is a read-only mapping that scores a model when it is read
     (0.0 before the model's first frame), and ``windows`` is the monitor's
-    read-only map of per-model windows: ``windows[m].latest()`` is the most
-    recent frame metrics and ``windows[m].aggregate()`` the window means,
-    each None before the model's first frame. None of it is a copy, so
-    every decision sees the current values.
+    read-only map of per-model windows: ``len(windows[m])`` entries, with
+    ``windows[m].cpus`` and ``windows[m].confidences`` newest last, and
+    ``windows[m].aggregate()`` the window means (None before the model's
+    first frame). None of it is a copy, so every decision sees the current
+    values.
     """
 
     model_ids: tuple[ModelId, ...]
@@ -159,12 +162,8 @@ class EpsilonGreedyStrategy(SelectionStrategy):
                 candidates.remove(best)
             if candidates:
                 pick = candidates[self.rng.randrange(len(candidates))]
-                return SelectionDecision(
-                    selected=pick, mode=SelectionMode.EXPLORE, random_draw=p, previous=active
-                )
-        return SelectionDecision(
-            selected=best, mode=SelectionMode.EXPLOIT, random_draw=p, previous=active
-        )
+                return SelectionDecision(pick, SelectionMode.EXPLORE, p, active)
+        return SelectionDecision(best, SelectionMode.EXPLOIT, p, active)
 
 
 class NaiveThresholdStrategy(SelectionStrategy):
@@ -182,15 +181,13 @@ class NaiveThresholdStrategy(SelectionStrategy):
         order = config.model_order
         position = order.index(active)
         selected = active
-        latest = view.windows[active].latest()
-        if latest is not None:
-            if latest.cpu_usage > config.cpu_high_threshold:
+        window = view.windows[active]
+        if len(window):
+            if window.cpus[-1] > config.cpu_high_threshold:
                 selected = order[max(position - 1, 0)]
-            elif latest.confidence_score < config.confidence_low_threshold:
+            elif window.confidences[-1] < config.confidence_low_threshold:
                 selected = order[min(position + 1, len(order) - 1)]
-        return SelectionDecision(
-            selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=active
-        )
+        return SelectionDecision(selected, SelectionMode.FORCED, None, active)
 
 
 class RoundRobinBoostStrategy(SelectionStrategy):
@@ -225,6 +222,4 @@ class RoundRobinBoostStrategy(SelectionStrategy):
             self._position += 1
             self._slot = slot
         selected = self.rank[self._position % len(self.rank)]
-        return SelectionDecision(
-            selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=active
-        )
+        return SelectionDecision(selected, SelectionMode.FORCED, None, active)

@@ -88,15 +88,6 @@ class ScheduleSegment:
     complexity: float
 
 
-@dataclass(frozen=True, slots=True)
-class SimFrame:
-    """Scene state for one trace frame."""
-
-    frame_index: int
-    object_count: int
-    complexity: float
-
-
 def default_segments() -> tuple[ScheduleSegment, ...]:
     """Off-peak, rush hour, off-peak again, in three equal stretches."""
     third = DEFAULT_DURATION_S / 3
@@ -189,17 +180,18 @@ def _first_frame_at(t: float, fps: int) -> int:
     return f
 
 
-class Trace(Sequence[SimFrame]):
-    """A read-only frame sequence that stores object counts and builds frames on access.
+class Trace:
+    """A run's frames: the stored object count of each, and its complexity computed on read.
 
-    Segment ``j`` covers the frames from ``bounds[j - 1]`` (0 for the first)
-    up to ``bounds[j]``; ``ramps[j]`` is its (start_s, complexity, step to the
-    target complexity, width_s). Indexing evaluates the complexity ramp for
-    that one frame, so a frame nobody indexes costs nothing beyond its count.
-    It takes integer indexes only, negative ones counting from the end.
+    ``fps`` is the frame rate the trace was drawn at; frame ``f`` arrives at
+    ``f / fps`` seconds. Segment ``j`` covers the frames from ``bounds[j - 1]``
+    (0 for the first) up to ``bounds[j]``; ``ramps[j]`` is its (start_s,
+    complexity, step to the target complexity, width_s). Only ``reader``
+    evaluates the complexity ramp, one frame at a time, so a frame nobody
+    reads costs nothing beyond its count.
     """
 
-    __slots__ = ("_counts", "_fps", "_bounds", "_ramps")
+    __slots__ = ("_counts", "fps", "_bounds", "_ramps")
 
     def __init__(
         self,
@@ -209,24 +201,29 @@ class Trace(Sequence[SimFrame]):
         ramps: list[tuple[float, float, float, float]],
     ):
         self._counts = counts
-        self._fps = fps
+        self.fps = fps
         self._bounds = bounds
         self._ramps = ramps
 
     def __len__(self) -> int:
         return len(self._counts)
 
-    def __getitem__(self, index: int) -> SimFrame:
-        count = self._counts[index]  # raises IndexError/TypeError like a list
-        if index < 0:
-            index += len(self._counts)
-        start, complexity, step, width = self._ramps[bisect_right(self._bounds, index)]
-        t = index / self._fps
-        return SimFrame(
-            frame_index=index,
-            object_count=count,
-            complexity=complexity + step * ((t - start) / width),
-        )
+    def reader(self) -> Callable[[int], tuple[int, float]]:
+        """A function from a frame index in [0, len) to that frame's (object_count, complexity).
+
+        It builds no per-frame object beyond the pair; an index outside
+        [0, len) raises IndexError.
+        """
+        counts, fps, bounds, ramps = self._counts, self.fps, self._bounds, self._ramps
+
+        def frame(index: int) -> tuple[int, float]:
+            if index < 0:
+                raise IndexError(f"frame index out of range: {index}")
+            count = counts[index]
+            start, complexity, step, width = ramps[bisect_right(bounds, index)]
+            return count, complexity + step * ((index / fps - start) / width)
+
+        return frame
 
 
 def generate_trace(config: TraceConfig) -> Trace:
@@ -256,9 +253,10 @@ def generate_trace(config: TraceConfig) -> Trace:
 
 
 def synth_inference(
-    frame: SimFrame, profile: ModelProfile, rng: Random
+    object_count: int, complexity: float, profile: ModelProfile, rng: Random
 ) -> tuple[list[float], float, float]:
-    """Synthesize one inference pass: (confidences, cpu_usage_pct, inference_time_ms).
+    """Synthesize one inference pass over a frame of object_count objects at
+    the given scene complexity: (confidences, cpu_usage_pct, inference_time_ms).
 
     Each scene object is found with probability ``detection_recall``. A found
     object's confidence is the profile's base degraded by scene complexity
@@ -277,8 +275,8 @@ def synth_inference(
     label_bits = labels.bit_length()
     recall = profile.detection_recall
     noise_sd = profile.confidence_noise_sd
-    degraded = profile.base_confidence * (1.0 - 0.5 * frame.complexity)
-    for _ in range(frame.object_count):
+    degraded = profile.base_confidence * (1.0 - 0.5 * complexity)
+    for _ in range(object_count):
         if random() >= recall:
             continue
         # gaussian(rng, 0.0, noise_sd), inlined with the same operations in the same order.
@@ -297,7 +295,14 @@ def synth_inference(
         while getrandbits(label_bits) >= labels:
             pass
         getrandbits(256)
-    cpu = profile.base_cpu_pct + profile.cpu_per_object_pct * frame.object_count + gaussian(rng)
+    # gaussian(rng), inlined the same way.
+    u1 = 1.0 - random()
+    u2 = random()
+    cpu = (
+        profile.base_cpu_pct
+        + profile.cpu_per_object_pct * object_count
+        + (0.0 + 1.0 * sqrt(-2.0 * log(u1)) * cos(two_pi * u2))
+    )
     if cpu < 0.0:
         cpu = 0.0
     elif cpu > 100.0:

@@ -19,7 +19,7 @@ import pytest
 
 from modelswitch.analyzer import compute_score
 from modelswitch.cli import RunSummary, max_share, run_experiment
-from modelswitch.domain import FrameMetrics, SelectionMode, mean_confidence
+from modelswitch.domain import SelectionMode, mean_confidence
 from modelswitch.knowledge import LogRegistry, load_events_csv, load_metrics_csv
 from modelswitch.monitor import Monitor
 from modelswitch.planner import EpsilonGreedyStrategy, PlannerConfig, RunView
@@ -150,16 +150,11 @@ def test_window_aggregates_match_brute_force() -> None:
         seen = []
         for i in range(rng.randrange(0, 3 * capacity)):
             count = rng.randrange(0, 6)
-            entry = FrameMetrics(
-                frame_index=i,
-                model="m",
-                confidence_score=rng.random() if count else 0.0,
-                cpu_usage=100.0 * rng.random(),
-                detection_count=count,
-                inference_time_ms=1.0 + 100.0 * rng.random(),
-            )
-            monitor.record(entry, sim_time_ms=float(i))
-            seen.append(entry)
+            confidence = rng.random() if count else 0.0
+            cpu = 100.0 * rng.random()
+            inference_ms = 1.0 + 100.0 * rng.random()
+            monitor.record(i, float(i), "m", cpu, confidence, count, inference_ms)
+            seen.append((cpu, confidence))
         aggregate = monitor.windows["m"].aggregate()
         if not seen:
             assert aggregate is None
@@ -167,8 +162,8 @@ def test_window_aggregates_match_brute_force() -> None:
         tail = seen[-capacity:]
         assert aggregate is not None
         assert aggregate.sample_count == len(tail)
-        assert abs(aggregate.avg_confidence - sum(m.confidence_score for m in tail) / len(tail)) <= 1e-9
-        assert abs(aggregate.avg_cpu - sum(m.cpu_usage for m in tail) / len(tail)) <= 1e-9
+        assert abs(aggregate.avg_confidence - sum(c for _, c in tail) / len(tail)) <= 1e-9
+        assert abs(aggregate.avg_cpu - sum(cpu for cpu, _ in tail) / len(tail)) <= 1e-9
 
 
 def test_identical_runs_are_byte_identical(full_runs, tmp_path) -> None:

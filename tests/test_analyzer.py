@@ -4,7 +4,7 @@ from collections import deque
 from io import StringIO
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modelswitch.analyzer import (
@@ -13,20 +13,13 @@ from modelswitch.analyzer import (
     ZeroConfidence,
     compute_score,
 )
-from modelswitch.domain import FrameMetrics
 from modelswitch.knowledge import LogRegistry
 from modelswitch.monitor import Monitor
 
 
-def _metrics(frame_index: int, model: str, confidence: float, cpu: float) -> FrameMetrics:
-    return FrameMetrics(
-        frame_index=frame_index,
-        model=model,
-        confidence_score=confidence,
-        cpu_usage=cpu,
-        detection_count=1 if confidence > 0.0 else 0,
-        inference_time_ms=40.0,
-    )
+def _record(monitor: Monitor, frame_index: int, model: str, confidence: float, cpu: float) -> None:
+    detections = 1 if confidence > 0.0 else 0
+    monitor.record(frame_index, 0.0, model, cpu, confidence, detections, 40.0)
 
 
 def test_compute_score_simple_points() -> None:
@@ -52,6 +45,13 @@ def test_compute_score_only_depends_on_the_confidence_ratio() -> None:
     assert as_fraction == pytest.approx(as_percent)
 
 
+def test_compute_score_is_zero_at_zero_cpu() -> None:
+    # 0.5 / 5e-324 overflows to inf, and 0 * -inf would be NaN.
+    assert compute_score(0.0, 5e-324, 0.0, 0.5) == 0.0
+    assert compute_score(0.0, 0.5, 30.0, 0.25) == 0.0
+    assert compute_score(10.0, 5e-324, 20.0, 0.5) == float("-inf")
+
+
 def test_compute_score_rejects_zero_confidence() -> None:
     with pytest.raises(ZeroConfidence):
         compute_score(10.0, 0.0, 20.0, 0.5)
@@ -65,12 +65,12 @@ def test_scores_move_only_for_the_recorded_model() -> None:
     monitor = _monitor(("a", "b"), capacity=4)
     scores = Scores(monitor.windows)
 
-    monitor.record(_metrics(0, "a", confidence=0.5, cpu=10.0), sim_time_ms=0.0)
+    _record(monitor, 0, "a", confidence=0.5, cpu=10.0)
     # A single-entry window averages to the frame itself, so the ratio is 1.
     assert scores["a"] == pytest.approx(0.0)
     assert scores["b"] == 0.0
 
-    monitor.record(_metrics(1, "a", confidence=0.4, cpu=12.0), sim_time_ms=16.7)
+    _record(monitor, 1, "a", confidence=0.4, cpu=12.0)
     # Window average is now (0.5 + 0.4) / 2 = 0.45, above the current 0.4,
     # so the score must come out negative: min(12, 11) * (1 - 0.45/0.4).
     assert scores["a"] == pytest.approx(11.0 * (1.0 - 0.45 / 0.4))
@@ -82,7 +82,7 @@ def test_scores_move_only_for_the_recorded_model() -> None:
 def test_scores_read_the_sentinel_on_zero_confidence() -> None:
     monitor = _monitor(("a",), capacity=4)
     scores = Scores(monitor.windows)
-    monitor.record(_metrics(0, "a", confidence=0.0, cpu=15.0), sim_time_ms=0.0)
+    _record(monitor, 0, "a", confidence=0.0, cpu=15.0)
     assert scores["a"] == ZERO_CONFIDENCE_SCORE
 
 
@@ -90,7 +90,7 @@ def test_scores_are_zero_before_a_models_first_frame() -> None:
     monitor = _monitor(("a", "b"), capacity=4)
     scores = Scores(monitor.windows)
     assert scores == {"a": 0.0, "b": 0.0}
-    monitor.record(_metrics(0, "b", confidence=0.0, cpu=15.0), sim_time_ms=0.0)
+    _record(monitor, 0, "b", confidence=0.0, cpu=15.0)
     assert scores["a"] == 0.0
 
 
@@ -100,7 +100,7 @@ def test_scores_use_the_window_means_of_the_aggregate() -> None:
     for frame_index, (confidence, cpu) in enumerate(
         ((0.7, 12.5), (0.3, 19.0), (0.55, 11.25), (0.45, 16.0), (0.6, 14.0))
     ):
-        monitor.record(_metrics(frame_index, "a", confidence=confidence, cpu=cpu), sim_time_ms=0.0)
+        _record(monitor, frame_index, "a", confidence=confidence, cpu=cpu)
         aggregate = monitor.windows["a"].aggregate()
         expected = compute_score(cpu, confidence, aggregate.avg_cpu, aggregate.avg_confidence)
         assert scores["a"] == expected  # bit for bit
@@ -134,6 +134,7 @@ _frames = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(models=st.integers(1, 4), capacity=st.integers(1, 5), frames=_frames)
+@example(models=1, capacity=2, frames=[(0, 1.0, 0.0), (0, 5e-324, 0.0)])
 def test_scores_equal_a_table_refreshed_after_every_frame(models, capacity, frames) -> None:
     """Scores computed on read equal, bit for bit, a table that re-scores each
     model from its own window right after that model records a frame."""
@@ -144,7 +145,7 @@ def test_scores_equal_a_table_refreshed_after_every_frame(models, capacity, fram
     windows = {m: (deque(maxlen=capacity), deque(maxlen=capacity)) for m in ids}
     for frame_index, (slot, confidence, cpu) in enumerate(frames):
         model = ids[slot % models]
-        monitor.record(_metrics(frame_index, model, confidence, cpu), sim_time_ms=0.0)
+        _record(monitor, frame_index, model, confidence, cpu)
         cpus, confidences = windows[model]
         cpus.append(cpu)
         confidences.append(confidence)

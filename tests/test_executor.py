@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from modelswitch.domain import SelectionDecision, SelectionMode
-from modelswitch.executor import Executor, ExecutorState
+from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor, ExecutorState
 from modelswitch.knowledge import (
     METRICS_FILENAME,
     LogRegistry,
@@ -15,8 +15,8 @@ from modelswitch.knowledge import (
     UnknownModel,
     load_metrics_csv,
 )
-from modelswitch.monitor import Monitor
-from modelswitch.sim import ModelProfile, SimFrame, synth_inference
+from modelswitch.monitor import MetricsWindow, Monitor
+from modelswitch.sim import ModelProfile, synth_inference
 
 
 def _profile(model: str, latency: float = 500.0) -> ModelProfile:
@@ -48,6 +48,22 @@ def _executor(active: str, rng: Random, repo: ModelRepository | None = None) -> 
     return Executor(repo, monitor, rng, initial_model=active)
 
 
+def _infer(
+    object_count: int, complexity: float, seed: int, confidence_floor=DEFAULT_CONFIDENCE_FLOOR
+) -> tuple[MetricsWindow, list[str]]:
+    """One frame (index 0) through an executor on "small": its window and the
+    fields of its logged row, in metrics.csv column order (detection_count is [5])."""
+    repo = _repo()
+    metrics_out = StringIO()
+    monitor = Monitor(repo.ids(), LogRegistry(metrics_out, StringIO()))
+    executor = Executor(
+        repo, monitor, Random(seed), initial_model="small", confidence_floor=confidence_floor
+    )
+    executor.run_inference(0, object_count, complexity, 0.0)
+    [row] = metrics_out.getvalue().splitlines()[1:]
+    return monitor.windows["small"], row.split(",")
+
+
 def _count_lookups(monkeypatch: pytest.MonkeyPatch) -> list[str]:
     """Record every ModelRepository.get call from now on; returns the looked-up ids."""
     looked_up: list[str] = []
@@ -74,7 +90,9 @@ def test_same_model_selection_is_a_free_no_op(monkeypatch) -> None:
 
 
 def test_switch_produces_event_and_accounting(monkeypatch) -> None:
-    executor = _executor("small", Random(0))
+    repo = _repo()
+    monitor = Monitor(repo.ids(), LogRegistry(StringIO(), StringIO()))
+    executor = Executor(repo, monitor, Random(0), initial_model="small")
     looked_up = _count_lookups(monkeypatch)
     event = executor.apply(_decision("large", "small"), 10)
     assert event is not None
@@ -84,9 +102,11 @@ def test_switch_produces_event_and_accounting(monkeypatch) -> None:
     assert executor.active == "large"
     assert executor.state.switch_count == 1
     assert executor.state.cumulative_switch_time_ms == pytest.approx(event.switch_time_ms)
+    assert executor.state == ExecutorState("large", event.switch_time_ms, 1)
     # One lookup per switch; inference then runs on the kept profile.
-    metrics = executor.run_inference(SimFrame(frame_index=10, object_count=3, complexity=0.2), 0.0)
-    assert metrics.model == "large"
+    executor.run_inference(10, 3, 0.2, 0.0)
+    assert monitor.windows["large"].last_frame == 10
+    assert len(monitor.windows["small"]) == 0
     assert looked_up == ["large"]
 
 
@@ -137,31 +157,24 @@ def test_run_inference_records_into_monitor_and_registry(tmp_path) -> None:
     with open(metrics_path, "w", encoding="utf-8", newline="") as metrics_out:
         monitor = Monitor(repo.ids(), LogRegistry(metrics_out, StringIO()))
         executor = Executor(repo, monitor, Random(3), initial_model="small")
+        assert executor.run_inference(7, 5, 0.2, sim_time_ms=12.5) is None
 
-        frame = SimFrame(frame_index=0, object_count=5, complexity=0.2)
-        metrics = executor.run_inference(frame, sim_time_ms=0.0)
-
-    assert metrics.model == "small"
-    assert monitor.windows["small"].latest() == metrics
+    window = monitor.windows["small"]
+    assert window.last_frame == 7
     [(sim_time_ms, logged)] = load_metrics_csv(metrics_path)
-    assert sim_time_ms == 0.0
-    assert (logged.frame_index, logged.model, logged.detection_count) == (
-        metrics.frame_index,
-        metrics.model,
-        metrics.detection_count,
-    )
+    assert sim_time_ms == 12.5
+    assert (logged.frame_index, logged.model, logged.inference_time_ms) == (7, "small", 40.0)
     # Reals come back at the file's 4-decimal precision.
-    assert logged.confidence_score == pytest.approx(metrics.confidence_score, abs=5e-5)
-    assert logged.cpu_usage == pytest.approx(metrics.cpu_usage, abs=5e-5)
+    assert logged.confidence_score == pytest.approx(window.confidences[-1], abs=5e-5)
+    assert logged.cpu_usage == pytest.approx(window.cpus[-1], abs=5e-5)
 
 
 def test_confidence_floor_filters_detections() -> None:
     """The recorded frame must describe only the detections that survive the floor."""
     repo = _repo()
-    frame = SimFrame(frame_index=0, object_count=8, complexity=0.9)
     seed = 17
 
-    reference, _, _ = synth_inference(frame, repo.get("small"), Random(seed))
+    reference, _, _ = synth_inference(8, 0.9, repo.get("small"), Random(seed))
     confidences = sorted(reference)
     assert len(confidences) >= 2 and confidences[0] < confidences[-1]
     # Split the observed spread so the floor keeps some detections and drops others.
@@ -169,18 +182,12 @@ def test_confidence_floor_filters_detections() -> None:
     kept = [c for c in reference if c >= floor]
     assert 0 < len(kept) < len(reference)
 
-    monitor = Monitor(repo.ids(), LogRegistry(StringIO(), StringIO()))
-    executor = Executor(repo, monitor, Random(seed), initial_model="small", confidence_floor=floor)
-    metrics = executor.run_inference(frame, sim_time_ms=0.0)
-    assert metrics.detection_count == len(kept)
-    assert metrics.confidence_score == pytest.approx(statistics.fmean(kept))
+    window, row = _infer(8, 0.9, seed, confidence_floor=floor)
+    assert int(row[5]) == len(kept)
+    assert window.confidences[-1] == pytest.approx(statistics.fmean(kept))
 
 
 def test_total_confidence_floor_yields_an_empty_frame() -> None:
-    repo = _repo()
-    monitor = Monitor(repo.ids(), LogRegistry(StringIO(), StringIO()))
-    executor = Executor(repo, monitor, Random(5), initial_model="small", confidence_floor=1.1)
-    frame = SimFrame(frame_index=0, object_count=6, complexity=0.2)
-    metrics = executor.run_inference(frame, sim_time_ms=0.0)
-    assert metrics.detection_count == 0
-    assert metrics.confidence_score == 0.0
+    window, row = _infer(6, 0.2, seed=5, confidence_floor=1.1)
+    assert int(row[5]) == 0
+    assert window.confidences[-1] == 0.0

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 from typing import Iterator
@@ -9,12 +8,7 @@ from typing import Iterator
 import pytest
 
 from modelswitch.cli import run_experiment
-from modelswitch.domain import (
-    FrameMetrics,
-    SelectionDecision,
-    SelectionMode,
-    SwitchEvent,
-)
+from modelswitch.domain import SelectionDecision, SelectionMode, SwitchEvent
 from modelswitch.knowledge import (
     EVENTS_FILENAME,
     EVENTS_HEADER,
@@ -43,15 +37,8 @@ def _profile(model: str) -> ModelProfile:
     )
 
 
-def _metrics(frame_index: int, model: str = "a") -> FrameMetrics:
-    return FrameMetrics(
-        frame_index=frame_index,
-        model=model,
-        confidence_score=0.512345,
-        cpu_usage=17.25,
-        detection_count=3,
-        inference_time_ms=40.0,
-    )
+def _append_metrics(registry: LogRegistry, frame_index: int, sim_time_ms: float, model="a"):
+    registry.append_metrics(frame_index, sim_time_ms, model, 17.25, 0.512345, 3, 40.0)
 
 
 def _decision(selected: str = "b", previous: str = "a") -> SelectionDecision:
@@ -89,9 +76,9 @@ def test_repository_rejects_duplicates_and_unknowns() -> None:
 
 def test_registry_rejects_backwards_frame_indices() -> None:
     registry = LogRegistry(StringIO(), StringIO())
-    registry.append_metrics(_metrics(5), sim_time_ms=0.0)
+    _append_metrics(registry, 5, 0.0)
     with pytest.raises(ValueError):
-        registry.append_metrics(_metrics(4), sim_time_ms=1.0)
+        _append_metrics(registry, 4, 1.0)
     # The same frame index is fine: a decision and its metrics share one.
     registry.append_decision(5, _decision())
     registry.append_switch(
@@ -102,10 +89,10 @@ def test_registry_rejects_backwards_frame_indices() -> None:
 def test_registry_folds_the_summary_totals() -> None:
     registry = LogRegistry(StringIO(), StringIO())
     registry.append_decision(0, _decision())
-    registry.append_metrics(_metrics(0, model="b"), sim_time_ms=0.0)
-    registry.append_decision(1, replace(_decision(), mode=SelectionMode.EXPLOIT))
-    registry.append_metrics(_metrics(1, model="b"), sim_time_ms=16.7)
-    registry.append_metrics(_metrics(2, model="a"), sim_time_ms=33.3)
+    _append_metrics(registry, 0, 0.0, model="b")
+    registry.append_decision(1, _decision()._replace(mode=SelectionMode.EXPLOIT))
+    _append_metrics(registry, 1, 16.7, model="b")
+    _append_metrics(registry, 2, 33.3, model="a")
     assert registry.usage_counts == {"b": 2, "a": 1}
     assert registry.cpu_total == 17.25 + 17.25 + 17.25
     assert registry.confidence_total == 0.512345 + 0.512345 + 0.512345
@@ -122,7 +109,7 @@ def test_export_writes_both_csv_files() -> None:
     registry.append_switch(
         SwitchEvent(frame_index=0, from_model="a", to_model="b", switch_time_ms=312.5)
     )
-    registry.append_metrics(_metrics(0, model="b"), sim_time_ms=312.5)
+    _append_metrics(registry, 0, 312.5, model="b")
 
     metrics_lines = metrics_out.getvalue().splitlines()
     events_lines = events_out.getvalue().splitlines()
@@ -136,7 +123,7 @@ def test_export_writes_both_csv_files() -> None:
 
 def test_export_uses_lf_line_endings(tmp_path) -> None:
     with _registry(tmp_path) as registry:
-        registry.append_metrics(_metrics(0), sim_time_ms=0.0)
+        _append_metrics(registry, 0, 0.0)
     for path in (tmp_path / METRICS_FILENAME, tmp_path / EVENTS_FILENAME):
         raw = path.read_bytes()
         assert b"\r" not in raw
@@ -145,8 +132,8 @@ def test_export_uses_lf_line_endings(tmp_path) -> None:
 
 def test_export_round_trips_metrics(tmp_path) -> None:
     with _registry(tmp_path) as registry:
-        registry.append_metrics(_metrics(0), sim_time_ms=0.0)
-        registry.append_metrics(_metrics(1), sim_time_ms=16.6667)
+        _append_metrics(registry, 0, 0.0)
+        _append_metrics(registry, 1, 16.6667)
 
     rows = load_metrics_csv(tmp_path / METRICS_FILENAME)
     assert len(rows) == 2

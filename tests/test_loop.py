@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 from io import StringIO
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_sim import _eager_trace
 
-from modelswitch import analyzer
+from modelswitch import analyzer, executor, monitor, sim
 from modelswitch.domain import SelectionDecision, SelectionMode
 from modelswitch.knowledge import (
     EVENTS_FILENAME,
@@ -25,7 +29,13 @@ from modelswitch.planner import (
     RunView,
     SelectionStrategy,
 )
-from modelswitch.sim import ModelProfile, ScheduleSegment, TraceConfig, generate_trace
+from modelswitch.sim import (
+    ModelProfile,
+    ScheduleSegment,
+    TraceConfig,
+    generate_trace,
+    synth_inference,
+)
 
 
 def _profile(model: str, base_cpu: float, latency: float) -> ModelProfile:
@@ -104,7 +114,7 @@ class _SwitchOnce(_StayPut):
 
 def test_loop_without_switches_processes_every_frame(tmp_path) -> None:
     result, metrics_rows, _ = _logged_run(
-        tmp_path, _trace(50), _repo(), _StayPut(), fps=10, inference_seed=1
+        tmp_path, _trace(50), _repo(), _StayPut(), inference_seed=1
     )
     assert result.frames_total == 50
     assert result.frames_processed == 50
@@ -117,7 +127,7 @@ def test_loop_without_switches_processes_every_frame(tmp_path) -> None:
 def test_decision_period_thins_out_decisions() -> None:
     strategy = _StayPut()
     result = run_loop(
-        _trace(50), _repo(), strategy, registry=_sink(), fps=10, inference_seed=1, decision_period=7
+        _trace(50), _repo(), strategy, registry=_sink(), inference_seed=1, decision_period=7
     )
     # Decisions land on processed-frame counts 0, 7, 14, ... -> ceil(50 / 7).
     assert result.decision_count == 8
@@ -127,7 +137,7 @@ def test_decision_period_thins_out_decisions() -> None:
 def test_switch_drops_the_frames_inside_the_latency_window(monkeypatch, tmp_path) -> None:
     monkeypatch.setattr("modelswitch.executor.SWITCH_JITTER", 0.0)
     result, metrics_rows, _ = _logged_run(
-        tmp_path, _trace(50), _repo(), _SwitchOnce("b"), fps=10, inference_seed=1
+        tmp_path, _trace(50), _repo(), _SwitchOnce("b"), inference_seed=1
     )
     # 500 ms at 10 fps swallows exactly 5 frames after the trigger frame.
     assert result.frames_dropped == 5
@@ -152,7 +162,7 @@ def test_switch_near_the_end_cannot_drop_past_the_trace(monkeypatch) -> None:
             )
 
     result = run_loop(
-        _trace(50), _repo(), _SwitchLate(), registry=_sink(), fps=10, inference_seed=1
+        _trace(50), _repo(), _SwitchLate(), registry=_sink(), inference_seed=1
     )
     assert result.frames_dropped == 1  # only frame 49 was left to drop
     assert result.frames_processed + result.frames_dropped == result.frames_total
@@ -160,14 +170,14 @@ def test_switch_near_the_end_cannot_drop_past_the_trace(monkeypatch) -> None:
 
 def test_frame_conservation_under_heavy_switching() -> None:
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.5, rng_seed=11))
-    result = run_loop(_trace(400), _repo(), strategy, registry=_sink(), fps=10, inference_seed=2)
+    result = run_loop(_trace(400), _repo(), strategy, registry=_sink(), inference_seed=2)
     assert result.frames_processed + result.frames_dropped == result.frames_total
     assert result.final_state.switch_count > 0
 
 
 def test_switch_events_are_logged_with_their_cost(tmp_path) -> None:
     result, _, event_rows = _logged_run(
-        tmp_path, _trace(50), _repo(), _SwitchOnce("b"), fps=10, inference_seed=1
+        tmp_path, _trace(50), _repo(), _SwitchOnce("b"), inference_seed=1
     )
     switches = [r for r in event_rows if r["event_type"] == "switch"]
     decisions = [r for r in event_rows if r["event_type"] == "decision"]
@@ -184,7 +194,7 @@ def test_switch_events_are_logged_with_their_cost(tmp_path) -> None:
 def test_metrics_time_includes_accumulated_switch_latency(monkeypatch, tmp_path) -> None:
     monkeypatch.setattr("modelswitch.executor.SWITCH_JITTER", 0.0)
     _, metrics_rows, _ = _logged_run(
-        tmp_path, _trace(50), _repo(), _SwitchOnce("b"), fps=10, inference_seed=1
+        tmp_path, _trace(50), _repo(), _SwitchOnce("b"), inference_seed=1
     )
     # Frame 0 is processed after the 500 ms switch completes.
     assert metrics_rows[0][0] == pytest.approx(500.0)
@@ -200,21 +210,21 @@ def test_one_live_view_serves_every_decision() -> None:
 
         def decide(self, frame_index: int, active: str, view: RunView) -> SelectionDecision:
             # What the view shows at each decision: the frames seen so far.
-            latest = view.windows[active].latest()
-            self.seen.append((latest and latest.frame_index, dict(view.scores)))
+            last_frame = view.windows[active].last_frame
+            self.seen.append((last_frame, dict(view.scores)))
             return super().decide(frame_index, active, view)
 
     strategy = _ViewWatcher()
-    run_loop(_trace(5), _repo(), strategy, registry=_sink(), fps=10, inference_seed=3)
+    run_loop(_trace(5), _repo(), strategy, registry=_sink(), inference_seed=3)
     views = {id(view) for _, _, view in strategy.calls}
     assert len(views) == 1
     view = strategy.calls[0][2]
     assert view.model_ids == ("a", "b")
     # Before the first frame nothing is observed; later decisions see the frame before.
-    assert [frame_index for frame_index, _ in strategy.seen] == [None, 0, 1, 2, 3]
+    assert [frame_index for frame_index, _ in strategy.seen] == [-1, 0, 1, 2, 3]
     assert strategy.seen[0][1] == {"a": 0.0, "b": 0.0}
     # The view is live: after the run it shows the last frame and score.
-    assert view.windows["a"].latest().frame_index == 4
+    assert view.windows["a"].last_frame == 4
     assert view.windows["b"].aggregate() is None
     with pytest.raises(TypeError):
         view.scores["a"] = 1.0  # type: ignore[index]
@@ -243,7 +253,7 @@ def _count_calls(monkeypatch, owner, name: str) -> list[int]:
 )
 def test_strategies_that_read_no_score_compute_none(monkeypatch, strategy) -> None:
     calls = _count_calls(monkeypatch, analyzer, "compute_score")
-    result = run_loop(_trace(200), _repo(), strategy, registry=_sink(), fps=10, inference_seed=3)
+    result = run_loop(_trace(200), _repo(), strategy, registry=_sink(), inference_seed=3)
     assert result.frames_processed > 0
     assert calls == [0]
 
@@ -251,14 +261,14 @@ def test_strategies_that_read_no_score_compute_none(monkeypatch, strategy) -> No
 def test_epsilon_greedy_computes_at_most_one_score_per_processed_frame(monkeypatch) -> None:
     calls = _count_calls(monkeypatch, analyzer, "compute_score")
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.3, rng_seed=4))
-    result = run_loop(_trace(300), _repo(), strategy, registry=_sink(), fps=10, inference_seed=3)
+    result = run_loop(_trace(300), _repo(), strategy, registry=_sink(), inference_seed=3)
     assert 0 < calls[0] <= result.frames_processed
 
 
 def test_a_run_looks_a_profile_up_once_per_switch(monkeypatch) -> None:
     calls = _count_calls(monkeypatch, ModelRepository, "get")
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.3, rng_seed=4))
-    result = run_loop(_trace(300), _repo(), strategy, registry=_sink(), fps=10, inference_seed=3)
+    result = run_loop(_trace(300), _repo(), strategy, registry=_sink(), inference_seed=3)
     assert result.final_state.switch_count > 0
     # One lookup for the initial model, then one per switch.
     assert calls == [1 + result.final_state.switch_count]
@@ -268,27 +278,27 @@ def test_round_robin_ranks_by_the_cpu_the_loop_observed() -> None:
     strategy = RoundRobinBoostStrategy(
         RoundRobinBoostConfig(time_slice_frames=1000, boost_period_frames=30)
     )
-    run_loop(_trace(90), _repo(), strategy, registry=_sink(), fps=10, inference_seed=3)
+    run_loop(_trace(90), _repo(), strategy, registry=_sink(), inference_seed=3)
     # Only model a ran (the slice never ends), so b, unobserved, ranks last.
     assert strategy.rank == ("a", "b")
 
     strategy = RoundRobinBoostStrategy(
         RoundRobinBoostConfig(time_slice_frames=10, boost_period_frames=30)
     )
-    run_loop(_trace(200), _repo(), strategy, registry=_sink(), fps=10, inference_seed=3)
+    run_loop(_trace(200), _repo(), strategy, registry=_sink(), inference_seed=3)
     # Both ran; b has the lighter CPU profile, so it leads the last re-rank.
     assert strategy.rank == ("b", "a")
 
 
 def test_initial_model_defaults_to_first_registered() -> None:
     strategy = _StayPut()
-    result = run_loop(_trace(10), _repo(), strategy, registry=_sink(), fps=10, inference_seed=1)
+    result = run_loop(_trace(10), _repo(), strategy, registry=_sink(), inference_seed=1)
     assert strategy.calls[0][1] == "a"
     assert result.final_state.active == "a"
 
     strategy = _StayPut()
     result = run_loop(
-        _trace(10), _repo(), strategy, registry=_sink(), fps=10, inference_seed=1, initial_model="b"
+        _trace(10), _repo(), strategy, registry=_sink(), inference_seed=1, initial_model="b"
     )
     assert result.final_state.active == "b"
 
@@ -296,7 +306,7 @@ def test_initial_model_defaults_to_first_registered() -> None:
 def test_loop_rejects_bad_arguments() -> None:
     with pytest.raises(ValueError):
         run_loop(
-            _trace(10), ModelRepository(), _StayPut(), registry=_sink(), fps=10, inference_seed=1
+            _trace(10), ModelRepository(), _StayPut(), registry=_sink(), inference_seed=1
         )
     with pytest.raises(ValueError):
         run_loop(
@@ -304,7 +314,6 @@ def test_loop_rejects_bad_arguments() -> None:
             _repo(),
             _StayPut(),
             registry=_sink(),
-            fps=10,
             inference_seed=1,
             decision_period=0,
         )
@@ -314,10 +323,184 @@ def test_loop_runs_are_reproducible(tmp_path) -> None:
     def run(directory):
         directory.mkdir()
         strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.3, rng_seed=21))
-        return _logged_run(directory, _trace(200), _repo(), strategy, fps=10, inference_seed=4)
+        return _logged_run(directory, _trace(200), _repo(), strategy, inference_seed=4)
 
     first, first_metrics, first_events = run(tmp_path / "first")
     second, second_metrics, second_events = run(tmp_path / "second")
     assert first_metrics == second_metrics
     assert first_events == second_events
     assert first.final_state == second.final_state
+
+
+def test_the_clock_runs_at_the_trace_fps(tmp_path) -> None:
+    _, metrics_rows, _ = _logged_run(
+        tmp_path, _trace(20, fps=7), _repo(), _StayPut(), inference_seed=1
+    )
+    assert [sim_time_ms for sim_time_ms, _ in metrics_rows] == [
+        round(i * (1000.0 / 7), 4) for i in range(20)
+    ]
+
+
+class _Alternate(_StayPut):
+    """Switches to the other of models a and b at every decision."""
+
+    name = "alternate"
+
+    def decide(self, frame_index: int, active: str, view: RunView) -> SelectionDecision:
+        selected = "b" if active == "a" else "a"
+        return SelectionDecision(
+            selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=active
+        )
+
+
+def _walk(config: TraceConfig, latency_ms: float, decision_period: int):
+    """(frame_index, object_count, complexity) of every frame synthesis received in
+    one alternating run over config's trace, in order."""
+    received = []
+
+    def recording(object_count, complexity, profile, rng):
+        received.append((object_count, complexity))
+        return synth_inference(object_count, complexity, profile, rng)
+
+    repo = ModelRepository((_profile("a", 14.0, latency_ms), _profile("b", 10.0, latency_ms)))
+    metrics_out = StringIO()
+    with mock.patch.object(executor, "synth_inference", recording):
+        result = run_loop(
+            generate_trace(config),
+            repo,
+            _Alternate(),
+            registry=LogRegistry(metrics_out, StringIO()),
+            inference_seed=5,
+            decision_period=decision_period,
+        )
+    indices = [int(row.split(",", 1)[0]) for row in metrics_out.getvalue().splitlines()[1:]]
+    assert len(indices) == result.frames_processed
+    return [(i, *frame) for i, frame in zip(indices, received, strict=True)]
+
+
+def _first_frames(config: TraceConfig) -> list[int]:
+    """Each later segment's first frame: the first whose clock f / fps reached its start."""
+    firsts = []
+    for seg in config.segments[1:]:
+        f = 0
+        while f / config.fps < seg.start_s:
+            f += 1
+        firsts.append(f)
+    return firsts
+
+
+# fps 7: no segment start but 0 is on the frame grid. 2.05 s and 2.1 s both
+# fall inside the period of frame 14 (2.0 s to 2.142 s), so the segment
+# between them holds no frame. Switching at every processed frame with a 1 s
+# switch processes frames 0, 8, 16, ..., jumping over frames 15 and 35, where
+# segments begin.
+_OFF_GRID = TraceConfig(
+    fps=7,
+    duration_s=8.0,
+    segments=(
+        ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1),
+        ScheduleSegment(start_s=2.05, mean_objects=9.0, complexity=0.9),
+        ScheduleSegment(start_s=2.1, mean_objects=1.0, complexity=0.4),
+        ScheduleSegment(start_s=5.0, mean_objects=6.0, complexity=0.0),
+    ),
+    rng_seed=3,
+)
+
+
+def test_drops_jump_segment_boundaries_and_the_walk_follows(monkeypatch) -> None:
+    monkeypatch.setattr("modelswitch.executor.SWITCH_JITTER", 0.0)
+    walk = _walk(_OFF_GRID, latency_ms=1000.0, decision_period=1)
+    firsts = _first_frames(_OFF_GRID)
+    assert firsts == [15, 15, 35]
+    processed = [i for i, _, _ in walk]
+    jumped = [b for b in set(firsts) for p, q in zip(processed, processed[1:]) if p < b < q]
+    assert sorted(jumped) == [15, 35]
+    reference = _eager_trace(_OFF_GRID)
+    assert walk == [reference[i] for i in processed]
+
+
+@st.composite
+def _walk_configs(draw) -> TraceConfig:
+    fps = draw(st.one_of(st.just(7), st.integers(1, 30)))
+    duration_s = draw(st.floats(min_value=1.0, max_value=15.0))
+    starts = set(
+        draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=duration_s, exclude_min=True, exclude_max=True),
+                max_size=4,
+            )
+        )
+    )
+    if draw(st.booleans()):
+        # Two starts inside one frame period: the segment between them holds no frame.
+        k = draw(st.integers(0, int(duration_s * fps) - 1))
+        a, b = draw(st.tuples(st.floats(0.05, 0.45), st.floats(0.55, 0.95)))
+        starts |= {(k + a) / fps, (k + b) / fps}
+    starts = sorted({0.0} | {s for s in starts if 0.0 < s < duration_s})
+    segments = tuple(
+        ScheduleSegment(
+            start_s=start,
+            mean_objects=draw(st.floats(min_value=0.0, max_value=15.0)),
+            complexity=draw(st.floats(min_value=0.0, max_value=1.0)),
+        )
+        for start in starts
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return TraceConfig(fps=fps, duration_s=duration_s, segments=segments, rng_seed=seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    config=_walk_configs(),
+    latency_ms=st.floats(min_value=0.0, max_value=3000.0),
+    decision_period=st.integers(1, 4),
+)
+@example(config=_OFF_GRID, latency_ms=1000.0, decision_period=1)
+def test_synthesis_receives_the_eager_traces_frames(config, latency_ms, decision_period) -> None:
+    """Whatever frames switches drop, each processed frame's synthesis gets the
+    index, object count and complexity the eagerly built trace gave that frame."""
+    walk = _walk(config, latency_ms, decision_period)
+    reference = _eager_trace(config)
+    assert walk == [reference[i] for i, _, _ in walk]
+    assert walk[0][0] == 0
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        EpsilonGreedyStrategy(PlannerConfig(epsilon=0.3, decision_period=3, rng_seed=4)),
+        NaiveThresholdStrategy(NaiveConfig(model_order=("b", "a"))),
+        RoundRobinBoostStrategy(RoundRobinBoostConfig(time_slice_frames=10)),
+    ],
+    ids=["epsilon-greedy", "naive", "round-robin-boost"],
+)
+def test_each_layer_is_called_once_per_frame_or_decision(monkeypatch, strategy) -> None:
+    """The per-frame and per-decision calls the benchmark's traced run counts
+    by name: fusing, renaming or skipping one changes a count here."""
+    per_frame = [
+        _count_calls(monkeypatch, executor, "synth_inference"),
+        _count_calls(monkeypatch, executor.Executor, "run_inference"),
+        _count_calls(monkeypatch, monitor.Monitor, "record"),
+        _count_calls(monkeypatch, monitor.MetricsWindow, "record"),
+        _count_calls(monkeypatch, LogRegistry, "append_metrics"),
+    ]
+    per_decision = [
+        _count_calls(monkeypatch, type(strategy), "decide"),
+        _count_calls(monkeypatch, executor.Executor, "apply"),
+        _count_calls(monkeypatch, LogRegistry, "append_decision"),
+    ]
+    switches = _count_calls(monkeypatch, LogRegistry, "append_switch")
+    result = run_loop(
+        _trace(400),
+        _repo(),
+        strategy,
+        registry=_sink(),
+        inference_seed=3,
+        decision_period=strategy.decision_period,
+    )
+    assert 0 < result.decision_count <= result.frames_processed
+    assert per_frame == [[result.frames_processed]] * len(per_frame)
+    assert per_decision == [[result.decision_count]] * len(per_decision)
+    assert switches == [result.final_state.switch_count]
+    # The loop calls synthesis through the binding the executor imported from sim.
+    assert executor.synth_inference is not sim.synth_inference

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from io import StringIO
 from random import Random
 
 import pytest
 
-from modelswitch.domain import FrameMetrics, SelectionMode, WindowAggregate
+from modelswitch.domain import SelectionMode, WindowAggregate
 from modelswitch.analyzer import Scores
 from modelswitch.knowledge import LogRegistry
 from modelswitch.monitor import Monitor
@@ -27,16 +27,21 @@ SCORES = {"a": 0.5, "b": -0.2, "c": 0.1}
 
 
 class _Window:
-    """A stand-in for a model's MetricsWindow with a fixed latest frame and a
-    settable agg; it counts the aggregate() reads a re-rank makes."""
+    """A stand-in for a model's MetricsWindow holding at most one frame's
+    (cpu, confidence) and a settable agg; it counts the aggregate() reads a
+    re-rank makes."""
 
-    def __init__(self, latest: FrameMetrics | None = None) -> None:
-        self.latest_metrics = latest
+    def __init__(self, latest: tuple[float, float] | None = None) -> None:
+        self.cpus: deque[float] = deque()
+        self.confidences: deque[float] = deque()
+        if latest is not None:
+            self.cpus.append(latest[0])
+            self.confidences.append(latest[1])
         self.agg: WindowAggregate | None = None
         self.reads = 0
 
-    def latest(self) -> FrameMetrics | None:
-        return self.latest_metrics
+    def __len__(self) -> int:
+        return len(self.cpus)
 
     def aggregate(self) -> WindowAggregate | None:
         self.reads += 1
@@ -73,15 +78,8 @@ def _greedy(scores, active, p, epsilon, seed, exclude_best=True):
     return strategy.decide(0, active, _view(scores=scores, model_ids=tuple(scores)))
 
 
-def _metrics(cpu: float, confidence: float, model: str = "a", frame_index: int = 0) -> FrameMetrics:
-    return FrameMetrics(
-        frame_index=frame_index,
-        model=model,
-        confidence_score=confidence,
-        cpu_usage=cpu,
-        detection_count=1 if confidence > 0.0 else 0,
-        inference_time_ms=40.0,
-    )
+def _record(monitor: Monitor, cpu: float, confidence: float, model: str, frame_index: int = 0):
+    monitor.record(frame_index, 0.0, model, cpu, confidence, 1 if confidence > 0.0 else 0, 40.0)
 
 
 def test_best_model_takes_the_minimum() -> None:
@@ -170,8 +168,8 @@ def test_epsilon_greedy_reads_the_live_score_table() -> None:
     # Both score 0.0 before any frame; the tie goes to the first id.
     assert strategy.decide(0, "a", view).selected == "a"
     # b's confidence drops below its window mean: 10 * (1 - 0.6 / 0.4) = -5.
-    monitor.record(_metrics(cpu=10.0, confidence=0.8, model="b", frame_index=0), 0.0)
-    monitor.record(_metrics(cpu=10.0, confidence=0.4, model="b", frame_index=1), 0.0)
+    _record(monitor, cpu=10.0, confidence=0.8, model="b", frame_index=0)
+    _record(monitor, cpu=10.0, confidence=0.4, model="b", frame_index=1)
     assert strategy.decide(1, "a", view).selected == "b"
 
 
@@ -184,8 +182,9 @@ def test_planner_config_validation() -> None:
         PlannerConfig(decision_period=0)
 
 
-def _naive(latest: FrameMetrics | None, active: str):
-    """One NaiveThresholdStrategy decision over s < m < l, the active model's latest frame given."""
+def _naive(latest: tuple[float, float] | None, active: str):
+    """One NaiveThresholdStrategy decision over s < m < l, the active model's
+    latest frame's (cpu, confidence) given."""
     strategy = NaiveThresholdStrategy(NaiveConfig(model_order=("s", "m", "l")))
     windows = {m: _Window() for m in ("s", "m", "l")}
     windows[active] = _Window(latest)
@@ -193,29 +192,29 @@ def _naive(latest: FrameMetrics | None, active: str):
 
 
 def test_naive_steps_lighter_on_high_cpu() -> None:
-    decision = _naive(_metrics(cpu=30.0, confidence=0.9), active="m")
+    decision = _naive((30.0, 0.9), active="m")
     assert decision.selected == "s"
     assert decision.mode is SelectionMode.FORCED
     assert decision.random_draw is None
 
 
 def test_naive_steps_heavier_on_low_confidence() -> None:
-    decision = _naive(_metrics(cpu=10.0, confidence=0.1), active="m")
+    decision = _naive((10.0, 0.1), active="m")
     assert decision.selected == "l"
 
 
 def test_naive_clamps_at_both_ends() -> None:
-    assert _naive(_metrics(cpu=30.0, confidence=0.9), active="s").selected == "s"
-    assert _naive(_metrics(cpu=10.0, confidence=0.1), active="l").selected == "l"
+    assert _naive((30.0, 0.9), active="s").selected == "s"
+    assert _naive((10.0, 0.1), active="l").selected == "l"
 
 
 def test_naive_high_cpu_wins_over_low_confidence() -> None:
-    decision = _naive(_metrics(cpu=30.0, confidence=0.1), active="m")
+    decision = _naive((30.0, 0.1), active="m")
     assert decision.selected == "s"
 
 
 def test_naive_stays_put_in_the_comfortable_band() -> None:
-    decision = _naive(_metrics(cpu=10.0, confidence=0.9), active="m")
+    decision = _naive((10.0, 0.9), active="m")
     assert decision.selected == "m"
 
 
@@ -225,8 +224,8 @@ def test_naive_stays_put_without_metrics() -> None:
 
 def test_naive_strategy_reads_the_latest_metrics_of_the_active_model() -> None:
     monitor = Monitor(("s", "m", "l"), LogRegistry(StringIO(), StringIO()))
-    monitor.record(_metrics(cpu=30.0, confidence=0.9, model="m"), 0.0)
-    monitor.record(_metrics(cpu=10.0, confidence=0.1, model="s"), 0.0)
+    _record(monitor, cpu=30.0, confidence=0.9, model="m")
+    _record(monitor, cpu=10.0, confidence=0.1, model="s")
     view = _view(scores={}, model_ids=("s", "m", "l"), windows=monitor.windows)
     strategy = NaiveThresholdStrategy(NaiveConfig(model_order=("s", "m", "l")))
     assert strategy.decide(5, "m", view).selected == "s"

@@ -17,7 +17,6 @@ from modelswitch.sim import (
     InvalidSchedule,
     ModelProfile,
     ScheduleSegment,
-    SimFrame,
     Trace,
     TraceConfig,
     default_profiles,
@@ -43,6 +42,12 @@ def _profile(**overrides) -> ModelProfile:
     )
     base.update(overrides)
     return ModelProfile(**base)
+
+
+def _frames(trace: Trace) -> list[tuple[int, float]]:
+    """Every frame's (object_count, complexity), read through the trace's reader."""
+    frame = trace.reader()
+    return [frame(i) for i in range(len(trace))]
 
 
 @pytest.fixture(scope="module")
@@ -77,22 +82,26 @@ def test_poisson_rejects_negative_mean() -> None:
 def test_trace_is_deterministic_per_seed() -> None:
     segments = (ScheduleSegment(start_s=0.0, mean_objects=5.0, complexity=0.3),)
     config = TraceConfig(fps=20, duration_s=30.0, segments=segments)
-    assert list(generate_trace(config)) == list(generate_trace(config))
+    assert _frames(generate_trace(config)) == _frames(generate_trace(config))
     other = TraceConfig(
         fps=20, duration_s=30.0, segments=segments, rng_seed=DEFAULT_SEED + 1
     )
-    assert list(generate_trace(other)) != list(generate_trace(config))
+    assert _frames(generate_trace(other)) != _frames(generate_trace(config))
 
 
 def test_default_trace_shape(default_trace: Trace) -> None:
     assert len(default_trace) == 108_000
-    assert default_trace[0].frame_index == 0
-    assert default_trace[-1].frame_index == 107_999
+    assert default_trace.fps == 60
+    frame = default_trace.reader()
+    frame(107_999)
+    for bad in (108_000, -1):
+        with pytest.raises(IndexError):
+            frame(bad)
 
 
 def test_default_trace_segment_densities(default_trace: Trace) -> None:
     """Off-peak thirds hover around 3 objects, the rush-hour third around 12."""
-    counts = [f.object_count for f in default_trace]
+    counts = [count for count, _ in _frames(default_trace)]
     first, middle, last = counts[:36_000], counts[36_000:72_000], counts[72_000:]
     assert statistics.fmean(first) == pytest.approx(3.0, abs=0.1)
     assert statistics.fmean(middle) == pytest.approx(12.0, abs=0.1)
@@ -100,14 +109,15 @@ def test_default_trace_segment_densities(default_trace: Trace) -> None:
 
 
 def test_default_trace_complexity_ramp(default_trace: Trace) -> None:
-    assert default_trace[0].complexity == pytest.approx(0.1)
+    frame = default_trace.reader()
+    assert frame(0)[1] == pytest.approx(0.1)
     # Halfway into the first segment the ramp toward 0.6 is half done.
-    assert default_trace[18_000].complexity == pytest.approx(0.35)
-    assert default_trace[36_000].complexity == pytest.approx(0.6)
-    assert default_trace[54_000].complexity == pytest.approx(0.35)
+    assert frame(18_000)[1] == pytest.approx(0.35)
+    assert frame(36_000)[1] == pytest.approx(0.6)
+    assert frame(54_000)[1] == pytest.approx(0.35)
     # The last segment has no successor and holds its own value.
-    assert default_trace[90_000].complexity == pytest.approx(0.1)
-    assert default_trace[-1].complexity == pytest.approx(0.1)
+    assert frame(90_000)[1] == pytest.approx(0.1)
+    assert frame(107_999)[1] == pytest.approx(0.1)
 
 
 def test_validate_segments_rejects_bad_schedules() -> None:
@@ -142,10 +152,9 @@ def test_trace_config_rejects_bad_rates() -> None:
 
 
 def test_synth_inference_is_deterministic() -> None:
-    frame = SimFrame(frame_index=0, object_count=6, complexity=0.3)
     profile = _profile()
-    first = synth_inference(frame, profile, Random(5))
-    second = synth_inference(frame, profile, Random(5))
+    first = synth_inference(6, 0.3, profile, Random(5))
+    second = synth_inference(6, 0.3, profile, Random(5))
     assert first == second
 
 
@@ -154,13 +163,12 @@ def test_synth_inference_recall_statistics() -> None:
     rng = Random(23)
     objects = 0
     found = 0
-    for i in range(2000):
-        frame = SimFrame(frame_index=i, object_count=10, complexity=0.0)
-        detections, cpu, inference_ms = synth_inference(frame, profile, rng)
-        assert len(detections) <= frame.object_count
+    for _ in range(2000):
+        detections, cpu, inference_ms = synth_inference(10, 0.0, profile, rng)
+        assert len(detections) <= 10
         assert 0.0 <= cpu <= 100.0
         assert inference_ms == profile.inference_time_ms
-        objects += frame.object_count
+        objects += 10
         found += len(detections)
     assert found / objects == pytest.approx(0.9, abs=0.01)
 
@@ -169,9 +177,8 @@ def test_synth_inference_complexity_degrades_confidence() -> None:
     profile = _profile(base_confidence=0.8, confidence_noise_sd=0.01, detection_recall=1.0)
     rng = Random(29)
     confidences = []
-    for i in range(2000):
-        frame = SimFrame(frame_index=i, object_count=5, complexity=1.0)
-        found, _, _ = synth_inference(frame, profile, rng)
+    for _ in range(2000):
+        found, _, _ = synth_inference(5, 1.0, profile, rng)
         confidences.extend(found)
     # Full complexity halves the base confidence.
     assert statistics.fmean(confidences) == pytest.approx(0.4, abs=0.01)
@@ -181,9 +188,8 @@ def test_synth_inference_cpu_tracks_object_count() -> None:
     profile = _profile(base_cpu_pct=14.0, cpu_per_object_pct=0.3)
     rng = Random(31)
     cpus = []
-    for i in range(2000):
-        frame = SimFrame(frame_index=i, object_count=10, complexity=0.2)
-        _, cpu, _ = synth_inference(frame, profile, rng)
+    for _ in range(2000):
+        _, cpu, _ = synth_inference(10, 0.2, profile, rng)
         cpus.append(cpu)
     assert statistics.fmean(cpus) == pytest.approx(17.0, abs=0.1)
 
@@ -203,12 +209,13 @@ class Detection:
 
 
 def _synth_inference_with_detections(
-    frame: SimFrame, profile: ModelProfile, rng: Random
+    object_count: int, complexity: float, profile: ModelProfile, rng: Random
 ) -> tuple[list[Detection], float, float]:
-    """Reference: synthesis as it was when it built a Detection, label and bbox per hit."""
+    """Reference: synthesis as it was when it built a Detection, label and bbox
+    per hit, and drew its noise through gaussian()."""
     detections: list[Detection] = []
-    degraded = profile.base_confidence * (1.0 - 0.5 * frame.complexity)
-    for _ in range(frame.object_count):
+    degraded = profile.base_confidence * (1.0 - 0.5 * complexity)
+    for _ in range(object_count):
         if rng.random() >= profile.detection_recall:
             continue
         conf = degraded + gaussian(rng, 0.0, profile.confidence_noise_sd)
@@ -219,7 +226,7 @@ def _synth_inference_with_detections(
         x = (1.0 - w) * rng.random()
         y = (1.0 - h) * rng.random()
         detections.append(Detection(confidence=conf, class_label=label, bbox=(x, y, w, h)))
-    cpu = profile.base_cpu_pct + profile.cpu_per_object_pct * frame.object_count + gaussian(rng)
+    cpu = profile.base_cpu_pct + profile.cpu_per_object_pct * object_count + gaussian(rng)
     cpu = min(100.0, max(0.0, cpu))
     return detections, cpu, profile.inference_time_ms
 
@@ -249,19 +256,19 @@ def test_synth_inference_matches_the_detection_building_reference(
 ) -> None:
     """Same confidences and CPU, and the same RNG state after every frame."""
     rng, reference_rng = Random(seed), Random(seed)
-    for i, count in enumerate(object_counts):
-        frame = SimFrame(frame_index=i, object_count=count, complexity=complexity)
-        confidences, cpu, inference_ms = synth_inference(frame, profile, rng)
+    for count in object_counts:
+        confidences, cpu, inference_ms = synth_inference(count, complexity, profile, rng)
         detections, ref_cpu, ref_ms = _synth_inference_with_detections(
-            frame, profile, reference_rng
+            count, complexity, profile, reference_rng
         )
         assert confidences == [d.confidence for d in detections]
         assert (cpu, inference_ms) == (ref_cpu, ref_ms)
         assert rng.getstate() == reference_rng.getstate()
 
 
-def _eager_trace(config: TraceConfig) -> list[SimFrame]:
-    """Reference: the trace as it was when every frame was built up front."""
+def _eager_trace(config: TraceConfig) -> list[tuple[int, int, float]]:
+    """Reference: the trace as it was when every frame was built up front, as
+    (frame_index, object_count, complexity) per frame."""
 
     def poisson(rng: Random, mean: float) -> int:
         threshold = math.exp(-mean)
@@ -289,9 +296,7 @@ def _eager_trace(config: TraceConfig) -> list[SimFrame]:
         width = end - seg.start_s
         ramp = (t - seg.start_s) / width if width > 0 else 0.0
         complexity = seg.complexity + (target - seg.complexity) * ramp
-        frames.append(
-            SimFrame(frame_index=f, object_count=poisson(rng, seg.mean_objects), complexity=complexity)
-        )
+        frames.append((f, poisson(rng, seg.mean_objects), complexity))
     return frames
 
 
@@ -341,16 +346,14 @@ def test_trace_matches_the_eager_reference(config: TraceConfig) -> None:
     reference = _eager_trace(config)
     n = len(reference)
     assert len(trace) == n
-    for i, want in enumerate(reference):
-        got = trace[i]
-        assert got.frame_index == want.frame_index
-        assert got.object_count == want.object_count
-        assert got.complexity == want.complexity
-    for k in range(1, min(n, 5) + 1):
-        assert trace[-k] == reference[-k]
-    for bad in (n, -n - 1):
+    assert trace.fps == config.fps
+    # Read forwards and backwards: the reader serves any index in range, in any order.
+    frame = trace.reader()
+    assert [(i, *frame(i)) for i in range(n)] == reference
+    assert [(i, *frame(i)) for i in reversed(range(n))] == reference[::-1]
+    for bad in (n, -1):
         with pytest.raises(IndexError):
-            trace[bad]
+            frame(bad)
 
 
 def test_model_profile_validation() -> None:
