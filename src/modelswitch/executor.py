@@ -90,13 +90,17 @@ class Executor:
             object_count, complexity, self._profile, self._rng
         )
         floor = self.confidence_floor
-        kept = [c for c in confidences if c >= floor]
+        # Build the kept list only when some confidence is under the floor. A
+        # nan noise_sd makes every confidence nan: min is then nan, which
+        # fails ">=" here too, so those are dropped as before.
+        if confidences and not min(confidences) >= floor:
+            confidences = [c for c in confidences if c >= floor]
         self._monitor.record(
             frame_index,
             sim_time_ms,
             self.active,
             cpu_usage,
-            mean_confidence(kept),
-            len(kept),
+            mean_confidence(confidences),
+            len(confidences),
             inference_time_ms,
         )

@@ -3,7 +3,10 @@
 The log registry is append-only and is the single source of truth for
 everything a run emits. It streams plain UTF-8 CSV with LF line endings
 and reals printed with 4 decimal places, so identical runs produce
-byte-identical files.
+byte-identical files. Rows are formatted through templates built per
+model: a metrics row through a ``%`` template with the model id and its
+inference time already written in, a draw-less decision as its frame
+index plus a suffix kept per decision.
 """
 
 from __future__ import annotations
@@ -84,17 +87,15 @@ class LogRegistry:
         self._write_metrics = metrics_out.write
         self._write_event = events_out.write
         self._last_frame = -1
+        self._metrics_templates: dict[tuple[ModelId, float], str] = {}
+        self._decision_suffixes: dict[SelectionDecision, str] = {}
         self.usage_counts: dict[ModelId, int] = {}
         self.cpu_total = 0.0
         self.confidence_total = 0.0
         self.explore_count = 0
 
-    def _advance(self, frame_index: int) -> None:
-        if frame_index < self._last_frame:
-            raise ValueError(
-                f"frame_index went backwards: {frame_index} after {self._last_frame}"
-            )
-        self._last_frame = frame_index
+    def _backwards(self, frame_index: int) -> ValueError:
+        return ValueError(f"frame_index went backwards: {frame_index} after {self._last_frame}")
 
     def append_metrics(
         self,
@@ -107,29 +108,63 @@ class LogRegistry:
         inference_time_ms: float,
     ) -> None:
         """One processed frame's row; the arguments are its columns, in order."""
-        self._advance(frame_index)
-        # battery_mah stays empty: the simulator measures no battery.
+        if frame_index < self._last_frame:
+            raise self._backwards(frame_index)
+        self._last_frame = frame_index
+        try:
+            template = self._metrics_templates[model, inference_time_ms]
+        except KeyError:
+            template = self._metrics_template(model, inference_time_ms)
         self._write_metrics(
-            f"{frame_index},{sim_time_ms:.4f},{model},{cpu_usage:.4f},{confidence_score:.4f},"
-            f"{detection_count},{inference_time_ms:.4f},\n"
+            template % (frame_index, sim_time_ms, cpu_usage, confidence_score, detection_count)
         )
         counts = self.usage_counts
         counts[model] = counts.get(model, 0) + 1
         self.cpu_total += cpu_usage
         self.confidence_total += confidence_score
 
-    def append_decision(self, frame_index: int, decision: SelectionDecision) -> None:
-        self._advance(frame_index)
-        draw = "" if decision.random_draw is None else f"{decision.random_draw:.4f}"
-        self._write_event(
-            f"{frame_index},decision,{decision.mode.value},{draw},"
-            f"{decision.previous},{decision.selected},\n"
+    def _metrics_template(self, model: ModelId, inference_time_ms: float) -> str:
+        """The row format of one (model, inference time), with both columns written in.
+
+        battery_mah stays empty: the simulator measures no battery. Zero and
+        nan are formatted but not kept: 0.0 and -0.0 are one dict key but
+        print differently, and a nan key never matches again.
+        """
+        template = (
+            "%d,%.4f," + model.replace("%", "%%") + ",%.4f,%.4f,%d,"
+            + f"{inference_time_ms:.4f},\n"
         )
-        if decision.mode is SelectionMode.EXPLORE:
+        if inference_time_ms == inference_time_ms and inference_time_ms != 0:
+            self._metrics_templates[model, inference_time_ms] = template
+        return template
+
+    def append_decision(self, frame_index: int, decision: SelectionDecision) -> None:
+        if frame_index < self._last_frame:
+            raise self._backwards(frame_index)
+        self._last_frame = frame_index
+        mode = decision.mode
+        draw = decision.random_draw
+        if draw is None:
+            try:
+                suffix = self._decision_suffixes[decision]
+            except KeyError:
+                suffix = self._decision_suffixes[decision] = (
+                    f",decision,{mode._value_},,{decision.previous},{decision.selected},\n"
+                )
+            self._write_event(str(frame_index) + suffix)
+        else:
+            # _value_ is the member's value; Enum.value is a property, dearer to read per row.
+            self._write_event(
+                "%d,decision,%s,%.4f,%s,%s,\n"
+                % (frame_index, mode._value_, draw, decision.previous, decision.selected)
+            )
+        if mode is SelectionMode.EXPLORE:
             self.explore_count += 1
 
     def append_switch(self, event: SwitchEvent) -> None:
-        self._advance(event.frame_index)
+        if event.frame_index < self._last_frame:
+            raise self._backwards(event.frame_index)
+        self._last_frame = event.frame_index
         self._write_event(
             f"{event.frame_index},switch,,,{event.from_model},{event.to_model},"
             f"{event.switch_time_ms:.4f}\n"

@@ -8,8 +8,11 @@ CPU once per boost period. The ``RunView`` is built once per run and is live
 and read-only: each decision reads the run as it stands, and no strategy can
 change it. Each decision is a SelectionDecision; actually performing the
 switch is the executor's job. At the default decision period a decision is
-built for every processed frame, so the strategies build it by position:
-(selected, mode, random_draw, previous).
+made for every processed frame, so the strategies build it by position:
+(selected, mode, random_draw, previous). A forced decision depends on the
+(selected, previous) pair alone, so the naive and round-robin strategies
+build each pair's decision once and hand out that same immutable tuple
+again.
 """
 
 from __future__ import annotations
@@ -137,6 +140,15 @@ class SelectionStrategy:
         raise NotImplementedError
 
 
+class _ForcedDecisions(dict):
+    """One strategy's forced decisions, keyed by (selected, previous) and built on first use."""
+
+    def __missing__(self, key: tuple[ModelId, ModelId]) -> SelectionDecision:
+        selected, previous = key
+        decision = self[key] = SelectionDecision(selected, SelectionMode.FORCED, None, previous)
+        return decision
+
+
 class EpsilonGreedyStrategy(SelectionStrategy):
     """Draws p in [0, 1) once per decision; p <= epsilon explores.
 
@@ -175,6 +187,7 @@ class NaiveThresholdStrategy(SelectionStrategy):
 
     def __init__(self, config: NaiveConfig):
         self.config = config
+        self._decisions = _ForcedDecisions()
 
     def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
         config = self.config
@@ -182,12 +195,13 @@ class NaiveThresholdStrategy(SelectionStrategy):
         position = order.index(active)
         selected = active
         window = view.windows[active]
-        if len(window):
-            if window.cpus[-1] > config.cpu_high_threshold:
+        cpus = window.cpus
+        if cpus:
+            if cpus[-1] > config.cpu_high_threshold:
                 selected = order[max(position - 1, 0)]
             elif window.confidences[-1] < config.confidence_low_threshold:
                 selected = order[min(position + 1, len(order) - 1)]
-        return SelectionDecision(selected, SelectionMode.FORCED, None, active)
+        return self._decisions[selected, active]
 
 
 class RoundRobinBoostStrategy(SelectionStrategy):
@@ -206,6 +220,7 @@ class RoundRobinBoostStrategy(SelectionStrategy):
         self._rank_slot = -1
         self._slot = -1
         self._position = -1
+        self._decisions = _ForcedDecisions()
 
     def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
         rank_slot = frame_index // self.config.boost_period_frames
@@ -222,4 +237,4 @@ class RoundRobinBoostStrategy(SelectionStrategy):
             self._position += 1
             self._slot = slot
         selected = self.rank[self._position % len(self.rank)]
-        return SelectionDecision(selected, SelectionMode.FORCED, None, active)
+        return self._decisions[selected, active]

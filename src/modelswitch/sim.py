@@ -16,6 +16,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
+from math import cos, log, sqrt
 from random import Random
 from typing import Any, Callable, Mapping, Sequence, get_origin, get_type_hints
 
@@ -28,6 +29,12 @@ DEFAULT_SEED = 12345
 # Labels a synthetic detection draws from. No output reads a label, so synthesis
 # builds none, but it still draws one index per detection to keep the RNG stream.
 OBJECT_CLASSES = ("car", "bus", "truck", "motorcycle", "rickshaw")
+
+# What synth_inference reads on every call, bound once: the label count and the
+# bits randrange draws per label index, and the Box-Muller angle's 2 pi.
+_LABELS = len(OBJECT_CLASSES)
+_LABEL_BITS = _LABELS.bit_length()
+_TWO_PI = 2.0 * math.pi
 
 # Array type code of the stored object counts. Knuth's loop ends once the
 # product of uniforms underflows, so no count comes near 2**32; a larger one
@@ -270,9 +277,6 @@ def synth_inference(
     append = confidences.append
     random = rng.random
     getrandbits = rng.getrandbits
-    sqrt, log, cos, two_pi = math.sqrt, math.log, math.cos, 2.0 * math.pi
-    labels = len(OBJECT_CLASSES)
-    label_bits = labels.bit_length()
     recall = profile.detection_recall
     noise_sd = profile.confidence_noise_sd
     degraded = profile.base_confidence * (1.0 - 0.5 * complexity)
@@ -282,17 +286,17 @@ def synth_inference(
         # gaussian(rng, 0.0, noise_sd), inlined with the same operations in the same order.
         u1 = 1.0 - random()
         u2 = random()
-        conf = degraded + (0.0 + noise_sd * sqrt(-2.0 * log(u1)) * cos(two_pi * u2))
+        conf = degraded + (0.0 + noise_sd * sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2))
         if conf < 0.0:
             conf = 0.0
         elif conf > 1.0:
             conf = 1.0
         append(conf)
-        # The label index, drawn as randrange(labels) draws it (rejection
+        # The label index, drawn as randrange(_LABELS) draws it (rejection
         # sampling on getrandbits), and the bbox's w, h, x and y: drawn, never built.
         # Each random() consumes two 32-bit Mersenne Twister words, so the four
         # uniforms are the 8 words of one getrandbits(256) call.
-        while getrandbits(label_bits) >= labels:
+        while getrandbits(_LABEL_BITS) >= _LABELS:
             pass
         getrandbits(256)
     # gaussian(rng), inlined the same way.
@@ -301,7 +305,7 @@ def synth_inference(
     cpu = (
         profile.base_cpu_pct
         + profile.cpu_per_object_pct * object_count
-        + (0.0 + 1.0 * sqrt(-2.0 * log(u1)) * cos(two_pi * u2))
+        + (0.0 + 1.0 * sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2))
     )
     if cpu < 0.0:
         cpu = 0.0

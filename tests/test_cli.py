@@ -354,6 +354,23 @@ def test_main_accepts_engine_settings_at_their_limits(tmp_path) -> None:
     assert (out / SUMMARY_FILENAME).is_file()
 
 
+def test_main_writes_a_model_id_holding_a_percent_sign(tmp_path) -> None:
+    """A metrics row is formatted through a % template; the id's own % must come out as is."""
+    config = tmp_path / "odd.ini"
+    config.write_text(
+        SMALL_CONFIG
+        + "\n[model.odd%id]\nbase_cpu_pct = 14\ncpu_per_object_pct = 0.3\n"
+        "base_confidence = 0.6\nconfidence_noise_sd = 0.05\ndetection_recall = 0.9\n"
+        "switch_latency_ms = 300\ninference_time_ms = 40\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--strategy", "naive", "--config", str(config), "--out", str(out)]) == 0
+    rows = (out / METRICS_FILENAME).read_text(encoding="utf-8").splitlines()[1:]
+    assert rows
+    assert all(row.split(",")[2] == "odd%id" for row in rows)
+
+
 def test_default_ini_matches_the_built_in_defaults() -> None:
     config = parse_config(str(DEFAULT_INI))
     assert config.trace == TraceConfig()

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from io import StringIO
 from pathlib import Path
 from typing import Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelswitch.cli import run_experiment
 from modelswitch.domain import SelectionDecision, SelectionMode, SwitchEvent
@@ -190,3 +193,100 @@ def test_io_errors_carry_the_path(tmp_path) -> None:
     with pytest.raises(IoFailure) as excinfo:
         run_experiment("naive", blocker, config_path=str(config))
     assert excinfo.value.path == blocker
+
+
+def _reference_metrics_row(
+    frame_index, sim_time_ms, model, cpu_usage, confidence_score, detection_count, inference_ms
+) -> str:
+    """A metrics row as the f-string formatting before row templates wrote it."""
+    return (
+        f"{frame_index},{sim_time_ms:.4f},{model},{cpu_usage:.4f},{confidence_score:.4f},"
+        f"{detection_count},{inference_ms:.4f},\n"
+    )
+
+
+def _reference_decision_row(frame_index: int, decision: SelectionDecision) -> str:
+    """A decision row as the f-string formatting before row templates wrote it."""
+    draw = "" if decision.random_draw is None else f"{decision.random_draw:.4f}"
+    return (
+        f"{frame_index},decision,{decision.mode.value},{draw},"
+        f"{decision.previous},{decision.selected},\n"
+    )
+
+
+def _nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return x
+
+
+# Reals anywhere, and reals within a few ulps of a .4f rounding midpoint k/10^4 + 5e-5.
+_reals = st.one_of(
+    st.floats(),
+    st.builds(
+        lambda k, ulps: _nudge(k / 10_000 + 0.00005, ulps),
+        st.integers(-(10**8), 10**8),
+        st.integers(-3, 3),
+    ),
+)
+
+
+_model_ids = st.one_of(
+    st.sampled_from(["a", "odd%id", "100%%", "%d%s", "%(k)s", "{x}", "{0:.4f}", "modèle-ü", "模型"]),
+    st.text(min_size=1, max_size=6),
+)
+
+
+@st.composite
+def _log_rows(draw) -> list[tuple]:
+    """Metrics rows and decisions in frame order, over a few models and inference times
+    that repeat, so a row template is both built and reused."""
+    models = draw(st.lists(_model_ids, min_size=1, max_size=3))
+    inference_ms = draw(
+        st.lists(st.one_of(st.sampled_from([0.0, -0.0, 40.0, 40]), _reals), min_size=1, max_size=3)
+    )
+    frame_index = draw(st.integers(0, 10**9))
+    rows = []
+    for _ in range(draw(st.integers(1, 25))):
+        frame_index += draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            rows.append(
+                (
+                    "metrics",
+                    frame_index,
+                    draw(_reals),
+                    draw(st.sampled_from(models)),
+                    draw(_reals),
+                    draw(_reals),
+                    draw(st.integers(0, 10**6)),
+                    draw(st.sampled_from(inference_ms)),
+                )
+            )
+        else:
+            decision = SelectionDecision(
+                draw(st.sampled_from(models)),
+                draw(st.sampled_from(SelectionMode)),
+                draw(st.one_of(st.none(), _reals)),
+                draw(st.sampled_from(models)),
+            )
+            rows.append(("decision", frame_index, decision))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_log_rows())
+def test_rows_match_the_f_string_formatting(rows) -> None:
+    """Both CSV streams equal, byte for byte, what the per-row f-strings wrote."""
+    metrics_out, events_out = StringIO(), StringIO()
+    registry = LogRegistry(metrics_out, events_out)
+    metrics_expected = [METRICS_HEADER + "\n"]
+    events_expected = [EVENTS_HEADER + "\n"]
+    for kind, *args in rows:
+        if kind == "metrics":
+            registry.append_metrics(*args)
+            metrics_expected.append(_reference_metrics_row(*args))
+        else:
+            registry.append_decision(*args)
+            events_expected.append(_reference_decision_row(*args))
+    assert metrics_out.getvalue() == "".join(metrics_expected)
+    assert events_out.getvalue() == "".join(events_expected)

@@ -5,12 +5,16 @@ from io import StringIO
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modelswitch.domain import SelectionMode, WindowAggregate
+from modelswitch.domain import SelectionDecision, SelectionMode, WindowAggregate
 from modelswitch.analyzer import Scores
 from modelswitch.knowledge import LogRegistry
 from modelswitch.monitor import Monitor
 from modelswitch.planner import (
+    DEFAULT_CONFIDENCE_LOW_THRESHOLD,
+    DEFAULT_CPU_HIGH_THRESHOLD,
     EmptyRepository,
     EpsilonGreedyStrategy,
     NaiveConfig,
@@ -39,9 +43,6 @@ class _Window:
             self.confidences.append(latest[1])
         self.agg: WindowAggregate | None = None
         self.reads = 0
-
-    def __len__(self) -> int:
-        return len(self.cpus)
 
     def aggregate(self) -> WindowAggregate | None:
         self.reads += 1
@@ -231,6 +232,41 @@ def test_naive_strategy_reads_the_latest_metrics_of_the_active_model() -> None:
     assert strategy.decide(5, "m", view).selected == "s"
 
 
+# One decision step: the active model (an index into s < m < l) and that model's
+# latest (cpu, confidence), or None for an empty window.
+_steps = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.one_of(
+            st.none(),
+            st.tuples(st.sampled_from([10.0, 17.5, 30.0]), st.sampled_from([0.1, 0.4, 0.9])),
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=_steps)
+def test_naive_decisions_equal_freshly_built_ones(steps) -> None:
+    """A kept decision equals the one the rule builds afresh; each strategy keeps its own."""
+    order = ("s", "m", "l")
+    first, second = (NaiveThresholdStrategy(NaiveConfig(model_order=order)) for _ in range(2))
+    for frame_index, (position, latest) in enumerate(steps):
+        active = order[position]
+        view = _view(scores={}, model_ids=order, windows={m: _Window(latest) for m in order})
+        selected = active
+        if latest is not None and latest[0] > DEFAULT_CPU_HIGH_THRESHOLD:
+            selected = order[max(position - 1, 0)]
+        elif latest is not None and latest[1] < DEFAULT_CONFIDENCE_LOW_THRESHOLD:
+            selected = order[min(position + 1, 2)]
+        decision = first.decide(frame_index, active, view)
+        assert decision == SelectionDecision(selected, SelectionMode.FORCED, None, active)
+        other = second.decide(frame_index, active, view)
+        assert other == decision and other is not decision
+
+
 def test_naive_config_validation() -> None:
     with pytest.raises(EmptyRepository):
         NaiveConfig(model_order=())
@@ -289,6 +325,29 @@ def test_round_robin_reports_forced_mode() -> None:
     decision = strategy.decide(0, "c", VIEW)
     assert decision.mode is SelectionMode.FORCED
     assert decision.previous == "c"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    steps=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 25)), min_size=1, max_size=40)
+)
+def test_round_robin_decisions_equal_freshly_built_ones(steps) -> None:
+    """Over unobserved windows the rank is the repository order, so the pick is its
+    entry at the count of slot boundaries passed; each strategy keeps its own decisions."""
+    ids = ("a", "b", "c")
+    first, second = (
+        RoundRobinBoostStrategy(RoundRobinBoostConfig(time_slice_frames=10)) for _ in range(2)
+    )
+    frame_index, last_slot, boundaries = 0, -1, -1
+    for active, gap in steps:
+        frame_index += gap
+        if frame_index // 10 > last_slot:
+            last_slot, boundaries = frame_index // 10, boundaries + 1
+        decision = first.decide(frame_index, ids[active], VIEW)
+        expected = SelectionDecision(ids[boundaries % 3], SelectionMode.FORCED, None, ids[active])
+        assert decision == expected
+        other = second.decide(frame_index, ids[active], VIEW)
+        assert other == expected and other is not decision
 
 
 def _boosting(boost_period_frames: int) -> tuple[RoundRobinBoostStrategy, dict, RunView]:
