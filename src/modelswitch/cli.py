@@ -8,13 +8,12 @@ fairness figures (max usage share, normalized Shannon entropy).
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
+from modelswitch.domain import checked
 from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR
 from modelswitch.knowledge import (
     EVENTS_FILENAME,
@@ -69,22 +68,21 @@ class MissingRun(Exception):
     """A run directory lacks the files of a completed run."""
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+@checked
+class EngineConfig(NamedTuple):
     """Loop settings shared by every strategy: the [engine] section."""
 
     window_capacity: int = DEFAULT_WINDOW_CAPACITY
     confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.window_capacity < 1:
             raise ValueError(f"window_capacity must be at least 1: {self.window_capacity}")
         if not 0.0 <= self.confidence_floor <= 1.0:
             raise ValueError(f"confidence_floor must lie in [0, 1]: {self.confidence_floor}")
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     """Aggregate outcome of one run, as written to summary.txt."""
 
     strategy: str
@@ -128,7 +126,8 @@ def summarize(result: LoopResult, strategy: str, seed: int, model_ids: tuple[str
     usage_shares = {
         m: (count / processed if processed else 0.0) for m, count in usage_counts.items()
     }
-    state = result.final_state
+    switches = result.switch_count
+    cumulative_ms = result.cumulative_switch_time_ms
     return RunSummary(
         strategy=strategy,
         seed=seed,
@@ -137,11 +136,11 @@ def summarize(result: LoopResult, strategy: str, seed: int, model_ids: tuple[str
         frames_dropped=result.frames_dropped,
         decision_count=result.decision_count,
         explore_count=registry.explore_count,
-        switch_count=state.switch_count,
+        switch_count=switches,
         avg_cpu_pct=registry.cpu_total / processed if processed else 0.0,
         avg_confidence_pct=100.0 * registry.confidence_total / processed if processed else 0.0,
-        avg_switch_time_s=state.avg_switch_time_ms / 1000.0,
-        cumulative_switch_time_s=state.cumulative_switch_time_ms / 1000.0,
+        avg_switch_time_s=(cumulative_ms / switches if switches else 0.0) / 1000.0,
+        cumulative_switch_time_s=cumulative_ms / 1000.0,
         usage_counts=usage_counts,
         usage_shares=usage_shares,
     )
@@ -249,7 +248,8 @@ def run_experiment(
     if unknown:
         raise ConfigError(f"[{unknown[0]}]: unknown section")
     effective_seed = seed if seed is not None else sim_config.trace.rng_seed
-    trace_config = replace(sim_config.trace, rng_seed=effective_seed)
+    # Built anew, not by _replace, so the new value passes TraceConfig's checks.
+    trace_config = TraceConfig(**{**sim_config.trace._asdict(), "rng_seed": effective_seed})
     if trace_config.total_frames == 0:
         raise ConfigError("[trace] fps * duration_s rounds to 0 frames")
     repo = ModelRepository(sim_config.profiles)
@@ -370,6 +370,9 @@ def compare(run_dirs: list[Path | str]) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Imported here, not with the module: run_experiment and the library never parse arguments.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="modelswitch",
         description="Adaptive model switching over a simulated inference workload.",

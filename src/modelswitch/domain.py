@@ -4,19 +4,42 @@ Conventions: CPU usage is a percentage in [0, 100], confidences are
 fractions in [0, 1]. Conversion to display percentages happens only at
 reporting boundaries.
 
-The records the loop builds per decision or switch are NamedTuples, which
-cost a fraction of a frozen dataclass to build. A processed frame's figures
-travel as plain values; FrameMetrics is only the row type of a metrics.csv
-read back.
+Every record type of the package is a NamedTuple: immutable, compared by
+value and picklable, and cheap to define at import, where generating and
+compiling per-class methods would add to every process start-up. A type
+whose values have a valid range is decorated with ``checked``, so building
+it runs its ``_check``. A processed frame's figures travel as plain values;
+FrameMetrics is only the row type of a metrics.csv read back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from functools import wraps
+from typing import NamedTuple, Sequence, TypeVar
 
 ModelId = str
+
+_T = TypeVar("_T")
+
+
+def checked(cls: type[_T]) -> type[_T]:
+    """Make building the NamedTuple cls, by call or by unpickling, run its ``_check``.
+
+    NamedTuple forbids a ``__new__`` in the class body, so this wraps the
+    generated one. ``_make`` and ``_replace`` build through ``tuple.__new__``
+    and skip the check, so a changed copy is built by calling cls.
+    """
+    new = cls.__new__
+
+    @wraps(new)
+    def __new__(cls_, *args, **kwargs):
+        self = new(cls_, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = staticmethod(__new__)
+    return cls
 
 
 class SelectionMode(Enum):
@@ -43,8 +66,8 @@ def check_frame(
         raise ValueError("empty frame must carry confidence_score 0.0")
 
 
-@dataclass(frozen=True, slots=True)
-class FrameMetrics:
+@checked
+class FrameMetrics(NamedTuple):
     """One metrics.csv row as read back: what the monitor recorded for one processed frame."""
 
     frame_index: int
@@ -54,12 +77,11 @@ class FrameMetrics:
     detection_count: int
     inference_time_ms: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_frame(self.frame_index, self.cpu_usage, self.confidence_score, self.detection_count)
 
 
-@dataclass(frozen=True, slots=True)
-class WindowAggregate:
+class WindowAggregate(NamedTuple):
     """Sliding-window averages for one model."""
 
     model: ModelId

@@ -7,14 +7,13 @@ model, and runs inference with the profile it keeps. Inference output is
 post-filtered by a confidence floor before the frame confidence is
 computed, mirroring a detector's score-threshold stage.
 
-The live model and the switch totals are plain attributes; ``state`` builds
-an ExecutorState from them when read, once per run in the loop. A frame's
-figures go to the monitor as plain values.
+The live model and the switch totals are plain attributes, which the loop
+copies into its LoopResult once the run ends. A frame's figures go to the
+monitor as plain values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
 from modelswitch.domain import ModelId, SelectionDecision, SwitchEvent, mean_confidence
@@ -24,21 +23,6 @@ from modelswitch.sim import synth_inference
 
 DEFAULT_CONFIDENCE_FLOOR = 0.25
 SWITCH_JITTER = 0.10
-
-
-@dataclass(frozen=True, slots=True)
-class ExecutorState:
-    """Which model is live plus cumulative switch accounting."""
-
-    active: ModelId
-    cumulative_switch_time_ms: float = 0.0
-    switch_count: int = 0
-
-    @property
-    def avg_switch_time_ms(self) -> float:
-        if self.switch_count == 0:
-            return 0.0
-        return self.cumulative_switch_time_ms / self.switch_count
 
 
 class Executor:
@@ -60,11 +44,6 @@ class Executor:
         self.active = initial_model
         self.cumulative_switch_time_ms = 0.0
         self.switch_count = 0
-
-    @property
-    def state(self) -> ExecutorState:
-        """The live model and the switch totals so far, as one value."""
-        return ExecutorState(self.active, self.cumulative_switch_time_ms, self.switch_count)
 
     def apply(self, decision: SelectionDecision, frame_index: int) -> SwitchEvent | None:
         """Carry out a decision. A same-model selection is a free no-op; a switch

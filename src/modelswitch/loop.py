@@ -16,23 +16,26 @@ executor. A dropped frame is never read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from modelswitch.analyzer import Scores
-from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor, ExecutorState
+from modelswitch.domain import ModelId
+from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor
 from modelswitch.knowledge import LogRegistry, ModelRepository
 from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY, Monitor
 from modelswitch.planner import RunView, SelectionStrategy
 from modelswitch.sim import Trace
 
 
-@dataclass(frozen=True)
-class LoopResult:
-    """What one full run leaves behind."""
+class LoopResult(NamedTuple):
+    """What one full run leaves behind: its log, the model live at the end,
+    the switch totals and the frame and decision counts."""
 
     registry: LogRegistry
-    final_state: ExecutorState
+    active: ModelId
+    switch_count: int
+    cumulative_switch_time_ms: float
     frames_total: int
     frames_processed: int
     frames_dropped: int
@@ -99,7 +102,9 @@ def run_loop(
         i += 1 + drop_count
     return LoopResult(
         registry=registry,
-        final_state=executor.state,
+        active=executor.active,
+        switch_count=executor.switch_count,
+        cumulative_switch_time_ms=executor.cumulative_switch_time_ms,
         frames_total=n,
         frames_processed=processed,
         frames_dropped=dropped,

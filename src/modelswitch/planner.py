@@ -17,11 +17,10 @@ again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from modelswitch.domain import ModelId, SelectionDecision, SelectionMode, WindowAggregate
+from modelswitch.domain import ModelId, SelectionDecision, SelectionMode, WindowAggregate, checked
 from modelswitch.monitor import MetricsWindow
 
 DEFAULT_EPSILON = 0.1
@@ -36,8 +35,8 @@ class EmptyRepository(Exception):
     """A decision was requested with no models to choose from."""
 
 
-@dataclass(frozen=True)
-class PlannerConfig:
+@checked
+class PlannerConfig(NamedTuple):
     """Epsilon-greedy knobs."""
 
     epsilon: float = DEFAULT_EPSILON
@@ -47,22 +46,22 @@ class PlannerConfig:
     # model, so every explore step buys new information.
     exclude_best: bool = True
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon out of range: {self.epsilon}")
         if self.decision_period < 1:
             raise ValueError(f"decision_period must be >= 1: {self.decision_period}")
 
 
-@dataclass(frozen=True)
-class NaiveConfig:
+@checked
+class NaiveConfig(NamedTuple):
     """Thresholds for the naive baseline."""
 
     model_order: tuple[ModelId, ...]  # lightest to heaviest
     cpu_high_threshold: float = DEFAULT_CPU_HIGH_THRESHOLD
     confidence_low_threshold: float = DEFAULT_CONFIDENCE_LOW_THRESHOLD
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.model_order:
             raise EmptyRepository("model_order is empty")
         if len(set(self.model_order)) != len(self.model_order):
@@ -75,22 +74,21 @@ class NaiveConfig:
             )
 
 
-@dataclass(frozen=True)
-class RoundRobinBoostConfig:
+@checked
+class RoundRobinBoostConfig(NamedTuple):
     """Slice and recalibration cadence for round-robin with boosting."""
 
     time_slice_frames: int = DEFAULT_TIME_SLICE_FRAMES
     boost_period_frames: int = DEFAULT_BOOST_PERIOD_FRAMES
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.time_slice_frames < 1:
             raise ValueError(f"time_slice_frames must be >= 1: {self.time_slice_frames}")
         if self.boost_period_frames < 1:
             raise ValueError(f"boost_period_frames must be >= 1: {self.boost_period_frames}")
 
 
-@dataclass(frozen=True, slots=True)
-class RunView:
+class RunView(NamedTuple):
     """What a strategy may read of a run: built once, live and read-only.
 
     ``scores`` is a read-only mapping that scores a model when it is read
@@ -187,19 +185,23 @@ class NaiveThresholdStrategy(SelectionStrategy):
 
     def __init__(self, config: NaiveConfig):
         self.config = config
+        # Bound once: decide runs per processed frame, and an instance attribute
+        # reads faster than a NamedTuple field.
+        self._order = config.model_order
+        self._cpu_high = config.cpu_high_threshold
+        self._confidence_low = config.confidence_low_threshold
         self._decisions = _ForcedDecisions()
 
     def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
-        config = self.config
-        order = config.model_order
+        order = self._order
         position = order.index(active)
         selected = active
         window = view.windows[active]
         cpus = window.cpus
         if cpus:
-            if cpus[-1] > config.cpu_high_threshold:
+            if cpus[-1] > self._cpu_high:
                 selected = order[max(position - 1, 0)]
-            elif window.confidences[-1] < config.confidence_low_threshold:
+            elif window.confidences[-1] < self._confidence_low:
                 selected = order[min(position + 1, len(order) - 1)]
         return self._decisions[selected, active]
 

@@ -10,17 +10,15 @@ reproduces the exact same trace on any platform.
 
 from __future__ import annotations
 
-import configparser
 import math
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, field, fields
 from math import cos, log, sqrt
 from random import Random
-from typing import Any, Callable, Mapping, Sequence, get_origin, get_type_hints
+from typing import Any, Callable, Mapping, NamedTuple, Sequence, get_origin, get_type_hints
 
-from modelswitch.domain import ModelId
+from modelswitch.domain import ModelId, checked
 
 DEFAULT_FPS = 60
 DEFAULT_DURATION_S = 1800
@@ -54,8 +52,8 @@ class InvalidSchedule(Exception):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
-class ModelProfile:
+@checked
+class ModelProfile(NamedTuple):
     """Cost/quality profile of one synthetic detection model."""
 
     model: ModelId
@@ -67,7 +65,7 @@ class ModelProfile:
     switch_latency_ms: float
     inference_time_ms: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.model:
             raise ValueError("model id must be non-empty")
         if not 0.0 <= self.base_cpu_pct <= 100.0:
@@ -86,8 +84,7 @@ class ModelProfile:
             raise ValueError(f"inference_time_ms must be positive: {self.inference_time_ms}")
 
 
-@dataclass(frozen=True, slots=True)
-class ScheduleSegment:
+class ScheduleSegment(NamedTuple):
     """One stretch of the density schedule."""
 
     start_s: float
@@ -105,16 +102,16 @@ def default_segments() -> tuple[ScheduleSegment, ...]:
     )
 
 
-@dataclass(frozen=True)
-class TraceConfig:
+@checked
+class TraceConfig(NamedTuple):
     """Everything needed to regenerate a trace bit-for-bit."""
 
     fps: int = DEFAULT_FPS
     duration_s: float = DEFAULT_DURATION_S
-    segments: tuple[ScheduleSegment, ...] = field(default_factory=default_segments)
+    segments: tuple[ScheduleSegment, ...] = default_segments()
     rng_seed: int = DEFAULT_SEED
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.fps <= 0:
             raise ValueError(f"fps must be positive: {self.fps}")
         if self.duration_s <= 0:
@@ -277,9 +274,9 @@ def synth_inference(
     append = confidences.append
     random = rng.random
     getrandbits = rng.getrandbits
-    recall = profile.detection_recall
-    noise_sd = profile.confidence_noise_sd
-    degraded = profile.base_confidence * (1.0 - 0.5 * complexity)
+    # One unpack, in ModelProfile's field order, costs less than six reads by name.
+    _, base_cpu, cpu_per_object, base_confidence, noise_sd, recall, _, inference_time_ms = profile
+    degraded = base_confidence * (1.0 - 0.5 * complexity)
     for _ in range(object_count):
         if random() >= recall:
             continue
@@ -303,15 +300,15 @@ def synth_inference(
     u1 = 1.0 - random()
     u2 = random()
     cpu = (
-        profile.base_cpu_pct
-        + profile.cpu_per_object_pct * object_count
+        base_cpu
+        + cpu_per_object * object_count
         + (0.0 + 1.0 * sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2))
     )
     if cpu < 0.0:
         cpu = 0.0
     elif cpu > 100.0:
         cpu = 100.0
-    return confidences, cpu, profile.inference_time_ms
+    return confidences, cpu, inference_time_ms
 
 
 def default_profiles() -> tuple[ModelProfile, ...]:
@@ -360,8 +357,7 @@ def default_profiles() -> tuple[ModelProfile, ...]:
     )
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     """Parsed experiment config: trace, model profiles, leftover sections."""
 
     trace: TraceConfig
@@ -380,6 +376,14 @@ def _finite_float(raw: str) -> float:
     return value
 
 
+def _bool(raw: str) -> bool:
+    # configparser is imported here and in parse_config, not with the module:
+    # a run without a config file never needs it.
+    import configparser
+
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+
+
 # How an INI value becomes its field's type: a float must be finite (nan
 # slips past the one-sided range checks and inf overflows the arithmetic
 # downstream), a bool takes the words configparser knows (true/false, yes/no,
@@ -387,7 +391,7 @@ def _finite_float(raw: str) -> float:
 _PARSERS: dict[type, Callable[[str], Any]] = {
     int: int,
     float: _finite_float,
-    bool: lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()],
+    bool: _bool,
     tuple: lambda raw: tuple(part.strip() for part in raw.split(",") if part.strip()),
 }
 
@@ -400,7 +404,7 @@ def section_kwargs(
     defaults: Mapping[str, Any] = {},
     overrides: Mapping[str, Any] = {},
 ) -> dict[str, Any]:
-    """Typed keyword arguments for the config dataclass cls from one INI section.
+    """Typed keyword arguments for the config NamedTuple cls from one INI section.
 
     The section's keys are the fields of cls but the ``fixed`` ones, and each
     value is parsed by its field's type. The mappings hold values the caller
@@ -410,7 +414,7 @@ def section_kwargs(
     missing required key or an unparsable value.
     """
     hints = get_type_hints(cls)
-    types = {f.name: hints[f.name] for f in fields(cls)}
+    types = {name: hints[name] for name in cls._fields}
     parsed = {}
     for key, value in raw.items():
         if key not in types or key in fixed:
@@ -423,9 +427,9 @@ def section_kwargs(
             raise ConfigError(f"[{section}] {key}: expected {expected}: {value!r}") from None
     merged = {**defaults, **parsed, **overrides, **fixed}
     kwargs = {key: value for key, value in merged.items() if key in types}
-    for f in fields(cls):
-        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"[{section}] {f.name}: missing")
+    for name in cls._fields:
+        if name not in kwargs and name not in cls._field_defaults:
+            raise ConfigError(f"[{section}] {name}: missing")
     return kwargs
 
 
@@ -443,6 +447,8 @@ def parse_config(path: str) -> SimConfig:
     or ``InvalidSchedule`` on other values out of range, and
     ``OSError`` if the file cannot be read.
     """
+    import configparser
+
     # Values are read as written (no %-interpolation), and [DEFAULT] is a plain section.
     parser = configparser.ConfigParser(default_section="", interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:

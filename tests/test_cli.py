@@ -413,3 +413,37 @@ def test_module_entry_point_runs_without_warnings() -> None:
     )
     assert done.returncode == 0
     assert done.stderr == b""
+
+
+# Run in a fresh interpreter without site (-S), so that only the import
+# under test loads modules. It prints the start-up-heavy modules the import
+# left loaded, then the modules a short run_experiment loaded on top of it.
+_IMPORT_PROBE = """
+import sys
+import modelswitch.cli
+print(sorted({"dataclasses", "inspect", "argparse", "configparser"} & set(sys.modules)))
+import configparser  # the config file below needs it
+before = set(sys.modules)
+modelswitch.cli.run_experiment("epsilon-greedy", sys.argv[2], config_path=sys.argv[1])
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_importing_the_cli_loads_no_start_up_heavy_module(tmp_path) -> None:
+    config = tmp_path / "short.ini"
+    config.write_text("[trace]\nduration_s = 2\n\n[segment.1]\nstart_s = 0\n"
+                      "mean_objects = 3\ncomplexity = 0.1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, str(config), str(tmp_path / "run")],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    heavy, loaded_by_run = done.stdout.splitlines()
+    assert heavy == "[]"
+    # What a run needs is imported with the package, not on first use, so its
+    # cost shows as start-up and not inside a run.
+    assert loaded_by_run == "[]"

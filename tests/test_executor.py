@@ -7,7 +7,8 @@ from random import Random
 import pytest
 
 from modelswitch.domain import SelectionDecision, SelectionMode
-from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor, ExecutorState
+from modelswitch.cli import summarize
+from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor
 from modelswitch.knowledge import (
     METRICS_FILENAME,
     LogRegistry,
@@ -15,6 +16,7 @@ from modelswitch.knowledge import (
     UnknownModel,
     load_metrics_csv,
 )
+from modelswitch.loop import LoopResult
 from modelswitch.monitor import MetricsWindow, Monitor
 from modelswitch.sim import ModelProfile, synth_inference
 
@@ -46,6 +48,11 @@ def _executor(active: str, rng: Random, repo: ModelRepository | None = None) -> 
     repo = repo or _repo()
     monitor = Monitor(repo.ids(), LogRegistry(StringIO(), StringIO()))
     return Executor(repo, monitor, rng, initial_model=active)
+
+
+def _state(executor: Executor) -> tuple[str, float, int]:
+    """The live model and the switch totals, which a run's LoopResult copies."""
+    return executor.active, executor.cumulative_switch_time_ms, executor.switch_count
 
 
 def _infer(
@@ -80,11 +87,11 @@ def _count_lookups(monkeypatch: pytest.MonkeyPatch) -> list[str]:
 def test_same_model_selection_is_a_free_no_op(monkeypatch) -> None:
     rng = Random(0)
     executor = _executor("small", rng)
-    state = executor.state
+    state = _state(executor)
     looked_up = _count_lookups(monkeypatch)
     rng_state = rng.getstate()
     assert executor.apply(_decision("small", "small"), 10) is None
-    assert executor.state == state
+    assert _state(executor) == state
     assert looked_up == []
     assert rng.getstate() == rng_state
 
@@ -100,9 +107,9 @@ def test_switch_produces_event_and_accounting(monkeypatch) -> None:
     assert event.from_model == "small"
     assert event.to_model == "large"
     assert executor.active == "large"
-    assert executor.state.switch_count == 1
-    assert executor.state.cumulative_switch_time_ms == pytest.approx(event.switch_time_ms)
-    assert executor.state == ExecutorState("large", event.switch_time_ms, 1)
+    assert executor.switch_count == 1
+    assert executor.cumulative_switch_time_ms == pytest.approx(event.switch_time_ms)
+    assert _state(executor) == ("large", event.switch_time_ms, 1)
     # One lookup per switch; inference then runs on the kept profile.
     executor.run_inference(10, 3, 0.2, 0.0)
     assert monitor.windows["large"].last_frame == 10
@@ -132,16 +139,28 @@ def test_switch_latency_belongs_to_the_incoming_model() -> None:
 
 def test_unknown_selection_is_rejected() -> None:
     executor = _executor("small", Random(0))
-    state = executor.state
+    state = _state(executor)
     with pytest.raises(UnknownModel):
         executor.apply(_decision("ghost", "small"), 0)
-    assert executor.state == state
+    assert _state(executor) == state
 
 
 def test_average_switch_time_accounting() -> None:
-    assert ExecutorState(active="small").avg_switch_time_ms == 0.0
-    state = ExecutorState(active="small", cumulative_switch_time_ms=900.0, switch_count=3)
-    assert state.avg_switch_time_ms == pytest.approx(300.0)
+    def avg_switch_time_s(cumulative_switch_time_ms: float, switch_count: int) -> float:
+        result = LoopResult(
+            registry=LogRegistry(StringIO(), StringIO()),
+            active="small",
+            switch_count=switch_count,
+            cumulative_switch_time_ms=cumulative_switch_time_ms,
+            frames_total=0,
+            frames_processed=0,
+            frames_dropped=0,
+            decision_count=0,
+        )
+        return summarize(result, "naive", 0, ("small",)).avg_switch_time_s
+
+    assert avg_switch_time_s(0.0, 0) == 0.0
+    assert avg_switch_time_s(900.0, 3) == pytest.approx(0.3)
 
 
 def test_executor_rejects_unknown_initial_model() -> None:
