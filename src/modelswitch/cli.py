@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, get_args, get_type_hints
 
 from modelswitch.domain import checked
 from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR
@@ -83,7 +83,13 @@ class EngineConfig(NamedTuple):
 
 
 class RunSummary(NamedTuple):
-    """Aggregate outcome of one run, as written to summary.txt."""
+    """Aggregate outcome of one run, and the contract of summary.txt.
+
+    Each field is one ``key=value`` line, in field order, written and parsed
+    by its annotated type; a float is written with 6 decimals. A per-model
+    field is one line per model instead, keyed by its SUMMARY_PREFIXES prefix
+    and the model id.
+    """
 
     strategy: str
     seed: int
@@ -99,6 +105,15 @@ class RunSummary(NamedTuple):
     cumulative_switch_time_s: float
     usage_counts: dict[str, int]
     usage_shares: dict[str, float]
+
+
+# Per-model RunSummary field -> the prefix of its summary.txt keys.
+SUMMARY_PREFIXES = {"usage_counts": "usage_count.", "usage_shares": "usage_share."}
+# RunSummary field -> the type of its value, or of each model's value in a per-model field.
+_SUMMARY_TYPES = {
+    field: get_args(hint)[-1] if field in SUMMARY_PREFIXES else hint
+    for field, hint in get_type_hints(RunSummary).items()
+}
 
 
 def max_share(shares: dict[str, float]) -> float:
@@ -147,24 +162,11 @@ def summarize(result: LoopResult, strategy: str, seed: int, model_ids: tuple[str
 
 
 def write_summary(summary: RunSummary, path: Path) -> None:
-    lines = [
-        f"strategy={summary.strategy}",
-        f"seed={summary.seed}",
-        f"frames_total={summary.frames_total}",
-        f"frames_processed={summary.frames_processed}",
-        f"frames_dropped={summary.frames_dropped}",
-        f"decision_count={summary.decision_count}",
-        f"explore_count={summary.explore_count}",
-        f"switch_count={summary.switch_count}",
-        f"avg_cpu_pct={summary.avg_cpu_pct:.6f}",
-        f"avg_confidence_pct={summary.avg_confidence_pct:.6f}",
-        f"avg_switch_time_s={summary.avg_switch_time_s:.6f}",
-        f"cumulative_switch_time_s={summary.cumulative_switch_time_s:.6f}",
-    ]
-    for model, count in summary.usage_counts.items():
-        lines.append(f"usage_count.{model}={count}")
-    for model, share in summary.usage_shares.items():
-        lines.append(f"usage_share.{model}={share:.6f}")
+    lines = []
+    for field, value in zip(RunSummary._fields, summary):
+        text = "{:.6f}".format if _SUMMARY_TYPES[field] is float else str
+        items = value.items() if field in SUMMARY_PREFIXES else [("", value)]
+        lines += (f"{SUMMARY_PREFIXES.get(field, field)}{model}={text(v)}" for model, v in items)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -172,7 +174,9 @@ def write_summary(summary: RunSummary, path: Path) -> None:
         raise IoFailure(path, exc) from exc
 
 
-def read_summary(path: Path) -> dict[str, str]:
+def read_summary(path: Path) -> RunSummary:
+    """Parse a summary.txt back; MissingRun names the path and the first key
+    that is missing, unknown or unparsable."""
     if not path.is_file():
         raise MissingRun(str(path))
     try:
@@ -180,13 +184,28 @@ def read_summary(path: Path) -> dict[str, str]:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoFailure(path, exc) from exc
-    values: dict[str, str] = {}
-    for line in lines:
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        values[key] = value
-    return values
+    per_model = {prefix: field for field, prefix in SUMMARY_PREFIXES.items()}
+    values: dict[str, Any] = {field: {} for field in SUMMARY_PREFIXES}
+    for key, _, text in (line.partition("=") for line in lines if line):
+        head, dot, model = key.partition(".")
+        field = per_model.get(head + dot, key)
+        if field not in _SUMMARY_TYPES or (field in SUMMARY_PREFIXES) != bool(dot):
+            raise MissingRun(f"{path}: {key}: unknown key")
+        try:
+            value = _SUMMARY_TYPES[field](text)
+        except ValueError:
+            raise MissingRun(f"{path}: {key}: unparsable value {text!r}") from None
+        if dot:
+            values[field][model] = value
+        else:
+            values[field] = value
+    # Every per-model field covers every model that any of them names.
+    models = dict.fromkeys(model for field in SUMMARY_PREFIXES for model in values[field])
+    missing = [field for field in RunSummary._fields if field not in values]
+    missing += [p + m for f, p in SUMMARY_PREFIXES.items() for m in models if m not in values[f]]
+    if missing:
+        raise MissingRun(f"{path}: {missing[0]}: missing")
+    return RunSummary(**values)
 
 
 def _load_sim_config(config_path: str | None) -> SimConfig:
@@ -200,38 +219,32 @@ def _load_sim_config(config_path: str | None) -> SimConfig:
         raise ConfigError(f"{config_path}: {exc}") from exc
 
 
-def _run_values(
-    repo: ModelRepository, seed: int, epsilon: float | None
-) -> tuple[dict[str, Any], dict[str, Any], dict[str, Any]]:
-    """A run's own strategy config values, as section_kwargs's (fixed, defaults,
-    overrides): the planner draws from the trace seed + 1, naive's ladder
-    defaults to the repository order, and --epsilon beats the file."""
-    overrides = {} if epsilon is None else {"epsilon": epsilon}
-    return {"rng_seed": seed + 1}, {"model_order": repo.ids()}, overrides
-
-
 def build_strategy(
     name: str,
     repo: ModelRepository,
     extras: dict[str, dict[str, str]],
     seed: int,
     epsilon: float | None = None,
-) -> tuple[SelectionStrategy, int]:
-    """Construct the named strategy from its section; returns it plus the decision period."""
+) -> SelectionStrategy:
+    """Construct the named strategy from its section. The planner draws from the
+    trace seed + 1, naive's ladder defaults to the repository order, and
+    epsilon, when given, beats the file."""
     if name not in STRATEGIES:
         raise UnknownStrategy(name)
     config_cls, strategy_cls = STRATEGIES[name]
-    section = extras.get(name, {})
-    kwargs = section_kwargs(name, section, config_cls, *_run_values(repo, seed, epsilon))
+    overrides = {} if epsilon is None else {"epsilon": epsilon}
+    kwargs = section_kwargs(
+        name, extras.get(name, {}), config_cls,
+        {"rng_seed": seed + 1}, {"model_order": repo.ids()}, overrides,
+    )
     # A comma list in a strategy section is a ladder over the whole repository.
     for key, value in kwargs.items():
         if isinstance(value, tuple) and sorted(value) != sorted(repo.ids()):
             raise ConfigError(f"[{name}] {key} must permute the repository: {value}")
     try:
-        strategy = strategy_cls(config_cls(**kwargs))
+        return strategy_cls(config_cls(**kwargs))
     except ValueError as exc:
         raise ConfigError(f"[{name}] {exc}") from exc
-    return strategy, strategy.decision_period
 
 
 def run_experiment(
@@ -262,7 +275,7 @@ def run_experiment(
     built = {n: build_strategy(n, repo, extras, effective_seed, epsilon) for n in STRATEGIES}
     if strategy not in built:
         raise UnknownStrategy(strategy)
-    planner, decision_period = built[strategy]
+    planner = built[strategy]
     trace = generate_trace(trace_config)
     out = Path(out_dir)
     summary_path = out / SUMMARY_FILENAME
@@ -280,7 +293,7 @@ def run_experiment(
                 planner,
                 registry=LogRegistry(metrics_out, events_out),
                 inference_seed=effective_seed + 2,
-                decision_period=decision_period,
+                decision_period=planner.decision_period,
                 window_capacity=engine.window_capacity,
                 confidence_floor=engine.confidence_floor,
             )
@@ -312,59 +325,33 @@ def compare(run_dirs: list[Path | str]) -> str:
     """Side-by-side report over completed runs; row order is deterministic."""
     if len(run_dirs) < 2:
         raise ConfigError("compare needs at least two run directories")
-    rows = []
-    for run_dir in run_dirs:
-        values = read_summary(Path(run_dir) / SUMMARY_FILENAME)
-        try:
-            rows.append(
-                {
-                    "label": values["strategy"],
-                    "seed": int(values["seed"]),
-                    "frames": int(values["frames_processed"]),
-                    "cpu": float(values["avg_cpu_pct"]),
-                    "accuracy": float(values["avg_confidence_pct"]),
-                    "switch_s": float(values["avg_switch_time_s"]),
-                    "shares": {
-                        key.split(".", 1)[1]: float(val)
-                        for key, val in values.items()
-                        if key.startswith("usage_share.")
-                    },
-                }
-            )
-        except (KeyError, ValueError) as exc:
-            raise MissingRun(f"{run_dir}: incomplete summary ({exc})") from exc
-    rows.sort(key=lambda r: (r["label"], r["seed"]))
-
-    header = (
-        "approach",
-        "frames processed",
-        "avg cpu (%)",
-        "avg accuracy (%)",
-        "avg switch time (s)",
-        "battery (mAh)",
+    summaries = sorted(
+        (read_summary(Path(run_dir) / SUMMARY_FILENAME) for run_dir in run_dirs),
+        key=lambda summary: (summary.strategy, summary.seed),
     )
+    header = ("approach", "frames processed", "avg cpu (%)", "avg accuracy (%)",
+              "avg switch time (s)", "battery (mAh)")
     table = [header]
-    for row in rows:
-        table.append(
-            (
-                row["label"],
-                str(row["frames"]),
-                f"{row['cpu']:.2f}",
-                f"{row['accuracy']:.2f}",
-                f"{row['switch_s']:.3f}",
-                BATTERY_PLACEHOLDER,
-            )
-        )
+    for summary in summaries:
+        table.append((
+            summary.strategy,
+            str(summary.frames_processed),
+            f"{summary.avg_cpu_pct:.2f}",
+            f"{summary.avg_confidence_pct:.2f}",
+            f"{summary.avg_switch_time_s:.3f}",
+            BATTERY_PLACEHOLDER,
+        ))
     widths = [max(len(line[col]) for line in table) for col in range(len(header))]
     rendered = []
     for line in table:
         rendered.append("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
     rendered.append("")
     rendered.append("fairness (usage distribution):")
-    for row in rows:
+    for summary in summaries:
+        shares = summary.usage_shares
         rendered.append(
-            f"  {row['label']:<20} max-share={max_share(row['shares']):.4f}"
-            f"  entropy={normalized_entropy(row['shares']):.4f}"
+            f"  {summary.strategy:<20} max-share={max_share(shares):.4f}"
+            f"  entropy={normalized_entropy(shares):.4f}"
         )
     return "\n".join(rendered)
 

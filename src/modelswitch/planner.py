@@ -129,7 +129,6 @@ def rank_models_by_cpu(
 class SelectionStrategy:
     """Common face of all planners."""
 
-    name = "strategy"
     # Processed frames between two decisions; the runner passes it to run_loop.
     decision_period: int = 1
 
@@ -155,8 +154,6 @@ class EpsilonGreedyStrategy(SelectionStrategy):
     nothing to explore) it exploits the minimum score.
     """
 
-    name = "epsilon-greedy"
-
     def __init__(self, config: PlannerConfig = PlannerConfig()):
         self.config = config
         self.decision_period = config.decision_period
@@ -180,8 +177,6 @@ class NaiveThresholdStrategy(SelectionStrategy):
     """Two-threshold policy on the active model's latest frame: step lighter
     on high CPU, heavier on low confidence, otherwise stay. Clamps at both
     ends of model_order."""
-
-    name = "naive"
 
     def __init__(self, config: NaiveConfig):
         self.config = config
@@ -213,8 +208,6 @@ class RoundRobinBoostStrategy(SelectionStrategy):
     at its first decision in each boost period, before it picks; between
     refreshes the rank is deliberately stale.
     """
-
-    name = "round-robin-boost"
 
     def __init__(self, config: RoundRobinBoostConfig = RoundRobinBoostConfig()):
         self.config = config

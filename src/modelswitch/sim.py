@@ -68,6 +68,9 @@ class ModelProfile(NamedTuple):
     def _check(self) -> None:
         if not self.model:
             raise ValueError("model id must be non-empty")
+        # The id is a field of metrics.csv and events.csv and part of a summary.txt key.
+        if "," in self.model or "=" in self.model:
+            raise ValueError(f"model id must not contain ',' or '=': {self.model!r}")
         if not 0.0 <= self.base_cpu_pct <= 100.0:
             raise ValueError(f"base_cpu_pct out of range: {self.base_cpu_pct}")
         if self.cpu_per_object_pct < 0.0:
@@ -442,10 +445,10 @@ def parse_config(path: str) -> SimConfig:
     ``[model.<id>]`` (ModelProfile's fields but the id, all required). Any
     other section is passed through untouched for the caller. Missing
     sections fall back to the built-in defaults. Raises ConfigError on a
-    malformed file, an unknown or missing key, an unparsable value or a
-    segment that breaks the schedule (naming its section), ``ValueError``
-    or ``InvalidSchedule`` on other values out of range, and
-    ``OSError`` if the file cannot be read.
+    malformed file, an unknown or missing key, an unparsable value, a
+    segment that breaks the schedule or a model profile out of range (naming
+    its section), ``ValueError`` or ``InvalidSchedule`` on other values out
+    of range, and ``OSError`` if the file cannot be read.
     """
     import configparser
 
@@ -473,14 +476,14 @@ def parse_config(path: str) -> SimConfig:
         for name in segment_names
     )
     model_names = [name for name in sections if name.startswith("model.")]
-    profiles = tuple(
-        ModelProfile(
-            **section_kwargs(
-                name, sections.pop(name), ModelProfile, fixed={"model": name.split(".", 1)[1]}
-            )
-        )
-        for name in model_names
-    )
+    profiles = []
+    for name in model_names:
+        model_id = name.split(".", 1)[1]
+        kwargs = section_kwargs(name, sections.pop(name), ModelProfile, {"model": model_id})
+        try:
+            profiles.append(ModelProfile(**kwargs))
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {exc}") from exc
     fixed = {"segments": segments or default_segments()}
     trace_kwargs = section_kwargs("trace", sections.pop("trace", {}), TraceConfig, fixed)
     try:
@@ -489,4 +492,4 @@ def parse_config(path: str) -> SimConfig:
         if not segments:  # the file's duration cuts the built-in schedule short
             raise
         raise ConfigError(f"[{segment_names[exc.position]}] {exc}") from exc
-    return SimConfig(trace=trace, profiles=profiles or default_profiles(), extras=sections)
+    return SimConfig(trace=trace, profiles=tuple(profiles) or default_profiles(), extras=sections)

@@ -4,15 +4,19 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelswitch.cli import (
     STRATEGY_NAMES,
     SUMMARY_FILENAME,
     ConfigError,
     MissingRun,
+    RunSummary,
     UnknownStrategy,
     build_strategy,
     compare,
@@ -86,13 +90,13 @@ def test_max_share_and_entropy_edges() -> None:
 
 def test_build_strategy_constructs_each_kind() -> None:
     repo = _repo()
-    strategy, period = build_strategy("epsilon-greedy", repo, {}, seed=3)
+    strategy = build_strategy("epsilon-greedy", repo, {}, seed=3)
     assert isinstance(strategy, EpsilonGreedyStrategy)
-    assert period == 1
-    strategy, _ = build_strategy("naive", repo, {}, seed=3)
+    assert strategy.decision_period == 1
+    strategy = build_strategy("naive", repo, {}, seed=3)
     assert isinstance(strategy, NaiveThresholdStrategy)
     assert strategy.config.model_order == repo.ids()
-    strategy, _ = build_strategy("round-robin-boost", repo, {}, seed=3)
+    strategy = build_strategy("round-robin-boost", repo, {}, seed=3)
     assert isinstance(strategy, RoundRobinBoostStrategy)
 
 
@@ -103,10 +107,10 @@ def test_build_strategy_rejects_unknown_name() -> None:
 
 def test_build_strategy_epsilon_argument_wins_over_config() -> None:
     extras = {"epsilon-greedy": {"epsilon": "0.5"}}
-    strategy, _ = build_strategy("epsilon-greedy", _repo(), extras, seed=0, epsilon=0.25)
+    strategy = build_strategy("epsilon-greedy", _repo(), extras, seed=0, epsilon=0.25)
     assert isinstance(strategy, EpsilonGreedyStrategy)
     assert strategy.config.epsilon == 0.25
-    strategy, _ = build_strategy("epsilon-greedy", _repo(), extras, seed=0)
+    strategy = build_strategy("epsilon-greedy", _repo(), extras, seed=0)
     assert strategy.config.epsilon == 0.5
 
 
@@ -176,23 +180,79 @@ def test_zero_epsilon_run_never_explores(small_config, tmp_path) -> None:
     assert summary.explore_count == 0
 
 
+_FLOAT_FIELDS = ("avg_cpu_pct", "avg_confidence_pct", "avg_switch_time_s", "cumulative_switch_time_s")
+
+
+def _assert_read_back(read: RunSummary, written: RunSummary) -> None:
+    """Ints, strings and the per-model key order come back exactly; floats to the 6 decimals kept."""
+
+    def exact(summary: RunSummary) -> RunSummary:
+        return summary._replace(
+            **dict.fromkeys(_FLOAT_FIELDS),
+            usage_counts=list(summary.usage_counts.items()),
+            usage_shares=list(summary.usage_shares),
+        )
+
+    assert exact(read) == exact(written)
+    for field in _FLOAT_FIELDS:
+        assert getattr(read, field) == pytest.approx(getattr(written, field), abs=1e-6), field
+    assert list(read.usage_shares.values()) == pytest.approx(
+        list(written.usage_shares.values()), abs=1e-6
+    )
+
+
 def test_summary_file_round_trip(small_config, tmp_path) -> None:
     out = tmp_path / "run"
     summary = run_experiment("naive", out, config_path=small_config)
-    values = read_summary(out / SUMMARY_FILENAME)
-    assert values["strategy"] == "naive"
-    assert int(values["frames_processed"]) == summary.frames_processed
-    assert float(values["avg_switch_time_s"]) == pytest.approx(
-        summary.avg_switch_time_s, abs=1e-6
-    )
-    share_keys = [k for k in values if k.startswith("usage_share.")]
-    assert len(share_keys) == len(summary.usage_shares)
+    written = (out / SUMMARY_FILENAME).read_bytes()
+    read = read_summary(out / SUMMARY_FILENAME)
+    _assert_read_back(read, summary)
 
     rewritten = tmp_path / "copy.txt"
     write_summary(summary, rewritten)
-    assert rewritten.read_text(encoding="utf-8") == (out / SUMMARY_FILENAME).read_text(
-        encoding="utf-8"
+    assert rewritten.read_bytes() == written
+    write_summary(read, rewritten)
+    assert rewritten.read_bytes() == written
+
+
+# Model ids as a config file may name them: ".", "%" and non-ASCII included,
+# but none of the line breaks, "," or "=" that the output files cannot hold.
+_MODEL_IDS = st.text(alphabet="ab09-_.%éß日µ", min_size=1, max_size=8)
+_COUNTS = st.one_of(st.just(0), st.integers(1, 10**9))
+_FIGURES = st.floats(0.0, 1e6)
+
+
+@st.composite
+def _summaries(draw) -> RunSummary:
+    models = draw(st.lists(_MODEL_IDS, min_size=1, max_size=4, unique=True))
+    return RunSummary(
+        strategy=draw(st.sampled_from(STRATEGY_NAMES)),
+        seed=draw(st.integers(0, 2**63)),
+        frames_total=draw(_COUNTS),
+        frames_processed=draw(_COUNTS),
+        frames_dropped=draw(_COUNTS),
+        decision_count=draw(_COUNTS),
+        explore_count=draw(_COUNTS),
+        switch_count=draw(_COUNTS),
+        avg_cpu_pct=draw(_FIGURES),
+        avg_confidence_pct=draw(_FIGURES),
+        avg_switch_time_s=draw(_FIGURES),
+        cumulative_switch_time_s=draw(_FIGURES),
+        usage_counts={model: draw(_COUNTS) for model in models},
+        usage_shares={model: draw(st.floats(0.0, 1.0)) for model in models},
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(summary=_summaries())
+def test_summary_written_read_and_written_again_keeps_every_byte(summary) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.txt", Path(tmp) / "second.txt"
+        write_summary(summary, first)
+        read = read_summary(first)
+        write_summary(read, second)
+        assert second.read_bytes() == first.read_bytes()
+    _assert_read_back(read, summary)
 
 
 def test_compare_lists_runs_in_stable_order(small_config, tmp_path) -> None:
@@ -232,6 +292,22 @@ def test_compare_rejects_missing_or_incomplete_runs(small_config, tmp_path) -> N
     (broken / SUMMARY_FILENAME).write_text("strategy=naive\n", encoding="utf-8")
     with pytest.raises(MissingRun):
         compare([done, broken])
+
+    # Every key is required, and a bad line is named by its key.
+    lines = (done / SUMMARY_FILENAME).read_text(encoding="utf-8").splitlines()
+    keys = [line.partition("=")[0] for line in lines]
+    cases = [(key, lines[:i] + lines[i + 1:], "missing") for i, key in enumerate(keys)]
+    cases += [
+        (key, lines[:i] + [f"{key}=x"] + lines[i + 1:], "unparsable value 'x'")
+        for i, key in enumerate(keys)
+        if key != "strategy"  # any text is a strategy name
+    ]
+    cases.append(("colour", lines + ["colour=red"], "unknown key"))
+    for key, edited, problem in cases:
+        (broken / SUMMARY_FILENAME).write_text("\n".join(edited) + "\n", encoding="utf-8")
+        with pytest.raises(MissingRun) as caught:
+            compare([done, broken])
+        assert str(caught.value) == f"{broken / SUMMARY_FILENAME}: {key}: {problem}"
 
 
 def test_main_run_and_compare_round_trip(small_config, tmp_path, capsys) -> None:
@@ -354,21 +430,36 @@ def test_main_accepts_engine_settings_at_their_limits(tmp_path) -> None:
     assert (out / SUMMARY_FILENAME).is_file()
 
 
+def _model_section(model_id: str) -> str:
+    return (
+        f"\n[model.{model_id}]\nbase_cpu_pct = 14\ncpu_per_object_pct = 0.3\n"
+        "base_confidence = 0.6\nconfidence_noise_sd = 0.05\ndetection_recall = 0.9\n"
+        "switch_latency_ms = 300\ninference_time_ms = 40\n"
+    )
+
+
 def test_main_writes_a_model_id_holding_a_percent_sign(tmp_path) -> None:
     """A metrics row is formatted through a % template; the id's own % must come out as is."""
     config = tmp_path / "odd.ini"
-    config.write_text(
-        SMALL_CONFIG
-        + "\n[model.odd%id]\nbase_cpu_pct = 14\ncpu_per_object_pct = 0.3\n"
-        "base_confidence = 0.6\nconfidence_noise_sd = 0.05\ndetection_recall = 0.9\n"
-        "switch_latency_ms = 300\ninference_time_ms = 40\n",
-        encoding="utf-8",
-    )
+    config.write_text(SMALL_CONFIG + _model_section("odd%id"), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["run", "--strategy", "naive", "--config", str(config), "--out", str(out)]) == 0
     rows = (out / METRICS_FILENAME).read_text(encoding="utf-8").splitlines()[1:]
     assert rows
     assert all(row.split(",")[2] == "odd%id" for row in rows)
+
+
+# A "," would split a CSV row and an "=" a summary.txt line.
+@pytest.mark.parametrize("model_id", ["a=b", "c,d"])
+def test_main_rejects_a_model_id_that_breaks_the_output_files(model_id, tmp_path, capsys) -> None:
+    config = tmp_path / "odd.ini"
+    config.write_text(SMALL_CONFIG + _model_section(model_id), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--strategy", "naive", "--config", str(config), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config}: [model.{model_id}] ")
+    assert not out.exists()
 
 
 def test_default_ini_matches_the_built_in_defaults() -> None:
@@ -380,9 +471,10 @@ def test_default_ini_matches_the_built_in_defaults() -> None:
     assert float(engine["confidence_floor"]) == DEFAULT_CONFIDENCE_FLOOR
     repo = ModelRepository(config.profiles)
     for name in STRATEGY_NAMES:
-        from_file, period = build_strategy(name, repo, config.extras, seed=1)
-        built_in, built_in_period = build_strategy(name, repo, {}, seed=1)
-        assert (from_file.config, period) == (built_in.config, built_in_period)
+        from_file = build_strategy(name, repo, config.extras, seed=1)
+        built_in = build_strategy(name, repo, {}, seed=1)
+        assert from_file.config == built_in.config
+        assert from_file.decision_period == built_in.decision_period
 
 
 def test_main_reports_io_errors_as_exit_two(tmp_path) -> None:

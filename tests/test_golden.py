@@ -2,7 +2,8 @@
 
 Each case runs one strategy at seed 12345 on a 120 s trace whose three
 default segments are scaled to fit (7,200 frames), and compares the SHA-256
-of metrics.csv, events.csv and summary.txt with the pinned values. A change
+of metrics.csv, events.csv and summary.txt with the pinned values. The
+``compare`` report over the three default-strategy runs is pinned the same way. A change
 that is meant to keep behaviour (a refactor or an optimisation) must leave
 every digest as it is; a change that moves one changes the simulation.
 """
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from modelswitch.cli import run_experiment
+from modelswitch.cli import STRATEGY_NAMES, compare, run_experiment
 from modelswitch.sim import DEFAULT_DURATION_S, DEFAULT_SEED, default_segments
 
 DURATION_S = 120.0
@@ -124,6 +125,11 @@ GOLDEN = {
 }
 
 
+# SHA-256 of the compare report (as compare returns it, UTF-8) over the
+# "epsilon-greedy", "naive" and "round-robin-boost" cases above.
+COMPARE_DIGEST = "ee3b00ed0b50a07e1672bd1c4edc717f14a353d7303a8bff21a7c93b9387b01a"
+
+
 def _short_trace_config(extra: str) -> str:
     scale = DURATION_S / DEFAULT_DURATION_S
     lines = ["[trace]", f"duration_s = {DURATION_S!r}", ""]
@@ -147,3 +153,13 @@ def test_short_run_outputs_match_pinned_digests(case: str, tmp_path: Path) -> No
     run_experiment(strategy, out, config_path=str(config), seed=DEFAULT_SEED)
     actual = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
     assert actual == pinned
+
+
+def test_compare_over_the_default_runs_matches_its_pinned_digest(tmp_path: Path) -> None:
+    config = tmp_path / "short.ini"
+    config.write_text(_short_trace_config(""), encoding="utf-8")
+    run_dirs = [tmp_path / strategy for strategy in STRATEGY_NAMES]
+    for strategy, out in zip(STRATEGY_NAMES, run_dirs):
+        run_experiment(strategy, out, config_path=str(config), seed=DEFAULT_SEED)
+    report = compare(run_dirs)
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == COMPARE_DIGEST

@@ -119,13 +119,13 @@ def test_written_run_agrees_with_its_summary(
         metrics_rows = load_metrics_csv(directory / "run" / METRICS_FILENAME)
         event_rows = load_events_csv(directory / "run" / EVENTS_FILENAME)
 
-    total = int(summary["frames_total"])
-    processed = int(summary["frames_processed"])
+    total = summary.frames_total
+    processed = summary.frames_processed
     assert total == returned.frames_total == fps * duration_s
-    assert processed + int(summary["frames_dropped"]) == total
+    assert processed + summary.frames_dropped == total
     assert len(metrics_rows) == processed
-    usage = {k.split(".", 1)[1]: int(v) for k, v in summary.items() if k.startswith("usage_count.")}
-    assert list(usage) == [f"m{i}" for i in range(len(profiles))]
+    usage = summary.usage_counts
+    assert list(usage) == list(summary.usage_shares) == [f"m{i}" for i in range(len(profiles))]
     assert sum(usage.values()) == processed
     assert Counter(metrics.model for _, metrics in metrics_rows) == +Counter(usage)
     blind = {f"m{i}" for i, profile in enumerate(profiles) if profile[1] == 0.0}
@@ -136,19 +136,19 @@ def test_written_run_agrees_with_its_summary(
     )
 
     decisions = [row for row in event_rows if row["event_type"] == "decision"]
-    assert len(decisions) == int(summary["decision_count"])
-    assert sum(row["mode"] == "explore" for row in decisions) == int(summary["explore_count"])
+    assert len(decisions) == summary.decision_count
+    assert sum(row["mode"] == "explore" for row in decisions) == summary.explore_count
     switches = [row for row in event_rows if row["event_type"] == "switch"]
-    assert len(switches) == int(summary["switch_count"])
+    assert len(switches) == summary.switch_count
 
     clock = [sim_time_ms for sim_time_ms, _ in metrics_rows]
     assert all(earlier <= later for earlier, later in zip(clock, clock[1:]))
 
     # The averages the summary folded online are those of the rows written, up to
     # the 4 decimals a row keeps and the 6 the summary keeps.
-    assert float(summary["avg_cpu_pct"]) == pytest.approx(
+    assert summary.avg_cpu_pct == pytest.approx(
         sum(m.cpu_usage for _, m in metrics_rows) / processed, abs=6e-5
     )
-    assert float(summary["avg_confidence_pct"]) == pytest.approx(
+    assert summary.avg_confidence_pct == pytest.approx(
         100.0 * sum(m.confidence_score for _, m in metrics_rows) / processed, abs=6e-3
     )
