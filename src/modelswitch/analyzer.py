@@ -19,14 +19,10 @@ from collections.abc import Iterator, Mapping
 from modelswitch.domain import ModelId
 from modelswitch.monitor import MetricsWindow
 
-# Read in place of a score when the current confidence is zero: the
-# largest finite float, so exploitation can never prefer the model while
+# The score of a frame with zero confidence, where the ratio is undefined:
+# the largest finite float, so exploitation can never prefer the model while
 # exploration may still visit it.
 ZERO_CONFIDENCE_SCORE = sys.float_info.max
-
-
-class ZeroConfidence(Exception):
-    """Score undefined: the frame carried no detection confidence."""
 
 
 def compute_score(
@@ -34,11 +30,12 @@ def compute_score(
 ) -> float:
     """Score one model from its latest frame and its window averages.
 
-    A zero CPU factor scores 0.0 outright: the ratio can overflow to
-    infinity (a subnormal current confidence), and 0 * inf is NaN.
+    A zero current confidence scores ZERO_CONFIDENCE_SCORE. A zero CPU
+    factor scores 0.0 outright: the ratio can overflow to infinity (a
+    subnormal current confidence), and 0 * inf is NaN.
     """
     if current_confidence == 0.0:
-        raise ZeroConfidence()
+        return ZERO_CONFIDENCE_SCORE
     cpu = min(current_cpu, avg_cpu)
     if cpu == 0.0:
         return 0.0
@@ -65,10 +62,7 @@ class Scores(Mapping[ModelId, float]):
             return cached[1]
         cpus, confidences = window.cpus, window.confidences
         n = len(cpus)
-        try:
-            value = compute_score(cpus[-1], confidences[-1], sum(cpus) / n, sum(confidences) / n)
-        except ZeroConfidence:
-            value = ZERO_CONFIDENCE_SCORE
+        value = compute_score(cpus[-1], confidences[-1], sum(cpus) / n, sum(confidences) / n)
         self._cache[model] = (last_frame, value)
         return value
 

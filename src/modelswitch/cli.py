@@ -13,8 +13,6 @@ import sys
 from pathlib import Path
 from typing import Any, NamedTuple, get_args, get_type_hints
 
-from modelswitch.domain import checked
-from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR
 from modelswitch.knowledge import (
     EVENTS_FILENAME,
     METRICS_FILENAME,
@@ -22,8 +20,7 @@ from modelswitch.knowledge import (
     LogRegistry,
     ModelRepository,
 )
-from modelswitch.loop import LoopResult, run_loop
-from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY
+from modelswitch.loop import EngineConfig, LoopResult, run_loop
 from modelswitch.planner import (
     EpsilonGreedyStrategy,
     NaiveConfig,
@@ -36,13 +33,12 @@ from modelswitch.planner import (
 from modelswitch.sim import (
     DEFAULT_SEED,
     ConfigError,
-    InvalidSchedule,
     SimConfig,
     TraceConfig,
     default_profiles,
     generate_trace,
     parse_config,
-    section_kwargs,
+    read_section,
 )
 
 SUMMARY_FILENAME = "summary.txt"
@@ -66,20 +62,6 @@ class UnknownStrategy(Exception):
 
 class MissingRun(Exception):
     """A run directory lacks the files of a completed run."""
-
-
-@checked
-class EngineConfig(NamedTuple):
-    """Loop settings shared by every strategy: the [engine] section."""
-
-    window_capacity: int = DEFAULT_WINDOW_CAPACITY
-    confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR
-
-    def _check(self) -> None:
-        if self.window_capacity < 1:
-            raise ValueError(f"window_capacity must be at least 1: {self.window_capacity}")
-        if not 0.0 <= self.confidence_floor <= 1.0:
-            raise ValueError(f"confidence_floor must lie in [0, 1]: {self.confidence_floor}")
 
 
 class RunSummary(NamedTuple):
@@ -215,7 +197,7 @@ def _load_sim_config(config_path: str | None) -> SimConfig:
         return parse_config(config_path)
     except OSError as exc:
         raise IoFailure(config_path, exc) from exc
-    except (InvalidSchedule, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{config_path}: {exc}") from exc
 
 
@@ -233,18 +215,15 @@ def build_strategy(
         raise UnknownStrategy(name)
     config_cls, strategy_cls = STRATEGIES[name]
     overrides = {} if epsilon is None else {"epsilon": epsilon}
-    kwargs = section_kwargs(
+    config = read_section(
         name, extras.get(name, {}), config_cls,
         {"rng_seed": seed + 1}, {"model_order": repo.ids()}, overrides,
     )
     # A comma list in a strategy section is a ladder over the whole repository.
-    for key, value in kwargs.items():
+    for key, value in config._asdict().items():
         if isinstance(value, tuple) and sorted(value) != sorted(repo.ids()):
             raise ConfigError(f"[{name}] {key} must permute the repository: {value}")
-    try:
-        return strategy_cls(config_cls(**kwargs))
-    except ValueError as exc:
-        raise ConfigError(f"[{name}] {exc}") from exc
+    return strategy_cls(config)
 
 
 def run_experiment(
@@ -266,11 +245,7 @@ def run_experiment(
     if trace_config.total_frames == 0:
         raise ConfigError("[trace] fps * duration_s rounds to 0 frames")
     repo = ModelRepository(sim_config.profiles)
-    engine_kwargs = section_kwargs(ENGINE_SECTION, extras.get(ENGINE_SECTION, {}), EngineConfig)
-    try:
-        engine = EngineConfig(**engine_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[{ENGINE_SECTION}] {exc}") from exc
+    engine = read_section(ENGINE_SECTION, extras.get(ENGINE_SECTION, {}), EngineConfig)
     # Every strategy's section is checked, whichever one runs.
     built = {n: build_strategy(n, repo, extras, effective_seed, epsilon) for n in STRATEGIES}
     if strategy not in built:
@@ -293,9 +268,7 @@ def run_experiment(
                 planner,
                 registry=LogRegistry(metrics_out, events_out),
                 inference_seed=effective_seed + 2,
-                decision_period=planner.decision_period,
-                window_capacity=engine.window_capacity,
-                confidence_floor=engine.confidence_floor,
+                engine=engine,
             )
     except OSError as exc:  # a write error carries no file name; the run directory stands in
         raise IoFailure(exc.filename or out, exc) from exc
@@ -398,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
                 except OSError as exc:
                     raise IoFailure(args.out, exc) from exc
         return 0
-    except (ConfigError, UnknownStrategy, InvalidSchedule) as exc:
+    except (ConfigError, UnknownStrategy) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (IoFailure, MissingRun, OSError) as exc:

@@ -1,13 +1,13 @@
 """The adaptation loop: monitor, analyze, plan, execute over one trace.
 
-Frames arrive at the trace's own rate. Every decision_period processed
-frames the strategy is consulted with the frame index, the active model
-and one RunView built for the whole run; if it switches models, the switch
-latency is paid on the simulated clock and the frames that arrive inside
-that window are dropped unprocessed. Each processed frame is recorded by
-the monitor; the view hands out the monitor's windows themselves and
-scores a model when the strategy reads its score, so the next decision
-sees the frame.
+Frames arrive at the trace's own rate. Every ``strategy.decision_period``
+processed frames, starting with the first, the strategy is consulted with
+the frame index, the active model and one RunView built for the whole run;
+if it switches models, the switch latency is paid on the simulated clock
+and the frames that arrive inside that window are dropped unprocessed.
+Each processed frame is recorded by the monitor; the view hands out the
+monitor's windows themselves and scores a model when the strategy reads
+its score, so the next decision sees the frame.
 
 A processed frame travels as scalars: the loop reads its object count and
 complexity from the trace and hands them, with its index and clock, to the
@@ -20,12 +20,26 @@ from random import Random
 from typing import NamedTuple
 
 from modelswitch.analyzer import Scores
-from modelswitch.domain import ModelId
+from modelswitch.domain import ModelId, checked
 from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor
 from modelswitch.knowledge import LogRegistry, ModelRepository
 from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY, Monitor
 from modelswitch.planner import RunView, SelectionStrategy
 from modelswitch.sim import Trace
+
+
+@checked
+class EngineConfig(NamedTuple):
+    """Loop settings shared by every strategy: the [engine] section."""
+
+    window_capacity: int = DEFAULT_WINDOW_CAPACITY
+    confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR
+
+    def _check(self) -> None:
+        if self.window_capacity < 1:
+            raise ValueError(f"window_capacity must be at least 1: {self.window_capacity}")
+        if not 0.0 <= self.confidence_floor <= 1.0:
+            raise ValueError(f"confidence_floor must lie in [0, 1]: {self.confidence_floor}")
 
 
 class LoopResult(NamedTuple):
@@ -49,28 +63,28 @@ def run_loop(
     *,
     registry: LogRegistry,
     inference_seed: int,
-    decision_period: int = 1,
-    window_capacity: int = DEFAULT_WINDOW_CAPACITY,
-    confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR,
-    initial_model: str | None = None,
+    engine: EngineConfig = EngineConfig(),
 ) -> LoopResult:
     """Drive one strategy across a trace, logging every row to registry as it is made.
 
-    The simulated clock runs at the trace's fps: frame f arrives at
-    f * 1000 / fps ms, shifted by the switch latency paid so far.
+    The run starts on the first registered model. The simulated clock runs
+    at the trace's fps: frame f arrives at f * 1000 / fps ms, shifted by the
+    switch latency paid so far.
     """
     if len(repo) == 0:
         raise ValueError("repository is empty")
+    # A config-built strategy's period is checked with its config; a custom one's is not.
+    decision_period = strategy.decision_period
     if decision_period < 1:
         raise ValueError(f"decision_period must be >= 1: {decision_period}")
-    monitor = Monitor(repo.ids(), registry, capacity=window_capacity)
+    monitor = Monitor(repo.ids(), registry, capacity=engine.window_capacity)
     rng = Random(inference_seed)
     executor = Executor(
         repo,
         monitor,
         rng,
-        initial_model=initial_model or repo.ids()[0],
-        confidence_floor=confidence_floor,
+        initial_model=repo.ids()[0],
+        confidence_floor=engine.confidence_floor,
     )
 
     view = RunView(model_ids=repo.ids(), scores=Scores(monitor.windows), windows=monitor.windows)

@@ -31,8 +31,8 @@ DEFAULT_TIME_SLICE_FRAMES = 40
 DEFAULT_BOOST_PERIOD_FRAMES = 600
 
 
-class EmptyRepository(Exception):
-    """A decision was requested with no models to choose from."""
+class EmptyRepository(ValueError):
+    """A decision was requested, or a ladder given, with no models to choose from."""
 
 
 @checked
@@ -129,8 +129,8 @@ def rank_models_by_cpu(
 class SelectionStrategy:
     """Common face of all planners."""
 
-    # Processed frames between two decisions; the runner passes it to run_loop.
-    decision_period: int = 1
+    # Processed frames between two decisions; run_loop reads it once per run.
+    decision_period: int = DEFAULT_DECISION_PERIOD
 
     def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
         """Pick the model for frame_index; active is the model live now."""

@@ -73,17 +73,18 @@ class ModelProfile(NamedTuple):
             raise ValueError(f"model id must not contain ',' or '=': {self.model!r}")
         if not 0.0 <= self.base_cpu_pct <= 100.0:
             raise ValueError(f"base_cpu_pct out of range: {self.base_cpu_pct}")
-        if self.cpu_per_object_pct < 0.0:
+        # Each one-sided check is written so that nan fails it too.
+        if not self.cpu_per_object_pct >= 0.0:
             raise ValueError(f"negative cpu_per_object_pct: {self.cpu_per_object_pct}")
         if not 0.0 <= self.base_confidence <= 1.0:
             raise ValueError(f"base_confidence out of range: {self.base_confidence}")
-        if self.confidence_noise_sd < 0.0:
+        if not self.confidence_noise_sd >= 0.0:
             raise ValueError(f"negative confidence_noise_sd: {self.confidence_noise_sd}")
         if not 0.0 <= self.detection_recall <= 1.0:
             raise ValueError(f"detection_recall out of range: {self.detection_recall}")
-        if self.switch_latency_ms < 0.0:
+        if not self.switch_latency_ms >= 0.0:
             raise ValueError(f"negative switch_latency_ms: {self.switch_latency_ms}")
-        if self.inference_time_ms <= 0.0:
+        if not self.inference_time_ms > 0.0:
             raise ValueError(f"inference_time_ms must be positive: {self.inference_time_ms}")
 
 
@@ -117,7 +118,7 @@ class TraceConfig(NamedTuple):
     def _check(self) -> None:
         if self.fps <= 0:
             raise ValueError(f"fps must be positive: {self.fps}")
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ValueError(f"duration_s must be positive: {self.duration_s}")
         validate_segments(self.segments, self.duration_s)
 
@@ -132,12 +133,12 @@ def validate_segments(segments: Sequence[ScheduleSegment], duration_s: float) ->
     if segments[0].start_s != 0.0:
         raise InvalidSchedule(f"first segment must start at 0, got {segments[0].start_s}", 0)
     for i, (before, after) in enumerate(zip(segments, segments[1:]), 1):
-        if after.start_s <= before.start_s:
+        if not after.start_s > before.start_s:
             raise InvalidSchedule("segment starts must be strictly increasing", i)
     for i, seg in enumerate(segments):
         if seg.start_s >= duration_s:
             raise InvalidSchedule(f"segment start {seg.start_s} beyond duration {duration_s}", i)
-        if seg.mean_objects < 0.0:
+        if not seg.mean_objects >= 0.0:
             raise InvalidSchedule(f"negative mean_objects: {seg.mean_objects}", i)
         # Knuth's method stops at exp(-mean): past a mean of about 708.4 that is subnormal
         # or 0, and the draws no longer follow the mean (800 and 1e6 both average 745).
@@ -387,10 +388,10 @@ def _bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
 
-# How an INI value becomes its field's type: a float must be finite (nan
-# slips past the one-sided range checks and inf overflows the arithmetic
-# downstream), a bool takes the words configparser knows (true/false, yes/no,
-# on/off, 1/0), a tuple a comma list.
+# How an INI value becomes its field's type: a float must be finite (inf
+# overflows the arithmetic downstream, and a nan is refused here by its key
+# rather than by a range check), a bool takes the words configparser knows
+# (true/false, yes/no, on/off, 1/0), a tuple a comma list.
 _PARSERS: dict[type, Callable[[str], Any]] = {
     int: int,
     float: _finite_float,
@@ -399,22 +400,23 @@ _PARSERS: dict[type, Callable[[str], Any]] = {
 }
 
 
-def section_kwargs(
+def read_section(
     section: str,
     raw: Mapping[str, str],
     cls: type,
     fixed: Mapping[str, Any] = {},
     defaults: Mapping[str, Any] = {},
     overrides: Mapping[str, Any] = {},
-) -> dict[str, Any]:
-    """Typed keyword arguments for the config NamedTuple cls from one INI section.
+) -> Any:
+    """Build the config NamedTuple cls from one INI section.
 
     The section's keys are the fields of cls but the ``fixed`` ones, and each
     value is parsed by its field's type. The mappings hold values the caller
     supplies, and entries naming no field of cls are ignored: a section key
     wins over a default and loses to an override; a fixed field is no section
-    key. Raises ConfigError naming the section and key for an unknown key, a
-    missing required key or an unparsable value.
+    key. Raises ConfigError naming the section (and the key, where there is
+    one) for an unknown key, a missing required key, an unparsable value or a
+    value that cls's own check rejects with ValueError.
     """
     hints = get_type_hints(cls)
     types = {name: hints[name] for name in cls._fields}
@@ -433,7 +435,10 @@ def section_kwargs(
     for name in cls._fields:
         if name not in kwargs and name not in cls._field_defaults:
             raise ConfigError(f"[{section}] {name}: missing")
-    return kwargs
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def parse_config(path: str) -> SimConfig:
@@ -444,11 +449,10 @@ def parse_config(path: str) -> SimConfig:
     segment shares, orders them) and
     ``[model.<id>]`` (ModelProfile's fields but the id, all required). Any
     other section is passed through untouched for the caller. Missing
-    sections fall back to the built-in defaults. Raises ConfigError on a
-    malformed file, an unknown or missing key, an unparsable value, a
-    segment that breaks the schedule or a model profile out of range (naming
-    its section), ``ValueError`` or ``InvalidSchedule`` on other values out
-    of range, and ``OSError`` if the file cannot be read.
+    sections fall back to the built-in defaults. Raises ConfigError, naming
+    the section where there is one, on a malformed file, an unknown or
+    missing key, an unparsable value or a value out of range, and
+    ``OSError`` if the file cannot be read.
     """
     import configparser
 
@@ -472,24 +476,25 @@ def parse_config(path: str) -> SimConfig:
         numbered[number] = name
     segment_names = [name for _, name in sorted(numbered.items())]
     segments = tuple(
-        ScheduleSegment(**section_kwargs(name, sections.pop(name), ScheduleSegment))
-        for name in segment_names
+        read_section(name, sections.pop(name), ScheduleSegment) for name in segment_names
     )
-    model_names = [name for name in sections if name.startswith("model.")]
-    profiles = []
-    for name in model_names:
-        model_id = name.split(".", 1)[1]
-        kwargs = section_kwargs(name, sections.pop(name), ModelProfile, {"model": model_id})
-        try:
-            profiles.append(ModelProfile(**kwargs))
-        except ValueError as exc:
-            raise ConfigError(f"[{name}] {exc}") from exc
-    fixed = {"segments": segments or default_segments()}
-    trace_kwargs = section_kwargs("trace", sections.pop("trace", {}), TraceConfig, fixed)
+    profiles = tuple(
+        read_section(name, sections.pop(name), ModelProfile, {"model": name.split(".", 1)[1]})
+        for name in list(sections)
+        if name.startswith("model.")
+    )
+    raw_trace = sections.pop("trace", {})
     try:
-        trace = TraceConfig(**trace_kwargs)
+        trace = read_section(
+            "trace", raw_trace, TraceConfig, {"segments": segments or default_segments()}
+        )
     except InvalidSchedule as exc:
-        if not segments:  # the file's duration cuts the built-in schedule short
-            raise
-        raise ConfigError(f"[{segment_names[exc.position]}] {exc}") from exc
-    return SimConfig(trace=trace, profiles=tuple(profiles) or default_profiles(), extras=sections)
+        if segments:
+            raise ConfigError(f"[{segment_names[exc.position]}] {exc}") from exc
+        # The built-in schedule only breaks when the file's duration_s ends it early.
+        raise ConfigError(
+            f"[trace] duration_s = {raw_trace['duration_s']} ends before the built-in"
+            f" schedule's last segment starts at {default_segments()[-1].start_s} s;"
+            " a shorter trace needs its own [segment.N] sections"
+        ) from exc
+    return SimConfig(trace=trace, profiles=profiles or default_profiles(), extras=sections)

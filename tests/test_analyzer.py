@@ -7,12 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modelswitch.analyzer import (
-    ZERO_CONFIDENCE_SCORE,
-    Scores,
-    ZeroConfidence,
-    compute_score,
-)
+from modelswitch.analyzer import ZERO_CONFIDENCE_SCORE, Scores, compute_score
 from modelswitch.knowledge import LogRegistry
 from modelswitch.monitor import Monitor
 
@@ -52,9 +47,10 @@ def test_compute_score_is_zero_at_zero_cpu() -> None:
     assert compute_score(10.0, 5e-324, 20.0, 0.5) == float("-inf")
 
 
-def test_compute_score_rejects_zero_confidence() -> None:
-    with pytest.raises(ZeroConfidence):
-        compute_score(10.0, 0.0, 20.0, 0.5)
+def test_compute_score_of_zero_confidence_is_the_sentinel() -> None:
+    assert compute_score(10.0, 0.0, 20.0, 0.5) == ZERO_CONFIDENCE_SCORE
+    # Zero confidence wins over a zero CPU factor.
+    assert compute_score(0.0, 0.0, 20.0, 0.5) == ZERO_CONFIDENCE_SCORE
 
 
 def _monitor(model_ids: tuple[str, ...], capacity: int) -> Monitor:
@@ -150,8 +146,5 @@ def test_scores_equal_a_table_refreshed_after_every_frame(models, capacity, fram
         cpus.append(cpu)
         confidences.append(confidence)
         n = len(cpus)
-        try:
-            table[model] = compute_score(cpu, confidence, sum(cpus) / n, sum(confidences) / n)
-        except ZeroConfidence:
-            table[model] = ZERO_CONFIDENCE_SCORE
+        table[model] = compute_score(cpu, confidence, sum(cpus) / n, sum(confidences) / n)
         assert dict(scores) == table

@@ -121,6 +121,8 @@ def test_build_strategy_rejects_bad_extras() -> None:
         build_strategy("naive", _repo(), {"naive": {"model_order": "a,b"}}, seed=0)
     with pytest.raises(ConfigError):
         build_strategy("epsilon-greedy", _repo(), {"epsilon-greedy": {"epsilon": "7"}}, seed=0)
+    with pytest.raises(ConfigError, match=r"^\[naive\] model_order is empty$"):
+        build_strategy("naive", _repo(), {"naive": {"model_order": " , "}}, seed=0)
 
 
 def test_run_experiment_writes_a_complete_run_directory(small_config, tmp_path) -> None:
@@ -352,6 +354,27 @@ def test_main_rejects_a_trace_with_no_frames(tmp_path, capsys) -> None:
     assert code == 1
     assert capsys.readouterr().err.startswith("config error: [trace] ")
     assert not out.exists()
+
+
+def test_main_names_duration_s_when_it_cuts_the_built_in_schedule_short(tmp_path, capsys) -> None:
+    short = tmp_path / "short.ini"
+    short.write_text("[trace]\nduration_s = 10\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--strategy", "naive", "--config", str(short), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: {short}: [trace] duration_s = 10 ends before the built-in schedule's"
+        " last segment starts at 1200.0 s; a shorter trace needs its own [segment.N] sections\n"
+    )
+    assert not out.exists()
+
+
+def test_main_names_the_trace_section_of_a_trace_value_out_of_range(tmp_path, capsys) -> None:
+    bad = tmp_path / "bad.ini"
+    bad.write_text(SMALL_CONFIG.replace("fps = 20", "fps = 0"), encoding="utf-8")
+    code = main(["run", "--strategy", "naive", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {bad}: [trace] fps must be positive: 0\n"
 
 
 def test_main_rejects_a_mean_objects_too_large_to_draw(tmp_path, capsys) -> None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import configparser
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -33,7 +32,7 @@ def _strategy(run):
 
 
 def _engine(run):
-    return SimpleNamespace(**run["loop"])
+    return run["loop"]["engine"]
 
 
 # (section, key, a legal non-default value, what it configures, the parsed value).

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from io import StringIO
 from unittest import mock
 
@@ -18,7 +19,7 @@ from modelswitch.knowledge import (
     load_events_csv,
     load_metrics_csv,
 )
-from modelswitch.loop import run_loop
+from modelswitch.loop import EngineConfig, run_loop
 from modelswitch.planner import (
     EpsilonGreedyStrategy,
     NaiveConfig,
@@ -126,9 +127,8 @@ def test_loop_without_switches_processes_every_frame(tmp_path) -> None:
 
 def test_decision_period_thins_out_decisions() -> None:
     strategy = _StayPut()
-    result = run_loop(
-        _trace(50), _repo(), strategy, registry=_sink(), inference_seed=1, decision_period=7
-    )
+    strategy.decision_period = 7
+    result = run_loop(_trace(50), _repo(), strategy, registry=_sink(), inference_seed=1)
     # Decisions land on processed-frame counts 0, 7, 14, ... -> ceil(50 / 7).
     assert result.decision_count == 8
     assert [frame_index for frame_index, _, _ in strategy.calls] == [0, 7, 14, 21, 28, 35, 42, 49]
@@ -290,17 +290,34 @@ def test_round_robin_ranks_by_the_cpu_the_loop_observed() -> None:
     assert strategy.rank == ("b", "a")
 
 
-def test_initial_model_defaults_to_first_registered() -> None:
+def test_the_loop_reads_the_strategys_decision_period() -> None:
+    strategy = EpsilonGreedyStrategy(PlannerConfig(decision_period=5, rng_seed=4))
+    result = run_loop(_trace(300), _repo(), strategy, registry=_sink(), inference_seed=3)
+    assert result.switch_count > 0
+    assert result.decision_count == math.ceil(result.frames_processed / 5)
+
+
+def test_a_run_starts_on_the_first_registered_model() -> None:
     strategy = _StayPut()
     result = run_loop(_trace(10), _repo(), strategy, registry=_sink(), inference_seed=1)
     assert strategy.calls[0][1] == "a"
     assert result.active == "a"
 
     strategy = _StayPut()
-    result = run_loop(
-        _trace(10), _repo(), strategy, registry=_sink(), inference_seed=1, initial_model="b"
-    )
+    reversed_repo = ModelRepository((_profile("b", 10.0, 500.0), _profile("a", 14.0, 500.0)))
+    result = run_loop(_trace(10), reversed_repo, strategy, registry=_sink(), inference_seed=1)
+    assert strategy.calls[0][1] == "b"
     assert result.active == "b"
+
+
+def test_the_engine_config_sizes_the_windows_and_filters_detections() -> None:
+    strategy = _StayPut()
+    engine = EngineConfig(window_capacity=2, confidence_floor=1.0)
+    run_loop(_trace(10), _repo(), strategy, registry=_sink(), inference_seed=1, engine=engine)
+    window = strategy.calls[0][2].windows["a"]
+    assert len(window) == 2
+    # No synthetic confidence reaches a floor of 1.0, so every frame comes out empty.
+    assert list(window.confidences) == [0.0, 0.0]
 
 
 def test_loop_rejects_bad_arguments() -> None:
@@ -308,15 +325,11 @@ def test_loop_rejects_bad_arguments() -> None:
         run_loop(
             _trace(10), ModelRepository(), _StayPut(), registry=_sink(), inference_seed=1
         )
-    with pytest.raises(ValueError):
-        run_loop(
-            _trace(10),
-            _repo(),
-            _StayPut(),
-            registry=_sink(),
-            inference_seed=1,
-            decision_period=0,
-        )
+    # A custom strategy's period is checked by the loop itself.
+    strategy = _StayPut()
+    strategy.decision_period = 0
+    with pytest.raises(ValueError, match="decision_period must be >= 1: 0"):
+        run_loop(_trace(10), _repo(), strategy, registry=_sink(), inference_seed=1)
 
 
 def test_loop_runs_are_reproducible(tmp_path) -> None:
@@ -364,15 +377,16 @@ def _walk(config: TraceConfig, latency_ms: float, decision_period: int):
         return synth_inference(object_count, complexity, profile, rng)
 
     repo = ModelRepository((_profile("a", 14.0, latency_ms), _profile("b", 10.0, latency_ms)))
+    strategy = _Alternate()
+    strategy.decision_period = decision_period
     metrics_out = StringIO()
     with mock.patch.object(executor, "synth_inference", recording):
         result = run_loop(
             generate_trace(config),
             repo,
-            _Alternate(),
+            strategy,
             registry=LogRegistry(metrics_out, StringIO()),
             inference_seed=5,
-            decision_period=decision_period,
         )
     indices = [int(row.split(",", 1)[0]) for row in metrics_out.getvalue().splitlines()[1:]]
     assert len(indices) == result.frames_processed
@@ -491,14 +505,7 @@ def test_each_layer_is_called_once_per_frame_or_decision(monkeypatch, strategy) 
         _count_calls(monkeypatch, LogRegistry, "append_decision"),
     ]
     switches = _count_calls(monkeypatch, LogRegistry, "append_switch")
-    result = run_loop(
-        _trace(400),
-        _repo(),
-        strategy,
-        registry=_sink(),
-        inference_seed=3,
-        decision_period=strategy.decision_period,
-    )
+    result = run_loop(_trace(400), _repo(), strategy, registry=_sink(), inference_seed=3)
     assert 0 < result.decision_count <= result.frames_processed
     assert per_frame == [[result.frames_processed]] * len(per_frame)
     assert per_decision == [[result.decision_count]] * len(per_decision)

@@ -13,9 +13,9 @@ import re
 
 import pytest
 
-from modelswitch.cli import EngineConfig, RunSummary
+from modelswitch.cli import RunSummary
 from modelswitch.domain import FrameMetrics, WindowAggregate
-from modelswitch.loop import LoopResult
+from modelswitch.loop import EngineConfig, LoopResult
 from modelswitch.planner import NaiveConfig, PlannerConfig, RoundRobinBoostConfig, RunView
 from modelswitch.sim import ScheduleSegment, SimConfig, TraceConfig, default_profiles
 

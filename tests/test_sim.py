@@ -144,6 +144,36 @@ def test_validate_segments_bounds_mean_objects_by_what_poisson_can_draw() -> Non
         validate_segments((ScheduleSegment(0.0, 709.0, 0.1),), 100.0)
 
 
+_NAN = float("nan")
+_ONE_SEGMENT = (ScheduleSegment(0.0, 3.0, 0.1),)
+
+# (field, a build that sets it to nan, the error and its message): one case per
+# one-sided range check, each of which nan used to pass.
+NAN_CASES = [
+    ("cpu_per_object_pct", lambda: _profile(cpu_per_object_pct=_NAN), ValueError,
+     "negative cpu_per_object_pct: nan"),
+    ("confidence_noise_sd", lambda: _profile(confidence_noise_sd=_NAN), ValueError,
+     "negative confidence_noise_sd: nan"),
+    ("switch_latency_ms", lambda: _profile(switch_latency_ms=_NAN), ValueError,
+     "negative switch_latency_ms: nan"),
+    ("inference_time_ms", lambda: _profile(inference_time_ms=_NAN), ValueError,
+     "inference_time_ms must be positive: nan"),
+    ("duration_s", lambda: TraceConfig(duration_s=_NAN, segments=_ONE_SEGMENT), ValueError,
+     "duration_s must be positive: nan"),
+    ("mean_objects", lambda: validate_segments((ScheduleSegment(0.0, _NAN, 0.1),), 100.0),
+     InvalidSchedule, "negative mean_objects: nan"),
+    ("start_s", lambda: validate_segments(_ONE_SEGMENT + (ScheduleSegment(_NAN, 3.0, 0.1),), 100.0),
+     InvalidSchedule, "segment starts must be strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", [case[1:] for case in NAN_CASES],
+                         ids=[case[0] for case in NAN_CASES])
+def test_one_sided_range_checks_reject_nan(build, error, message) -> None:
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 def test_trace_config_rejects_bad_rates() -> None:
     with pytest.raises(ValueError):
         TraceConfig(fps=0)
