@@ -20,7 +20,7 @@ from modelswitch.knowledge import (
     LogRegistry,
     ModelRepository,
 )
-from modelswitch.loop import EngineConfig, LoopResult, run_loop
+from modelswitch.loop import EngineConfig, run_loop
 from modelswitch.planner import (
     EpsilonGreedyStrategy,
     NaiveConfig,
@@ -115,23 +115,25 @@ def normalized_entropy(shares: dict[str, float]) -> float:
     return h / math.log(len(shares))
 
 
-def summarize(result: LoopResult, strategy: str, seed: int, model_ids: tuple[str, ...]) -> RunSummary:
-    """Read one run's reported aggregates off the totals its registry folded."""
-    registry = result.registry
+def summarize(
+    registry: LogRegistry, frames_total: int, strategy: str, seed: int, model_ids: tuple[str, ...]
+) -> RunSummary:
+    """Read one run's reported aggregates off the totals its registry folded; every
+    frame of the trace that was not processed was dropped."""
     usage_counts = {m: registry.usage_counts.get(m, 0) for m in model_ids}
     processed = sum(usage_counts.values())
     usage_shares = {
         m: (count / processed if processed else 0.0) for m, count in usage_counts.items()
     }
-    switches = result.switch_count
-    cumulative_ms = result.cumulative_switch_time_ms
+    switches = registry.switch_count
+    cumulative_ms = registry.cumulative_switch_time_ms
     return RunSummary(
         strategy=strategy,
         seed=seed,
-        frames_total=result.frames_total,
-        frames_processed=result.frames_processed,
-        frames_dropped=result.frames_dropped,
-        decision_count=result.decision_count,
+        frames_total=frames_total,
+        frames_processed=processed,
+        frames_dropped=frames_total - processed,
+        decision_count=registry.decision_count,
         explore_count=registry.explore_count,
         switch_count=switches,
         avg_cpu_pct=registry.cpu_total / processed if processed else 0.0,
@@ -262,17 +264,18 @@ def run_experiment(
             open(out / METRICS_FILENAME, "w", encoding="utf-8", newline="") as metrics_out,
             open(out / EVENTS_FILENAME, "w", encoding="utf-8", newline="") as events_out,
         ):
-            result = run_loop(
+            registry = LogRegistry(metrics_out, events_out)
+            run_loop(
                 trace,
                 repo,
                 planner,
-                registry=LogRegistry(metrics_out, events_out),
+                registry=registry,
                 inference_seed=effective_seed + 2,
                 engine=engine,
             )
     except OSError as exc:  # a write error carries no file name; the run directory stands in
         raise IoFailure(exc.filename or out, exc) from exc
-    summary = summarize(result, strategy, effective_seed, repo.ids())
+    summary = summarize(registry, len(trace), strategy, effective_seed, repo.ids())
     write_summary(summary, summary_path)
     return summary
 

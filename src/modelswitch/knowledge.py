@@ -1,9 +1,9 @@
 """Shared knowledge for the control loop: models and run logs.
 
 The log registry is append-only and is the single source of truth for
-everything a run emits. It streams plain UTF-8 CSV with LF line endings
-and reals printed with 4 decimal places, so identical runs produce
-byte-identical files. Rows are formatted through templates built per
+everything a run emits: its rows and every total the summary reports. It
+streams plain UTF-8 CSV with LF line endings and reals printed with 4
+decimal places, so identical runs produce byte-identical files. Rows are formatted through templates built per
 model: a metrics row through a ``%`` template with the model id and its
 inference time already written in, a draw-less decision as its frame
 index plus a suffix kept per decision.
@@ -78,7 +78,8 @@ class LogRegistry:
     Rows go to the metrics and events text streams as they arrive, so memory
     does not grow with the run; frame indices never decrease. The totals the
     summary reads are folded in row order: per-model metrics row counts, the
-    CPU and confidence sums and the explore count.
+    CPU and confidence sums, the decision and explore counts, and the switch
+    count and switch time.
     """
 
     def __init__(self, metrics_out: TextIO, events_out: TextIO) -> None:
@@ -92,7 +93,10 @@ class LogRegistry:
         self.usage_counts: dict[ModelId, int] = {}
         self.cpu_total = 0.0
         self.confidence_total = 0.0
+        self.decision_count = 0
         self.explore_count = 0
+        self.switch_count = 0
+        self.cumulative_switch_time_ms = 0.0
 
     def _backwards(self, frame_index: int) -> ValueError:
         return ValueError(f"frame_index went backwards: {frame_index} after {self._last_frame}")
@@ -158,6 +162,7 @@ class LogRegistry:
                 "%d,decision,%s,%.4f,%s,%s,\n"
                 % (frame_index, mode._value_, draw, decision.previous, decision.selected)
             )
+        self.decision_count += 1
         if mode is SelectionMode.EXPLORE:
             self.explore_count += 1
 
@@ -169,6 +174,8 @@ class LogRegistry:
             f"{event.frame_index},switch,,,{event.from_model},{event.to_model},"
             f"{event.switch_time_ms:.4f}\n"
         )
+        self.switch_count += 1
+        self.cumulative_switch_time_ms += event.switch_time_ms
 
 
 def load_metrics_csv(path: Path | str) -> list[tuple[float, FrameMetrics]]:

@@ -5,25 +5,30 @@ processed frames, starting with the first, the strategy is consulted with
 the frame index, the active model and one RunView built for the whole run;
 if it switches models, the switch latency is paid on the simulated clock
 and the frames that arrive inside that window are dropped unprocessed.
-Each processed frame is recorded by the monitor; the view hands out the
-monitor's windows themselves and scores a model when the strategy reads
-its score, so the next decision sees the frame.
+The loop builds one monitoring window per model. The executor records each
+processed frame into the active model's window and the log registry; the
+view hands out those windows themselves and scores a model when the
+strategy reads its score, so the next decision sees the frame.
 
-A processed frame travels as scalars: the loop reads its object count and
-complexity from the trace and hands them, with its index and clock, to the
-executor. A dropped frame is never read.
+The registry is the run's only tally: every count and total the summary
+reports is folded there as its rows are appended, and the clock's switch
+offset is read back from it. A processed frame travels as scalars: the
+loop reads its object count and complexity from the trace and hands them,
+with its index and clock, to the executor. A dropped frame is never read.
 """
 
 from __future__ import annotations
 
+import sys
 from random import Random
+from types import MappingProxyType
 from typing import NamedTuple
 
 from modelswitch.analyzer import Scores
-from modelswitch.domain import ModelId, checked
+from modelswitch.domain import checked
 from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor
 from modelswitch.knowledge import LogRegistry, ModelRepository
-from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY, Monitor
+from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY, MetricsWindow
 from modelswitch.planner import RunView, SelectionStrategy
 from modelswitch.sim import Trace
 
@@ -36,24 +41,10 @@ class EngineConfig(NamedTuple):
     confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR
 
     def _check(self) -> None:
-        if self.window_capacity < 1:
-            raise ValueError(f"window_capacity must be at least 1: {self.window_capacity}")
+        if not 1 <= self.window_capacity <= sys.maxsize:  # a deque's maxlen is a C ssize_t
+            raise ValueError(f"window_capacity out of range: {self.window_capacity}")
         if not 0.0 <= self.confidence_floor <= 1.0:
             raise ValueError(f"confidence_floor must lie in [0, 1]: {self.confidence_floor}")
-
-
-class LoopResult(NamedTuple):
-    """What one full run leaves behind: its log, the model live at the end,
-    the switch totals and the frame and decision counts."""
-
-    registry: LogRegistry
-    active: ModelId
-    switch_count: int
-    cumulative_switch_time_ms: float
-    frames_total: int
-    frames_processed: int
-    frames_dropped: int
-    decision_count: int
 
 
 def run_loop(
@@ -64,12 +55,13 @@ def run_loop(
     registry: LogRegistry,
     inference_seed: int,
     engine: EngineConfig = EngineConfig(),
-) -> LoopResult:
+) -> None:
     """Drive one strategy across a trace, logging every row to registry as it is made.
 
-    The run starts on the first registered model. The simulated clock runs
-    at the trace's fps: frame f arrives at f * 1000 / fps ms, shifted by the
-    switch latency paid so far.
+    The run starts on the first registered model, and its counts and totals
+    are read off the registry afterwards. The simulated clock runs at the
+    trace's fps: frame f arrives at f * 1000 / fps ms, shifted by the switch
+    latency paid so far.
     """
     if len(repo) == 0:
         raise ValueError("repository is empty")
@@ -77,50 +69,31 @@ def run_loop(
     decision_period = strategy.decision_period
     if decision_period < 1:
         raise ValueError(f"decision_period must be >= 1: {decision_period}")
-    monitor = Monitor(repo.ids(), registry, capacity=engine.window_capacity)
-    rng = Random(inference_seed)
+    capacity = engine.window_capacity
+    windows = MappingProxyType({m: MetricsWindow(m, capacity) for m in repo.ids()})
     executor = Executor(
-        repo,
-        monitor,
-        rng,
-        initial_model=repo.ids()[0],
-        confidence_floor=engine.confidence_floor,
+        repo, windows, registry, Random(inference_seed), confidence_floor=engine.confidence_floor
     )
-
-    view = RunView(model_ids=repo.ids(), scores=Scores(monitor.windows), windows=monitor.windows)
+    view = RunView(model_ids=repo.ids(), scores=Scores(windows), windows=windows)
 
     fps = trace.fps
     frame = trace.reader()
     period_ms = 1000.0 / fps
-    acc_switch_ms = 0.0
-    processed = dropped = decisions = 0
+    switch_ms = 0.0
+    processed = 0
     n = len(trace)
     i = 0
     while i < n:
         drop_count = 0
         if processed % decision_period == 0:
             decision = strategy.decide(i, executor.active, view)
-            decisions += 1
             registry.append_decision(i, decision)
             event = executor.apply(decision, i)
             if event is not None:
-                acc_switch_ms += event.switch_time_ms
                 registry.append_switch(event)
-                drop_count = round(event.switch_time_ms * fps / 1000.0)
+                switch_ms = registry.cumulative_switch_time_ms
+                drop_count = min(round(event.switch_time_ms * fps / 1000.0), n - 1 - i)
         object_count, complexity = frame(i)
-        executor.run_inference(i, object_count, complexity, i * period_ms + acc_switch_ms)
+        executor.run_inference(i, object_count, complexity, i * period_ms + switch_ms)
         processed += 1
-        if drop_count:
-            drop_count = min(drop_count, n - 1 - i)
-            dropped += drop_count
         i += 1 + drop_count
-    return LoopResult(
-        registry=registry,
-        active=executor.active,
-        switch_count=executor.switch_count,
-        cumulative_switch_time_ms=executor.cumulative_switch_time_ms,
-        frames_total=n,
-        frames_processed=processed,
-        frames_dropped=dropped,
-        decision_count=decisions,
-    )

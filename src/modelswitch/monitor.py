@@ -1,22 +1,19 @@
-"""Per-frame metric collection and sliding-window aggregation.
+"""Per-frame monitoring state: one sliding window of recent figures per model.
 
 Each model keeps its own fixed-capacity window of recent confidence and
 CPU figures and the index of its last recorded frame; aggregates are plain
-arithmetic means over whatever the window currently holds. Recording
-checks a frame's figures, then appends them to the model's window and to
-the shared log registry, so every processed frame lands in exactly one
-window entry and one log row. A frame's figures arrive as plain values, in
-metrics.csv column order; no per-frame record is built.
+arithmetic means over whatever the window currently holds. The loop builds
+one window per registered model. The executor checks each processed frame's
+figures and records them into the active model's window and the log
+registry, so every processed frame lands in exactly one window entry and
+one log row.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from types import MappingProxyType
-from typing import Iterable, Mapping
 
-from modelswitch.domain import ModelId, WindowAggregate, check_frame
-from modelswitch.knowledge import LogRegistry, UnknownModel
+from modelswitch.domain import ModelId, WindowAggregate
 
 DEFAULT_WINDOW_CAPACITY = 30
 
@@ -63,48 +60,3 @@ class MetricsWindow:
 
     def __len__(self) -> int:
         return len(self.cpus)
-
-
-class Monitor:
-    """Routes frame figures into per-model windows and the log registry.
-
-    ``windows`` maps each model to its window, read-only.
-    """
-
-    def __init__(
-        self,
-        model_ids: Iterable[ModelId],
-        registry: LogRegistry,
-        capacity: int = DEFAULT_WINDOW_CAPACITY,
-    ):
-        self._windows = {m: MetricsWindow(m, capacity) for m in model_ids}
-        self.windows: Mapping[ModelId, MetricsWindow] = MappingProxyType(self._windows)
-        self._registry = registry
-
-    def record(
-        self,
-        frame_index: int,
-        sim_time_ms: float,
-        model: ModelId,
-        cpu_usage: float,
-        confidence_score: float,
-        detection_count: int,
-        inference_time_ms: float,
-    ) -> None:
-        """Record one processed frame; ValueError if its figures are out of range,
-        UnknownModel if model has no window."""
-        check_frame(frame_index, cpu_usage, confidence_score, detection_count)
-        try:
-            window = self._windows[model]
-        except KeyError:
-            raise UnknownModel(model) from None
-        window.record(frame_index, cpu_usage, confidence_score)
-        self._registry.append_metrics(
-            frame_index,
-            sim_time_ms,
-            model,
-            cpu_usage,
-            confidence_score,
-            detection_count,
-            inference_time_ms,
-        )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from io import StringIO
 from pathlib import Path
 from random import Random
 
@@ -20,8 +19,8 @@ import pytest
 from modelswitch.analyzer import compute_score
 from modelswitch.cli import RunSummary, max_share, run_experiment
 from modelswitch.domain import SelectionMode, mean_confidence
-from modelswitch.knowledge import LogRegistry, load_events_csv, load_metrics_csv
-from modelswitch.monitor import Monitor
+from modelswitch.knowledge import load_events_csv, load_metrics_csv
+from modelswitch.monitor import MetricsWindow
 from modelswitch.planner import EpsilonGreedyStrategy, PlannerConfig, RunView
 
 MODEL_IDS = (
@@ -146,16 +145,15 @@ def test_window_aggregates_match_brute_force() -> None:
     rng = Random(99)
     for _ in range(1000):
         capacity = rng.randrange(1, 40)
-        monitor = Monitor(("m",), LogRegistry(StringIO(), StringIO()), capacity=capacity)
+        window = MetricsWindow("m", capacity)
         seen = []
         for i in range(rng.randrange(0, 3 * capacity)):
             count = rng.randrange(0, 6)
             confidence = rng.random() if count else 0.0
             cpu = 100.0 * rng.random()
-            inference_ms = 1.0 + 100.0 * rng.random()
-            monitor.record(i, float(i), "m", cpu, confidence, count, inference_ms)
+            window.record(i, cpu, confidence)
             seen.append((cpu, confidence))
-        aggregate = monitor.windows["m"].aggregate()
+        aggregate = window.aggregate()
         if not seen:
             assert aggregate is None
             continue

@@ -1,20 +1,17 @@
 from __future__ import annotations
 
 from collections import deque
-from io import StringIO
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modelswitch.analyzer import ZERO_CONFIDENCE_SCORE, Scores, compute_score
-from modelswitch.knowledge import LogRegistry
-from modelswitch.monitor import Monitor
+from modelswitch.monitor import MetricsWindow
 
 
-def _record(monitor: Monitor, frame_index: int, model: str, confidence: float, cpu: float) -> None:
-    detections = 1 if confidence > 0.0 else 0
-    monitor.record(frame_index, 0.0, model, cpu, confidence, detections, 40.0)
+def _record(windows, frame_index: int, model: str, confidence: float, cpu: float) -> None:
+    windows[model].record(frame_index, cpu, confidence)
 
 
 def test_compute_score_simple_points() -> None:
@@ -53,20 +50,20 @@ def test_compute_score_of_zero_confidence_is_the_sentinel() -> None:
     assert compute_score(0.0, 0.0, 20.0, 0.5) == ZERO_CONFIDENCE_SCORE
 
 
-def _monitor(model_ids: tuple[str, ...], capacity: int) -> Monitor:
-    return Monitor(model_ids, LogRegistry(StringIO(), StringIO()), capacity=capacity)
+def _windows(model_ids: tuple[str, ...], capacity: int) -> dict[str, MetricsWindow]:
+    return {m: MetricsWindow(m, capacity) for m in model_ids}
 
 
 def test_scores_move_only_for_the_recorded_model() -> None:
-    monitor = _monitor(("a", "b"), capacity=4)
-    scores = Scores(monitor.windows)
+    windows = _windows(("a", "b"), capacity=4)
+    scores = Scores(windows)
 
-    _record(monitor, 0, "a", confidence=0.5, cpu=10.0)
+    _record(windows, 0, "a", confidence=0.5, cpu=10.0)
     # A single-entry window averages to the frame itself, so the ratio is 1.
     assert scores["a"] == pytest.approx(0.0)
     assert scores["b"] == 0.0
 
-    _record(monitor, 1, "a", confidence=0.4, cpu=12.0)
+    _record(windows, 1, "a", confidence=0.4, cpu=12.0)
     # Window average is now (0.5 + 0.4) / 2 = 0.45, above the current 0.4,
     # so the score must come out negative: min(12, 11) * (1 - 0.45/0.4).
     assert scores["a"] == pytest.approx(11.0 * (1.0 - 0.45 / 0.4))
@@ -76,41 +73,41 @@ def test_scores_move_only_for_the_recorded_model() -> None:
 
 
 def test_scores_read_the_sentinel_on_zero_confidence() -> None:
-    monitor = _monitor(("a",), capacity=4)
-    scores = Scores(monitor.windows)
-    _record(monitor, 0, "a", confidence=0.0, cpu=15.0)
+    windows = _windows(("a",), capacity=4)
+    scores = Scores(windows)
+    _record(windows, 0, "a", confidence=0.0, cpu=15.0)
     assert scores["a"] == ZERO_CONFIDENCE_SCORE
 
 
 def test_scores_are_zero_before_a_models_first_frame() -> None:
-    monitor = _monitor(("a", "b"), capacity=4)
-    scores = Scores(monitor.windows)
+    windows = _windows(("a", "b"), capacity=4)
+    scores = Scores(windows)
     assert scores == {"a": 0.0, "b": 0.0}
-    _record(monitor, 0, "b", confidence=0.0, cpu=15.0)
+    _record(windows, 0, "b", confidence=0.0, cpu=15.0)
     assert scores["a"] == 0.0
 
 
 def test_scores_use_the_window_means_of_the_aggregate() -> None:
-    monitor = _monitor(("a",), capacity=3)
-    scores = Scores(monitor.windows)
+    windows = _windows(("a",), capacity=3)
+    scores = Scores(windows)
     for frame_index, (confidence, cpu) in enumerate(
         ((0.7, 12.5), (0.3, 19.0), (0.55, 11.25), (0.45, 16.0), (0.6, 14.0))
     ):
-        _record(monitor, frame_index, "a", confidence=confidence, cpu=cpu)
-        aggregate = monitor.windows["a"].aggregate()
+        _record(windows, frame_index, "a", confidence=confidence, cpu=cpu)
+        aggregate = windows["a"].aggregate()
         expected = compute_score(cpu, confidence, aggregate.avg_cpu, aggregate.avg_confidence)
         assert scores["a"] == expected  # bit for bit
 
 
 def test_scores_raise_key_error_for_an_unknown_model() -> None:
-    scores = Scores(_monitor(("a",), capacity=4).windows)
+    scores = Scores(_windows(("a",), capacity=4))
     with pytest.raises(KeyError):
         scores["ghost"]
     assert "ghost" not in scores
 
 
 def test_scores_are_read_only() -> None:
-    scores = Scores(_monitor(("a",), capacity=4).windows)
+    scores = Scores(_windows(("a",), capacity=4))
     with pytest.raises(TypeError):
         scores["a"] = 1.0  # type: ignore[index]
     with pytest.raises(TypeError):
@@ -135,14 +132,14 @@ def test_scores_equal_a_table_refreshed_after_every_frame(models, capacity, fram
     """Scores computed on read equal, bit for bit, a table that re-scores each
     model from its own window right after that model records a frame."""
     ids = tuple("abcd"[:models])
-    monitor = _monitor(ids, capacity)
-    scores = Scores(monitor.windows)
+    windows = _windows(ids, capacity)
+    scores = Scores(windows)
     table = dict.fromkeys(ids, 0.0)
-    windows = {m: (deque(maxlen=capacity), deque(maxlen=capacity)) for m in ids}
+    tails = {m: (deque(maxlen=capacity), deque(maxlen=capacity)) for m in ids}
     for frame_index, (slot, confidence, cpu) in enumerate(frames):
         model = ids[slot % models]
-        _record(monitor, frame_index, model, confidence, cpu)
-        cpus, confidences = windows[model]
+        _record(windows, frame_index, model, confidence, cpu)
+        cpus, confidences = tails[model]
         cpus.append(cpu)
         confidences.append(confidence)
         n = len(cpus)

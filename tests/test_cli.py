@@ -427,6 +427,8 @@ def test_main_names_the_segment_that_breaks_the_schedule(
     [
         "window_capacity = 0",
         "window_capacity = -3",
+        # Above sys.maxsize: no deque can be that long.
+        "window_capacity = 10000000000000000000000",
         "confidence_floor = 5",
         "confidence_floor = -0.1",
         "confidence_floor = nan",

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import re
 import statistics
 from io import StringIO
 from random import Random
 
 import pytest
 
-from modelswitch.domain import SelectionDecision, SelectionMode
+from modelswitch import executor as executor_module
 from modelswitch.cli import summarize
+from modelswitch.domain import SelectionDecision, SelectionMode, SwitchEvent
 from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor
 from modelswitch.knowledge import (
     METRICS_FILENAME,
@@ -16,16 +18,15 @@ from modelswitch.knowledge import (
     UnknownModel,
     load_metrics_csv,
 )
-from modelswitch.loop import LoopResult
-from modelswitch.monitor import MetricsWindow, Monitor
+from modelswitch.monitor import MetricsWindow
 from modelswitch.sim import ModelProfile, synth_inference
 
 
-def _profile(model: str, latency: float = 500.0) -> ModelProfile:
+def _profile(model: str, latency: float = 500.0, cpu_per_object: float = 0.3) -> ModelProfile:
     return ModelProfile(
         model=model,
         base_cpu_pct=14.0,
-        cpu_per_object_pct=0.3,
+        cpu_per_object_pct=cpu_per_object,
         base_confidence=0.6,
         confidence_noise_sd=0.05,
         detection_recall=0.9,
@@ -44,15 +45,18 @@ def _decision(selected: str, previous: str) -> SelectionDecision:
     )
 
 
-def _executor(active: str, rng: Random, repo: ModelRepository | None = None) -> Executor:
+def _executor(
+    rng: Random,
+    repo: ModelRepository | None = None,
+    metrics_out: StringIO | None = None,
+    confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR,
+) -> tuple[Executor, dict[str, MetricsWindow]]:
+    """An executor on the first model of repo (default: small, then large) and its
+    windows; its metrics rows go to metrics_out."""
     repo = repo or _repo()
-    monitor = Monitor(repo.ids(), LogRegistry(StringIO(), StringIO()))
-    return Executor(repo, monitor, rng, initial_model=active)
-
-
-def _state(executor: Executor) -> tuple[str, float, int]:
-    """The live model and the switch totals, which a run's LoopResult copies."""
-    return executor.active, executor.cumulative_switch_time_ms, executor.switch_count
+    windows = {m: MetricsWindow(m, 30) for m in repo.ids()}
+    registry = LogRegistry(metrics_out or StringIO(), StringIO())
+    return Executor(repo, windows, registry, rng, confidence_floor=confidence_floor), windows
 
 
 def _infer(
@@ -60,15 +64,13 @@ def _infer(
 ) -> tuple[MetricsWindow, list[str]]:
     """One frame (index 0) through an executor on "small": its window and the
     fields of its logged row, in metrics.csv column order (detection_count is [5])."""
-    repo = _repo()
     metrics_out = StringIO()
-    monitor = Monitor(repo.ids(), LogRegistry(metrics_out, StringIO()))
-    executor = Executor(
-        repo, monitor, Random(seed), initial_model="small", confidence_floor=confidence_floor
+    executor, windows = _executor(
+        Random(seed), metrics_out=metrics_out, confidence_floor=confidence_floor
     )
     executor.run_inference(0, object_count, complexity, 0.0)
     [row] = metrics_out.getvalue().splitlines()[1:]
-    return monitor.windows["small"], row.split(",")
+    return windows["small"], row.split(",")
 
 
 def _count_lookups(monkeypatch: pytest.MonkeyPatch) -> list[str]:
@@ -86,20 +88,18 @@ def _count_lookups(monkeypatch: pytest.MonkeyPatch) -> list[str]:
 
 def test_same_model_selection_is_a_free_no_op(monkeypatch) -> None:
     rng = Random(0)
-    executor = _executor("small", rng)
-    state = _state(executor)
+    executor, _ = _executor(rng)
+    state = dict(vars(executor))
     looked_up = _count_lookups(monkeypatch)
     rng_state = rng.getstate()
     assert executor.apply(_decision("small", "small"), 10) is None
-    assert _state(executor) == state
+    assert vars(executor) == state
     assert looked_up == []
     assert rng.getstate() == rng_state
 
 
 def test_switch_produces_event_and_accounting(monkeypatch) -> None:
-    repo = _repo()
-    monitor = Monitor(repo.ids(), LogRegistry(StringIO(), StringIO()))
-    executor = Executor(repo, monitor, Random(0), initial_model="small")
+    executor, windows = _executor(Random(0))
     looked_up = _count_lookups(monkeypatch)
     event = executor.apply(_decision("large", "small"), 10)
     assert event is not None
@@ -107,13 +107,10 @@ def test_switch_produces_event_and_accounting(monkeypatch) -> None:
     assert event.from_model == "small"
     assert event.to_model == "large"
     assert executor.active == "large"
-    assert executor.switch_count == 1
-    assert executor.cumulative_switch_time_ms == pytest.approx(event.switch_time_ms)
-    assert _state(executor) == ("large", event.switch_time_ms, 1)
-    # One lookup per switch; inference then runs on the kept profile.
+    # One lookup per switch; inference then runs on the kept profile, into the kept window.
     executor.run_inference(10, 3, 0.2, 0.0)
-    assert monitor.windows["large"].last_frame == 10
-    assert len(monitor.windows["small"]) == 0
+    assert windows["large"].last_frame == 10
+    assert len(windows["small"]) == 0
     assert looked_up == ["large"]
 
 
@@ -122,7 +119,7 @@ def test_switch_time_jitters_within_ten_percent() -> None:
     rng = Random(7)
     times = []
     for i in range(2000):
-        event = _executor("small", rng, repo).apply(_decision("large", "small"), i)
+        event = _executor(rng, repo)[0].apply(_decision("large", "small"), i)
         assert event is not None
         times.append(event.switch_time_ms)
     assert min(times) >= 800.0 * 0.9
@@ -132,53 +129,38 @@ def test_switch_time_jitters_within_ten_percent() -> None:
 
 
 def test_switch_latency_belongs_to_the_incoming_model() -> None:
-    event = _executor("large", Random(1)).apply(_decision("small", "large"), 0)
+    repo = ModelRepository((_profile("large", 800.0), _profile("small", 300.0)))
+    event = _executor(Random(1), repo)[0].apply(_decision("small", "large"), 0)
     assert event is not None
     assert 300.0 * 0.9 <= event.switch_time_ms <= 300.0 * 1.1
 
 
 def test_unknown_selection_is_rejected() -> None:
-    executor = _executor("small", Random(0))
-    state = _state(executor)
+    executor, _ = _executor(Random(0))
+    state = dict(vars(executor))
     with pytest.raises(UnknownModel):
         executor.apply(_decision("ghost", "small"), 0)
-    assert _state(executor) == state
+    assert vars(executor) == state
 
 
 def test_average_switch_time_accounting() -> None:
-    def avg_switch_time_s(cumulative_switch_time_ms: float, switch_count: int) -> float:
-        result = LoopResult(
-            registry=LogRegistry(StringIO(), StringIO()),
-            active="small",
-            switch_count=switch_count,
-            cumulative_switch_time_ms=cumulative_switch_time_ms,
-            frames_total=0,
-            frames_processed=0,
-            frames_dropped=0,
-            decision_count=0,
-        )
-        return summarize(result, "naive", 0, ("small",)).avg_switch_time_s
+    def avg_switch_time_s(*switch_times_ms: float) -> float:
+        registry = LogRegistry(StringIO(), StringIO())
+        for i, switch_time_ms in enumerate(switch_times_ms):
+            registry.append_switch(SwitchEvent(i, "small", "large", switch_time_ms))
+        return summarize(registry, 0, "naive", 0, ("small",)).avg_switch_time_s
 
-    assert avg_switch_time_s(0.0, 0) == 0.0
-    assert avg_switch_time_s(900.0, 3) == pytest.approx(0.3)
-
-
-def test_executor_rejects_unknown_initial_model() -> None:
-    repo = _repo()
-    monitor = Monitor(repo.ids(), LogRegistry(StringIO(), StringIO()))
-    with pytest.raises(UnknownModel):
-        Executor(repo, monitor, Random(0), initial_model="ghost")
+    assert avg_switch_time_s() == 0.0
+    assert avg_switch_time_s(200.0, 300.0, 400.0) == pytest.approx(0.3)
 
 
 def test_run_inference_records_into_monitor_and_registry(tmp_path) -> None:
-    repo = _repo()
     metrics_path = tmp_path / METRICS_FILENAME
     with open(metrics_path, "w", encoding="utf-8", newline="") as metrics_out:
-        monitor = Monitor(repo.ids(), LogRegistry(metrics_out, StringIO()))
-        executor = Executor(repo, monitor, Random(3), initial_model="small")
+        executor, windows = _executor(Random(3), metrics_out=metrics_out)
         assert executor.run_inference(7, 5, 0.2, sim_time_ms=12.5) is None
 
-    window = monitor.windows["small"]
+    window = windows["small"]
     assert window.last_frame == 7
     [(sim_time_ms, logged)] = load_metrics_csv(metrics_path)
     assert sim_time_ms == 12.5
@@ -188,12 +170,46 @@ def test_run_inference_records_into_monitor_and_registry(tmp_path) -> None:
     assert logged.cpu_usage == pytest.approx(window.cpus[-1], abs=5e-5)
 
 
+@pytest.mark.parametrize(
+    "frame_index, cpu, confidences, message",
+    [
+        (-1, 20.0, [0.5], "negative frame_index: -1"),
+        (0, 101.0, [0.5], "cpu_usage out of range: 101.0"),
+        (0, -0.5, [0.5], "cpu_usage out of range: -0.5"),
+        (0, 20.0, [1.5], "confidence_score out of range: 1.5"),
+    ],
+)
+def test_run_inference_rejects_figures_out_of_range(
+    monkeypatch, frame_index, cpu, confidences, message
+) -> None:
+    """A frame whose synthesized figures fail the check raises before anything
+    is recorded or logged."""
+    monkeypatch.setattr(executor_module, "synth_inference", lambda *_: (confidences, cpu, 40.0))
+    metrics_out = StringIO()
+    executor, windows = _executor(Random(0), metrics_out=metrics_out)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        executor.run_inference(frame_index, 1, 0.2, 0.0)
+    assert len(windows["small"]) == 0
+    assert metrics_out.getvalue().count("\n") == 1  # the header only
+
+
+def test_run_inference_rejects_the_nan_cpu_of_an_infinite_per_object_cost() -> None:
+    """A valid profile can still synthesize an out-of-range figure: an infinite
+    per-object CPU cost on a frame with no object gives 0 * inf, a nan CPU."""
+    repo = ModelRepository((_profile("small", cpu_per_object=float("inf")),))
+    metrics_out = StringIO()
+    executor, windows = _executor(Random(0), repo, metrics_out)
+    with pytest.raises(ValueError, match=r"^cpu_usage out of range: nan$"):
+        executor.run_inference(0, 0, 0.2, 0.0)
+    assert len(windows["small"]) == 0
+    assert metrics_out.getvalue().count("\n") == 1
+
+
 def test_confidence_floor_filters_detections() -> None:
     """The recorded frame must describe only the detections that survive the floor."""
-    repo = _repo()
     seed = 17
 
-    reference, _, _ = synth_inference(8, 0.9, repo.get("small"), Random(seed))
+    reference, _, _ = synth_inference(8, 0.9, _repo().get("small"), Random(seed))
     confidences = sorted(reference)
     assert len(confidences) >= 2 and confidences[0] < confidences[-1]
     # Split the observed spread so the floor keeps some detections and drops others.

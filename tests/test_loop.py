@@ -70,15 +70,32 @@ def _sink() -> LogRegistry:
     return LogRegistry(StringIO(), StringIO())
 
 
+def _run(*args, **kwargs) -> LogRegistry:
+    """run_loop into a registry that discards its rows; returns the registry."""
+    registry = _sink()
+    run_loop(*args, registry=registry, **kwargs)
+    return registry
+
+
+def _processed(registry: LogRegistry) -> int:
+    return sum(registry.usage_counts.values())
+
+
+def _totals(registry: LogRegistry) -> dict[str, object]:
+    """Every total the registry folded, by attribute name."""
+    return {name: value for name, value in vars(registry).items() if not name.startswith("_")}
+
+
 def _logged_run(tmp_path, *args, **kwargs):
-    """run_loop with its rows written under tmp_path; returns (result, metrics rows, event rows)."""
+    """run_loop with its rows written under tmp_path; returns (registry, metrics rows, event rows)."""
     metrics_path, events_path = tmp_path / METRICS_FILENAME, tmp_path / EVENTS_FILENAME
     with (
         open(metrics_path, "w", encoding="utf-8", newline="") as metrics_out,
         open(events_path, "w", encoding="utf-8", newline="") as events_out,
     ):
-        result = run_loop(*args, registry=LogRegistry(metrics_out, events_out), **kwargs)
-    return result, load_metrics_csv(metrics_path), load_events_csv(events_path)
+        registry = LogRegistry(metrics_out, events_out)
+        run_loop(*args, registry=registry, **kwargs)
+    return registry, load_metrics_csv(metrics_path), load_events_csv(events_path)
 
 
 class _StayPut(SelectionStrategy):
@@ -114,38 +131,34 @@ class _SwitchOnce(_StayPut):
 
 
 def test_loop_without_switches_processes_every_frame(tmp_path) -> None:
-    result, metrics_rows, _ = _logged_run(
+    registry, metrics_rows, _ = _logged_run(
         tmp_path, _trace(50), _repo(), _StayPut(), inference_seed=1
     )
-    assert result.frames_total == 50
-    assert result.frames_processed == 50
-    assert result.frames_dropped == 0
-    assert result.decision_count == 50
-    assert result.switch_count == 0
+    assert _processed(registry) == 50
+    assert registry.decision_count == 50
+    assert registry.switch_count == 0
     assert len(metrics_rows) == 50
 
 
 def test_decision_period_thins_out_decisions() -> None:
     strategy = _StayPut()
     strategy.decision_period = 7
-    result = run_loop(_trace(50), _repo(), strategy, registry=_sink(), inference_seed=1)
+    registry = _run(_trace(50), _repo(), strategy, inference_seed=1)
     # Decisions land on processed-frame counts 0, 7, 14, ... -> ceil(50 / 7).
-    assert result.decision_count == 8
+    assert registry.decision_count == 8
     assert [frame_index for frame_index, _, _ in strategy.calls] == [0, 7, 14, 21, 28, 35, 42, 49]
 
 
 def test_switch_drops_the_frames_inside_the_latency_window(monkeypatch, tmp_path) -> None:
     monkeypatch.setattr("modelswitch.executor.SWITCH_JITTER", 0.0)
-    result, metrics_rows, _ = _logged_run(
+    registry, metrics_rows, _ = _logged_run(
         tmp_path, _trace(50), _repo(), _SwitchOnce("b"), inference_seed=1
     )
     # 500 ms at 10 fps swallows exactly 5 frames after the trigger frame.
-    assert result.frames_dropped == 5
-    assert result.frames_processed == 45
-    assert result.frames_total == 50
+    assert _processed(registry) == 45
     indices = [metrics.frame_index for _, metrics in metrics_rows]
-    assert indices[:3] == [0, 6, 7]
-    assert result.switch_count == 1
+    assert indices == [0, *range(6, 50)]
+    assert registry.switch_count == 1
 
 
 def test_switch_near_the_end_cannot_drop_past_the_trace(monkeypatch) -> None:
@@ -161,32 +174,42 @@ def test_switch_near_the_end_cannot_drop_past_the_trace(monkeypatch) -> None:
                 previous=active,
             )
 
-    result = run_loop(
-        _trace(50), _repo(), _SwitchLate(), registry=_sink(), inference_seed=1
-    )
-    assert result.frames_dropped == 1  # only frame 49 was left to drop
-    assert result.frames_processed + result.frames_dropped == result.frames_total
+    registry = _run(_trace(50), _repo(), _SwitchLate(), inference_seed=1)
+    assert _processed(registry) == 49  # only frame 49 was left to drop
 
 
-def test_frame_conservation_under_heavy_switching() -> None:
+def test_frame_conservation_under_heavy_switching(tmp_path) -> None:
+    """Every frame is processed or dropped by the switch just before it: the
+    frames skipped after a processed frame are those its switch swallows."""
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.5, rng_seed=11))
-    result = run_loop(_trace(400), _repo(), strategy, registry=_sink(), inference_seed=2)
-    assert result.frames_processed + result.frames_dropped == result.frames_total
-    assert result.switch_count > 0
+    registry, metrics_rows, event_rows = _logged_run(
+        tmp_path, _trace(400), _repo(), strategy, inference_seed=2
+    )
+    assert registry.switch_count > 0
+    # At 10 fps a switch drops one frame per 100 ms, clipped at the trace's end.
+    drops = {
+        int(row["frame_index"]): round(float(row["switch_time_ms"]) / 100.0)
+        for row in event_rows
+        if row["event_type"] == "switch"
+    }
+    processed = [metrics.frame_index for _, metrics in metrics_rows]
+    assert processed[0] == 0
+    for frame, following in zip(processed, processed[1:] + [400]):
+        assert following - frame - 1 == min(drops.get(frame, 0), 399 - frame)
 
 
 def test_switch_events_are_logged_with_their_cost(tmp_path) -> None:
-    result, _, event_rows = _logged_run(
+    registry, _, event_rows = _logged_run(
         tmp_path, _trace(50), _repo(), _SwitchOnce("b"), inference_seed=1
     )
     switches = [r for r in event_rows if r["event_type"] == "switch"]
     decisions = [r for r in event_rows if r["event_type"] == "decision"]
-    assert len(switches) == 1
+    assert len(switches) == registry.switch_count == 1
     assert switches[0]["from_model"] == "a"
     assert switches[0]["to_model"] == "b"
-    assert len(decisions) == result.decision_count
+    assert len(decisions) == registry.decision_count
     # The file keeps 4 decimals of the switch cost.
-    assert result.cumulative_switch_time_ms == pytest.approx(
+    assert registry.cumulative_switch_time_ms == pytest.approx(
         float(switches[0]["switch_time_ms"]), abs=5e-5
     )
 
@@ -253,25 +276,25 @@ def _count_calls(monkeypatch, owner, name: str) -> list[int]:
 )
 def test_strategies_that_read_no_score_compute_none(monkeypatch, strategy) -> None:
     calls = _count_calls(monkeypatch, analyzer, "compute_score")
-    result = run_loop(_trace(200), _repo(), strategy, registry=_sink(), inference_seed=3)
-    assert result.frames_processed > 0
+    registry = _run(_trace(200), _repo(), strategy, inference_seed=3)
+    assert _processed(registry) > 0
     assert calls == [0]
 
 
 def test_epsilon_greedy_computes_at_most_one_score_per_processed_frame(monkeypatch) -> None:
     calls = _count_calls(monkeypatch, analyzer, "compute_score")
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.3, rng_seed=4))
-    result = run_loop(_trace(300), _repo(), strategy, registry=_sink(), inference_seed=3)
-    assert 0 < calls[0] <= result.frames_processed
+    registry = _run(_trace(300), _repo(), strategy, inference_seed=3)
+    assert 0 < calls[0] <= _processed(registry)
 
 
 def test_a_run_looks_a_profile_up_once_per_switch(monkeypatch) -> None:
     calls = _count_calls(monkeypatch, ModelRepository, "get")
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.3, rng_seed=4))
-    result = run_loop(_trace(300), _repo(), strategy, registry=_sink(), inference_seed=3)
-    assert result.switch_count > 0
+    registry = _run(_trace(300), _repo(), strategy, inference_seed=3)
+    assert registry.switch_count > 0
     # One lookup for the initial model, then one per switch.
-    assert calls == [1 + result.switch_count]
+    assert calls == [1 + registry.switch_count]
 
 
 def test_round_robin_ranks_by_the_cpu_the_loop_observed() -> None:
@@ -292,22 +315,22 @@ def test_round_robin_ranks_by_the_cpu_the_loop_observed() -> None:
 
 def test_the_loop_reads_the_strategys_decision_period() -> None:
     strategy = EpsilonGreedyStrategy(PlannerConfig(decision_period=5, rng_seed=4))
-    result = run_loop(_trace(300), _repo(), strategy, registry=_sink(), inference_seed=3)
-    assert result.switch_count > 0
-    assert result.decision_count == math.ceil(result.frames_processed / 5)
+    registry = _run(_trace(300), _repo(), strategy, inference_seed=3)
+    assert registry.switch_count > 0
+    assert registry.decision_count == math.ceil(_processed(registry) / 5)
 
 
 def test_a_run_starts_on_the_first_registered_model() -> None:
     strategy = _StayPut()
-    result = run_loop(_trace(10), _repo(), strategy, registry=_sink(), inference_seed=1)
+    registry = _run(_trace(10), _repo(), strategy, inference_seed=1)
     assert strategy.calls[0][1] == "a"
-    assert result.active == "a"
+    assert registry.usage_counts == {"a": 10}
 
     strategy = _StayPut()
     reversed_repo = ModelRepository((_profile("b", 10.0, 500.0), _profile("a", 14.0, 500.0)))
-    result = run_loop(_trace(10), reversed_repo, strategy, registry=_sink(), inference_seed=1)
+    registry = _run(_trace(10), reversed_repo, strategy, inference_seed=1)
     assert strategy.calls[0][1] == "b"
-    assert result.active == "b"
+    assert registry.usage_counts == {"b": 10}
 
 
 def test_the_engine_config_sizes_the_windows_and_filters_detections() -> None:
@@ -342,8 +365,9 @@ def test_loop_runs_are_reproducible(tmp_path) -> None:
     second, second_metrics, second_events = run(tmp_path / "second")
     assert first_metrics == second_metrics
     assert first_events == second_events
-    # The registries are distinct objects; every other field must match.
-    assert first._replace(registry=None) == second._replace(registry=None)
+    # The registries are distinct objects; every total they folded must match.
+    assert _totals(first) == _totals(second)
+    assert first.switch_count > 0
 
 
 def test_the_clock_runs_at_the_trace_fps(tmp_path) -> None:
@@ -380,16 +404,11 @@ def _walk(config: TraceConfig, latency_ms: float, decision_period: int):
     strategy = _Alternate()
     strategy.decision_period = decision_period
     metrics_out = StringIO()
+    registry = LogRegistry(metrics_out, StringIO())
     with mock.patch.object(executor, "synth_inference", recording):
-        result = run_loop(
-            generate_trace(config),
-            repo,
-            strategy,
-            registry=LogRegistry(metrics_out, StringIO()),
-            inference_seed=5,
-        )
+        run_loop(generate_trace(config), repo, strategy, registry=registry, inference_seed=5)
     indices = [int(row.split(",", 1)[0]) for row in metrics_out.getvalue().splitlines()[1:]]
-    assert len(indices) == result.frames_processed
+    assert len(indices) == _processed(registry)
     return [(i, *frame) for i, frame in zip(indices, received, strict=True)]
 
 
@@ -495,7 +514,6 @@ def test_each_layer_is_called_once_per_frame_or_decision(monkeypatch, strategy) 
     per_frame = [
         _count_calls(monkeypatch, executor, "synth_inference"),
         _count_calls(monkeypatch, executor.Executor, "run_inference"),
-        _count_calls(monkeypatch, monitor.Monitor, "record"),
         _count_calls(monkeypatch, monitor.MetricsWindow, "record"),
         _count_calls(monkeypatch, LogRegistry, "append_metrics"),
     ]
@@ -505,10 +523,10 @@ def test_each_layer_is_called_once_per_frame_or_decision(monkeypatch, strategy) 
         _count_calls(monkeypatch, LogRegistry, "append_decision"),
     ]
     switches = _count_calls(monkeypatch, LogRegistry, "append_switch")
-    result = run_loop(_trace(400), _repo(), strategy, registry=_sink(), inference_seed=3)
-    assert 0 < result.decision_count <= result.frames_processed
-    assert per_frame == [[result.frames_processed]] * len(per_frame)
-    assert per_decision == [[result.decision_count]] * len(per_decision)
-    assert switches == [result.switch_count]
+    registry = _run(_trace(400), _repo(), strategy, inference_seed=3)
+    assert 0 < registry.decision_count <= _processed(registry)
+    assert per_frame == [[_processed(registry)]] * len(per_frame)
+    assert per_decision == [[registry.decision_count]] * len(per_decision)
+    assert switches == [registry.switch_count]
     # The loop calls synthesis through the binding the executor imported from sim.
     assert executor.synth_inference is not sim.synth_inference

@@ -6,21 +6,11 @@ from random import Random
 
 import pytest
 
-from modelswitch.domain import FrameMetrics
-from modelswitch.knowledge import METRICS_FILENAME, LogRegistry, UnknownModel, load_metrics_csv
-from modelswitch.monitor import MetricsWindow, Monitor, OutOfOrderFrame
-
-
-def _record(
-    monitor: Monitor,
-    frame_index: int,
-    model: str,
-    confidence: float = 0.5,
-    cpu: float = 20.0,
-    detections: int = 1,
-    sim_time_ms: float = 0.0,
-) -> None:
-    monitor.record(frame_index, sim_time_ms, model, cpu, confidence, detections, 40.0)
+from modelswitch.domain import FrameMetrics, SelectionDecision, SelectionMode, check_frame
+from modelswitch.executor import Executor
+from modelswitch.knowledge import METRICS_FILENAME, LogRegistry, ModelRepository, load_metrics_csv
+from modelswitch.monitor import MetricsWindow, OutOfOrderFrame
+from modelswitch.sim import ModelProfile
 
 
 def test_window_rejects_nonpositive_capacity() -> None:
@@ -85,31 +75,42 @@ def test_window_aggregate_matches_brute_force() -> None:
         )
 
 
+def _profile(model: str) -> ModelProfile:
+    return ModelProfile(
+        model=model,
+        base_cpu_pct=14.0,
+        cpu_per_object_pct=0.3,
+        base_confidence=0.6,
+        confidence_noise_sd=0.05,
+        detection_recall=0.9,
+        switch_latency_ms=300.0,
+        inference_time_ms=40.0,
+    )
+
+
 def test_monitor_routes_by_model_and_logs(tmp_path) -> None:
+    """The executor records each frame into the live model's window and one log row."""
     metrics_path = tmp_path / METRICS_FILENAME
+    windows = {m: MetricsWindow(m, 4) for m in ("a", "b")}
     with open(metrics_path, "w", encoding="utf-8", newline="") as metrics_out:
-        monitor = Monitor(("a", "b"), LogRegistry(metrics_out, StringIO()), capacity=4)
-        _record(monitor, 0, "a", confidence=0.2, sim_time_ms=0.0)
-        _record(monitor, 1, "b", confidence=0.8, cpu=31.0, sim_time_ms=16.7)
-        _record(monitor, 2, "a", confidence=0.4, sim_time_ms=33.3)
+        registry = LogRegistry(metrics_out, StringIO())
+        repo = ModelRepository((_profile("a"), _profile("b")))
+        executor = Executor(repo, windows, registry, Random(5))
+        for frame_index, sim_time_ms, model in [(0, 0.0, "a"), (1, 16.7, "b"), (2, 33.3, "a")]:
+            decision = SelectionDecision(model, SelectionMode.FORCED, None, executor.active)
+            executor.apply(decision, frame_index)
+            executor.run_inference(frame_index, 3, 0.2, sim_time_ms)
 
-    agg_a = monitor.windows["a"].aggregate()
-    assert agg_a is not None
-    assert agg_a.sample_count == 2
-    assert agg_a.avg_confidence == pytest.approx(0.3)
-    window_b = monitor.windows["b"]
-    assert (window_b.last_frame, window_b.cpus[-1], window_b.confidences[-1]) == (1, 31.0, 0.8)
-
+    assert [windows["a"].last_frame, len(windows["a"])] == [2, 2]
+    assert [windows["b"].last_frame, len(windows["b"])] == [1, 1]
     rows = load_metrics_csv(metrics_path)
-    assert [metrics.frame_index for _, metrics in rows] == [0, 1, 2]
+    assert [(metrics.frame_index, metrics.model) for _, metrics in rows] == [
+        (0, "a"), (1, "b"), (2, "a")
+    ]
     assert rows[1][0] == pytest.approx(16.7)
-    assert (rows[1][1].model, rows[1][1].cpu_usage, rows[1][1].detection_count) == ("b", 31.0, 1)
-
-
-def test_monitor_rejects_unknown_model() -> None:
-    monitor = Monitor(("a",), LogRegistry(StringIO(), StringIO()))
-    with pytest.raises(UnknownModel):
-        _record(monitor, 0, "zzz")
+    # Each row carries what its model's window kept, at the file's 4 decimals.
+    assert rows[1][1].cpu_usage == pytest.approx(windows["b"].cpus[-1], abs=5e-5)
+    assert rows[2][1].confidence_score == pytest.approx(windows["a"].confidences[-1], abs=5e-5)
 
 
 @pytest.mark.parametrize(
@@ -124,12 +125,10 @@ def test_monitor_rejects_unknown_model() -> None:
     ],
 )
 def test_monitor_rejects_figures_out_of_range(frame_index, cpu, confidence, detections, message):
-    """The checks FrameMetrics makes on a row read back, with the same messages,
-    and nothing is recorded or logged."""
-    metrics_out = StringIO()
-    monitor = Monitor(("a",), LogRegistry(metrics_out, StringIO()))
+    """The check a frame's figures pass before the executor records them makes
+    the checks FrameMetrics makes on a row read back, with the same messages."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _record(monitor, frame_index, "a", confidence=confidence, cpu=cpu, detections=detections)
+        check_frame(frame_index, cpu, confidence, detections)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         FrameMetrics(
             frame_index=frame_index,
@@ -139,5 +138,3 @@ def test_monitor_rejects_figures_out_of_range(frame_index, cpu, confidence, dete
             detection_count=detections,
             inference_time_ms=40.0,
         )
-    assert len(monitor.windows["a"]) == 0
-    assert metrics_out.getvalue().count("\n") == 1  # the header only

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from collections import Counter, deque
-from io import StringIO
 from random import Random
 
 import pytest
@@ -10,8 +9,7 @@ from hypothesis import strategies as st
 
 from modelswitch.domain import SelectionDecision, SelectionMode, WindowAggregate
 from modelswitch.analyzer import Scores
-from modelswitch.knowledge import LogRegistry
-from modelswitch.monitor import Monitor
+from modelswitch.monitor import MetricsWindow
 from modelswitch.planner import (
     DEFAULT_CONFIDENCE_LOW_THRESHOLD,
     DEFAULT_CPU_HIGH_THRESHOLD,
@@ -79,8 +77,8 @@ def _greedy(scores, active, p, epsilon, seed, exclude_best=True):
     return strategy.decide(0, active, _view(scores=scores, model_ids=tuple(scores)))
 
 
-def _record(monitor: Monitor, cpu: float, confidence: float, model: str, frame_index: int = 0):
-    monitor.record(frame_index, 0.0, model, cpu, confidence, 1 if confidence > 0.0 else 0, 40.0)
+def _record(windows, cpu: float, confidence: float, model: str, frame_index: int = 0):
+    windows[model].record(frame_index, cpu, confidence)
 
 
 def test_best_model_takes_the_minimum() -> None:
@@ -163,14 +161,14 @@ def test_unit_epsilon_always_explores() -> None:
 
 
 def test_epsilon_greedy_reads_the_live_score_table() -> None:
-    monitor = Monitor(("a", "b"), LogRegistry(StringIO(), StringIO()))
-    view = _view(scores=Scores(monitor.windows), model_ids=("a", "b"), windows=monitor.windows)
+    windows = {m: MetricsWindow(m, 30) for m in ("a", "b")}
+    view = _view(scores=Scores(windows), model_ids=("a", "b"), windows=windows)
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.0))
     # Both score 0.0 before any frame; the tie goes to the first id.
     assert strategy.decide(0, "a", view).selected == "a"
     # b's confidence drops below its window mean: 10 * (1 - 0.6 / 0.4) = -5.
-    _record(monitor, cpu=10.0, confidence=0.8, model="b", frame_index=0)
-    _record(monitor, cpu=10.0, confidence=0.4, model="b", frame_index=1)
+    _record(windows, cpu=10.0, confidence=0.8, model="b", frame_index=0)
+    _record(windows, cpu=10.0, confidence=0.4, model="b", frame_index=1)
     assert strategy.decide(1, "a", view).selected == "b"
 
 
@@ -224,10 +222,10 @@ def test_naive_stays_put_without_metrics() -> None:
 
 
 def test_naive_strategy_reads_the_latest_metrics_of_the_active_model() -> None:
-    monitor = Monitor(("s", "m", "l"), LogRegistry(StringIO(), StringIO()))
-    _record(monitor, cpu=30.0, confidence=0.9, model="m")
-    _record(monitor, cpu=10.0, confidence=0.1, model="s")
-    view = _view(scores={}, model_ids=("s", "m", "l"), windows=monitor.windows)
+    windows = {m: MetricsWindow(m, 30) for m in ("s", "m", "l")}
+    _record(windows, cpu=30.0, confidence=0.9, model="m")
+    _record(windows, cpu=10.0, confidence=0.1, model="s")
+    view = _view(scores={}, model_ids=("s", "m", "l"), windows=windows)
     strategy = NaiveThresholdStrategy(NaiveConfig(model_order=("s", "m", "l")))
     assert strategy.decide(5, "m", view).selected == "s"
 

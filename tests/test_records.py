@@ -15,7 +15,7 @@ import pytest
 
 from modelswitch.cli import RunSummary
 from modelswitch.domain import FrameMetrics, WindowAggregate
-from modelswitch.loop import EngineConfig, LoopResult
+from modelswitch.loop import EngineConfig
 from modelswitch.planner import NaiveConfig, PlannerConfig, RoundRobinBoostConfig, RunView
 from modelswitch.sim import ScheduleSegment, SimConfig, TraceConfig, default_profiles
 
@@ -45,16 +45,6 @@ RECORDS = [
     NAIVE,
     ROUND_ROBIN,
     RunView(model_ids=("a",), scores={"a": 0.0}, windows={}),
-    LoopResult(
-        registry=None,
-        active="a",
-        switch_count=2,
-        cumulative_switch_time_ms=900.0,
-        frames_total=100,
-        frames_processed=40,
-        frames_dropped=60,
-        decision_count=40,
-    ),
     ENGINE,
     RunSummary(
         strategy="naive",

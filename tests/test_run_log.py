@@ -152,3 +152,13 @@ def test_written_run_agrees_with_its_summary(
     assert summary.avg_confidence_pct == pytest.approx(
         100.0 * sum(m.confidence_score for _, m in metrics_rows) / processed, abs=6e-3
     )
+    # So are the switch totals of the switch rows: a row keeps 4 decimals of
+    # milliseconds (5e-8 s of error each) and the summary 6 decimals of seconds.
+    switch_ms = [float(row["switch_time_ms"]) for row in switches]
+    count = len(switch_ms)
+    assert summary.cumulative_switch_time_s == pytest.approx(
+        sum(switch_ms) / 1000.0, abs=5e-8 * count + 6e-7
+    )
+    assert summary.avg_switch_time_s == pytest.approx(
+        sum(switch_ms) / count / 1000.0 if count else 0.0, abs=5e-8 + 6e-7
+    )
