@@ -243,7 +243,10 @@ def run_experiment(
         raise ConfigError(f"[{unknown[0]}]: unknown section")
     effective_seed = seed if seed is not None else sim_config.trace.rng_seed
     # Built anew, not by _replace, so the new value passes TraceConfig's checks.
-    trace_config = TraceConfig(**{**sim_config.trace._asdict(), "rng_seed": effective_seed})
+    try:
+        trace_config = TraceConfig(**{**sim_config.trace._asdict(), "rng_seed": effective_seed})
+    except ValueError as exc:
+        raise ConfigError(f"[trace] {exc}") from exc
     if trace_config.total_frames == 0:
         raise ConfigError("[trace] fps * duration_s rounds to 0 frames")
     repo = ModelRepository(sim_config.profiles)

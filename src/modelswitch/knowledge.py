@@ -3,16 +3,16 @@
 The log registry is append-only and is the single source of truth for
 everything a run emits: its rows and every total the summary reports. It
 streams plain UTF-8 CSV with LF line endings and reals printed with 4
-decimal places, so identical runs produce byte-identical files. Rows are formatted through templates built per
-model: a metrics row through a ``%`` template with the model id and its
-inference time already written in, a draw-less decision as its frame
-index plus a suffix kept per decision.
+decimal places, so identical runs produce byte-identical files. Each kind
+of row (metrics, decision, switch) has one ``%`` layout, declared beside
+its file's header; a draw-less decision is its frame index plus the rest of
+its row, kept per decision.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TextIO
+from typing import Iterator, TextIO
 
 from modelswitch.domain import (
     FrameMetrics,
@@ -30,7 +30,14 @@ METRICS_HEADER = (
     "frame_index,sim_time_ms,model_id,cpu_usage_pct,confidence,"
     "detection_count,inference_time_ms,battery_mah"
 )
+# The row layouts, one % format per kind of row over its columns in header
+# order. battery_mah stays empty: the simulator measures no battery.
+METRICS_ROW = "%d,%.4f,%s,%.4f,%.4f,%d,%.4f,\n"
 EVENTS_HEADER = "frame_index,event_type,mode,random_draw,from_model,to_model,switch_time_ms"
+# The frame index and the draw are %s: a draw-less decision fills both with "",
+# which leaves the part of its row that follows the frame index.
+DECISION_ROW = "%s,decision,%s,%s,%s,%s,\n"
+SWITCH_ROW = "%d,switch,,,%s,%s,%.4f\n"
 
 
 class UnknownModel(Exception):
@@ -88,7 +95,6 @@ class LogRegistry:
         self._write_metrics = metrics_out.write
         self._write_event = events_out.write
         self._last_frame = -1
-        self._metrics_templates: dict[tuple[ModelId, float], str] = {}
         self._decision_suffixes: dict[SelectionDecision, str] = {}
         self.usage_counts: dict[ModelId, int] = {}
         self.cpu_total = 0.0
@@ -115,52 +121,35 @@ class LogRegistry:
         if frame_index < self._last_frame:
             raise self._backwards(frame_index)
         self._last_frame = frame_index
-        try:
-            template = self._metrics_templates[model, inference_time_ms]
-        except KeyError:
-            template = self._metrics_template(model, inference_time_ms)
         self._write_metrics(
-            template % (frame_index, sim_time_ms, cpu_usage, confidence_score, detection_count)
+            METRICS_ROW
+            % (
+                frame_index, sim_time_ms, model, cpu_usage, confidence_score, detection_count,
+                inference_time_ms,
+            )
         )
         counts = self.usage_counts
         counts[model] = counts.get(model, 0) + 1
         self.cpu_total += cpu_usage
         self.confidence_total += confidence_score
 
-    def _metrics_template(self, model: ModelId, inference_time_ms: float) -> str:
-        """The row format of one (model, inference time), with both columns written in.
-
-        battery_mah stays empty: the simulator measures no battery. Zero and
-        nan are formatted but not kept: 0.0 and -0.0 are one dict key but
-        print differently, and a nan key never matches again.
-        """
-        template = (
-            "%d,%.4f," + model.replace("%", "%%") + ",%.4f,%.4f,%d,"
-            + f"{inference_time_ms:.4f},\n"
-        )
-        if inference_time_ms == inference_time_ms and inference_time_ms != 0:
-            self._metrics_templates[model, inference_time_ms] = template
-        return template
-
     def append_decision(self, frame_index: int, decision: SelectionDecision) -> None:
         if frame_index < self._last_frame:
             raise self._backwards(frame_index)
         self._last_frame = frame_index
-        mode = decision.mode
-        draw = decision.random_draw
+        selected, mode, draw, previous = decision
+        # _value_ is the member's value; Enum.value is a property, dearer to read per row.
         if draw is None:
             try:
                 suffix = self._decision_suffixes[decision]
             except KeyError:
                 suffix = self._decision_suffixes[decision] = (
-                    f",decision,{mode._value_},,{decision.previous},{decision.selected},\n"
+                    DECISION_ROW % ("", mode._value_, "", previous, selected)
                 )
             self._write_event(str(frame_index) + suffix)
         else:
-            # _value_ is the member's value; Enum.value is a property, dearer to read per row.
             self._write_event(
-                "%d,decision,%s,%.4f,%s,%s,\n"
-                % (frame_index, mode._value_, draw, decision.previous, decision.selected)
+                DECISION_ROW % (frame_index, mode._value_, "%.4f" % draw, previous, selected)
             )
         self.decision_count += 1
         if mode is SelectionMode.EXPLORE:
@@ -171,61 +160,48 @@ class LogRegistry:
             raise self._backwards(event.frame_index)
         self._last_frame = event.frame_index
         self._write_event(
-            f"{event.frame_index},switch,,,{event.from_model},{event.to_model},"
-            f"{event.switch_time_ms:.4f}\n"
+            SWITCH_ROW % (event.frame_index, event.from_model, event.to_model, event.switch_time_ms)
         )
         self.switch_count += 1
         self.cumulative_switch_time_ms += event.switch_time_ms
 
 
-def load_metrics_csv(path: Path | str) -> list[tuple[float, FrameMetrics]]:
-    """Parse a metrics.csv back into (sim_time_ms, FrameMetrics) rows."""
+def _read_rows(path: Path | str, header: str, kind: str) -> Iterator[list[str]]:
+    """The fields of each non-empty row of a CSV file that starts with header."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoFailure(path, exc) from exc
-    if not lines or lines[0] != METRICS_HEADER:
-        raise ValueError(f"{path}: unexpected metrics header")
-    rows: list[tuple[float, FrameMetrics]] = []
-    for line in lines[1:]:
-        if not line:
-            continue
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: unexpected {kind} header")
+    width = header.count(",") + 1
+    for line in filter(None, lines[1:]):
         fields = line.split(",")
-        if len(fields) != 8:
+        if len(fields) != width:
             raise ValueError(f"{path}: malformed row: {line!r}")
-        rows.append(
-            (
-                float(fields[1]),
-                FrameMetrics(
-                    frame_index=int(fields[0]),
-                    model=fields[2],
-                    cpu_usage=float(fields[3]),
-                    confidence_score=float(fields[4]),
-                    detection_count=int(fields[5]),
-                    inference_time_ms=float(fields[6]),
-                ),
-            )
+        yield fields
+
+
+def load_metrics_csv(path: Path | str) -> list[tuple[float, FrameMetrics]]:
+    """Parse a metrics.csv back into (sim_time_ms, FrameMetrics) rows."""
+    return [
+        (
+            float(fields[1]),
+            FrameMetrics(
+                frame_index=int(fields[0]),
+                model=fields[2],
+                cpu_usage=float(fields[3]),
+                confidence_score=float(fields[4]),
+                detection_count=int(fields[5]),
+                inference_time_ms=float(fields[6]),
+            ),
         )
-    return rows
+        for fields in _read_rows(path, METRICS_HEADER, "metrics")
+    ]
 
 
 def load_events_csv(path: Path | str) -> list[dict[str, str]]:
     """Parse an events.csv into raw field dicts (strings as written)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoFailure(path, exc) from exc
-    if not lines or lines[0] != EVENTS_HEADER:
-        raise ValueError(f"{path}: unexpected events header")
     names = EVENTS_HEADER.split(",")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != len(names):
-            raise ValueError(f"{path}: malformed row: {line!r}")
-        rows.append(dict(zip(names, fields)))
-    return rows
+    return [dict(zip(names, fields)) for fields in _read_rows(path, EVENTS_HEADER, "events")]

@@ -120,6 +120,9 @@ class TraceConfig(NamedTuple):
             raise ValueError(f"fps must be positive: {self.fps}")
         if not self.duration_s > 0:
             raise ValueError(f"duration_s must be positive: {self.duration_s}")
+        # Random(seed) drops an int seed's sign: -5 would replay seed 5's traffic.
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must not be negative: {self.rng_seed}")
         validate_segments(self.segments, self.duration_s)
 
     @property

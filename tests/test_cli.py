@@ -388,6 +388,38 @@ def test_main_rejects_a_mean_objects_too_large_to_draw(tmp_path, capsys) -> None
     assert not out.exists()
 
 
+def test_main_rejects_a_negative_seed_before_writing_anything(tmp_path, capsys) -> None:
+    """Random drops an int seed's sign: --seed -1 would replay seed 1's traffic."""
+    config = tmp_path / "small.ini"
+    config.write_text(SMALL_CONFIG, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--strategy", "naive", "--config", str(config), "--out", str(out)]
+    assert main([*argv, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "config error: [trace] rng_seed must not be negative: -1\n"
+    with pytest.raises(ConfigError, match=r"^\[trace\] rng_seed must not be negative: -5$"):
+        run_experiment("naive", out, seed=-5)
+    assert not out.exists()
+
+
+def test_main_names_the_trace_section_of_a_negative_rng_seed(tmp_path, capsys) -> None:
+    bad = tmp_path / "bad.ini"
+    bad.write_text(SMALL_CONFIG.replace("rng_seed = 5", "rng_seed = -1"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--strategy", "naive", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {bad}: [trace] rng_seed must not be negative: -1\n"
+    assert not out.exists()
+
+
+def test_main_runs_seed_zero(tmp_path) -> None:
+    config = tmp_path / "small.ini"
+    config.write_text(SMALL_CONFIG, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--strategy", "naive", "--config", str(config), "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
+    assert read_summary(out / SUMMARY_FILENAME).seed == 0
+
+
 def _segment(number: int, start_s: float, mean_objects: float = 3, complexity: float = 0.1) -> str:
     return (
         f"[segment.{number}]\nstart_s = {start_s}\n"
@@ -464,7 +496,7 @@ def _model_section(model_id: str) -> str:
 
 
 def test_main_writes_a_model_id_holding_a_percent_sign(tmp_path) -> None:
-    """A metrics row is formatted through a % template; the id's own % must come out as is."""
+    """A metrics row is formatted with %; the id's own % must come out as is."""
     config = tmp_path / "odd.ini"
     config.write_text(SMALL_CONFIG + _model_section("odd%id"), encoding="utf-8")
     out = tmp_path / "out"

@@ -198,7 +198,7 @@ def test_io_errors_carry_the_path(tmp_path) -> None:
 def _reference_metrics_row(
     frame_index, sim_time_ms, model, cpu_usage, confidence_score, detection_count, inference_ms
 ) -> str:
-    """A metrics row as the f-string formatting before row templates wrote it."""
+    """A metrics row as a per-row f-string writes it."""
     return (
         f"{frame_index},{sim_time_ms:.4f},{model},{cpu_usage:.4f},{confidence_score:.4f},"
         f"{detection_count},{inference_ms:.4f},\n"
@@ -206,11 +206,19 @@ def _reference_metrics_row(
 
 
 def _reference_decision_row(frame_index: int, decision: SelectionDecision) -> str:
-    """A decision row as the f-string formatting before row templates wrote it."""
+    """A decision row as a per-row f-string writes it."""
     draw = "" if decision.random_draw is None else f"{decision.random_draw:.4f}"
     return (
         f"{frame_index},decision,{decision.mode.value},{draw},"
         f"{decision.previous},{decision.selected},\n"
+    )
+
+
+def _reference_switch_row(event: SwitchEvent) -> str:
+    """A switch row as a per-row f-string writes it."""
+    return (
+        f"{event.frame_index},switch,,,{event.from_model},{event.to_model},"
+        f"{event.switch_time_ms:.4f}\n"
     )
 
 
@@ -239,8 +247,8 @@ _model_ids = st.one_of(
 
 @st.composite
 def _log_rows(draw) -> list[tuple]:
-    """Metrics rows and decisions in frame order, over a few models and inference times
-    that repeat, so a row template is both built and reused."""
+    """Metrics, decision and switch rows in frame order, over a few models that repeat,
+    so a kept draw-less decision is both built and reused."""
     models = draw(st.lists(_model_ids, min_size=1, max_size=3))
     inference_ms = draw(
         st.lists(st.one_of(st.sampled_from([0.0, -0.0, 40.0, 40]), _reals), min_size=1, max_size=3)
@@ -249,7 +257,8 @@ def _log_rows(draw) -> list[tuple]:
     rows = []
     for _ in range(draw(st.integers(1, 25))):
         frame_index += draw(st.integers(0, 3))
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["metrics", "decision", "switch"]))
+        if kind == "metrics":
             rows.append(
                 (
                     "metrics",
@@ -262,7 +271,7 @@ def _log_rows(draw) -> list[tuple]:
                     draw(st.sampled_from(inference_ms)),
                 )
             )
-        else:
+        elif kind == "decision":
             decision = SelectionDecision(
                 draw(st.sampled_from(models)),
                 draw(st.sampled_from(SelectionMode)),
@@ -270,13 +279,21 @@ def _log_rows(draw) -> list[tuple]:
                 draw(st.sampled_from(models)),
             )
             rows.append(("decision", frame_index, decision))
+        else:
+            event = SwitchEvent(
+                frame_index,
+                draw(st.sampled_from(models)),
+                draw(st.sampled_from(models)),
+                draw(_reals),
+            )
+            rows.append(("switch", event))
     return rows
 
 
 @settings(max_examples=150, deadline=None)
 @given(rows=_log_rows())
 def test_rows_match_the_f_string_formatting(rows) -> None:
-    """Both CSV streams equal, byte for byte, what the per-row f-strings wrote."""
+    """Both CSV streams equal, byte for byte, what per-row f-strings write."""
     metrics_out, events_out = StringIO(), StringIO()
     registry = LogRegistry(metrics_out, events_out)
     metrics_expected = [METRICS_HEADER + "\n"]
@@ -285,8 +302,11 @@ def test_rows_match_the_f_string_formatting(rows) -> None:
         if kind == "metrics":
             registry.append_metrics(*args)
             metrics_expected.append(_reference_metrics_row(*args))
-        else:
+        elif kind == "decision":
             registry.append_decision(*args)
             events_expected.append(_reference_decision_row(*args))
+        else:
+            registry.append_switch(*args)
+            events_expected.append(_reference_switch_row(*args))
     assert metrics_out.getvalue() == "".join(metrics_expected)
     assert events_out.getvalue() == "".join(events_expected)
