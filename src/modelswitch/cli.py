@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from pathlib import Path
-from typing import Any, NamedTuple, get_args, get_type_hints
+from typing import Any, NamedTuple, Sequence, get_args, get_type_hints
 
 from modelswitch.knowledge import (
     EVENTS_FILENAME,
@@ -34,6 +34,7 @@ from modelswitch.sim import (
     DEFAULT_SEED,
     ConfigError,
     SimConfig,
+    Trace,
     TraceConfig,
     default_profiles,
     generate_trace,
@@ -192,15 +193,32 @@ def read_summary(path: Path) -> RunSummary:
     return RunSummary(**values)
 
 
-def _load_sim_config(config_path: str | None) -> SimConfig:
-    if config_path is None:
-        return SimConfig(trace=TraceConfig(), profiles=default_profiles(), extras={})
-    try:
-        return parse_config(config_path)
-    except OSError as exc:
-        raise IoFailure(config_path, exc) from exc
-    except ConfigError as exc:
-        raise ConfigError(f"{config_path}: {exc}") from exc
+class Experiment(NamedTuple):
+    """A loaded and checked experiment. Each strategy's config is checked, not built."""
+
+    seed: int
+    trace: TraceConfig
+    repo: ModelRepository
+    engine: EngineConfig
+    strategies: dict[str, Any]
+
+
+def _strategy_config(
+    name: str, repo: ModelRepository, extras: dict[str, dict[str, str]], seed: int,
+    epsilon: float | None,
+) -> Any:
+    """Read and check a strategy's section. The planner draws from the trace seed + 1,
+    naive's ladder defaults to the repository order, and epsilon beats the file."""
+    overrides = {} if epsilon is None else {"epsilon": epsilon}
+    config = read_section(
+        name, extras.get(name, {}), STRATEGIES[name][0],
+        {"rng_seed": seed + 1}, {"model_order": repo.ids()}, overrides,
+    )
+    # A comma list in a strategy section is a ladder over the whole repository.
+    for key, value in config._asdict().items():
+        if isinstance(value, tuple) and sorted(value) != sorted(repo.ids()):
+            raise ConfigError(f"[{name}] {key} must permute the repository: {value}")
+    return config
 
 
 def build_strategy(
@@ -210,53 +228,50 @@ def build_strategy(
     seed: int,
     epsilon: float | None = None,
 ) -> SelectionStrategy:
-    """Construct the named strategy from its section. The planner draws from the
-    trace seed + 1, naive's ladder defaults to the repository order, and
-    epsilon, when given, beats the file."""
+    """Construct the named strategy from its section, read as load_experiment reads it."""
     if name not in STRATEGIES:
         raise UnknownStrategy(name)
-    config_cls, strategy_cls = STRATEGIES[name]
-    overrides = {} if epsilon is None else {"epsilon": epsilon}
-    config = read_section(
-        name, extras.get(name, {}), config_cls,
-        {"rng_seed": seed + 1}, {"model_order": repo.ids()}, overrides,
-    )
-    # A comma list in a strategy section is a ladder over the whole repository.
-    for key, value in config._asdict().items():
-        if isinstance(value, tuple) and sorted(value) != sorted(repo.ids()):
-            raise ConfigError(f"[{name}] {key} must permute the repository: {value}")
-    return strategy_cls(config)
+    return STRATEGIES[name][1](_strategy_config(name, repo, extras, seed, epsilon))
 
 
-def run_experiment(
-    strategy: str,
-    out_dir: Path | str,
-    config_path: str | None = None,
-    seed: int | None = None,
-    epsilon: float | None = None,
-) -> RunSummary:
-    """Run one strategy end to end; writes CSVs plus summary.txt to out_dir."""
-    sim_config = _load_sim_config(config_path)
+def load_experiment(
+    config_path: str | None = None, seed: int | None = None, epsilon: float | None = None
+) -> Experiment:
+    """Load and check a config, each strategy's section included; seed, when given,
+    beats the file's, and epsilon beats the epsilon-greedy section's."""
+    if config_path is None:
+        sim_config = SimConfig(trace=TraceConfig(), profiles=default_profiles(), extras={})
+    else:
+        try:
+            sim_config = parse_config(config_path)
+        except OSError as exc:
+            raise IoFailure(config_path, exc) from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{config_path}: {exc}") from exc
     extras = sim_config.extras
     unknown = sorted(set(extras) - {ENGINE_SECTION, *STRATEGIES})
     if unknown:
         raise ConfigError(f"[{unknown[0]}]: unknown section")
-    effective_seed = seed if seed is not None else sim_config.trace.rng_seed
+    seed = seed if seed is not None else sim_config.trace.rng_seed
     # Built anew, not by _replace, so the new value passes TraceConfig's checks.
     try:
-        trace_config = TraceConfig(**{**sim_config.trace._asdict(), "rng_seed": effective_seed})
+        trace_config = TraceConfig(**{**sim_config.trace._asdict(), "rng_seed": seed})
     except ValueError as exc:
         raise ConfigError(f"[trace] {exc}") from exc
     if trace_config.total_frames == 0:
         raise ConfigError("[trace] fps * duration_s rounds to 0 frames")
     repo = ModelRepository(sim_config.profiles)
     engine = read_section(ENGINE_SECTION, extras.get(ENGINE_SECTION, {}), EngineConfig)
-    # Every strategy's section is checked, whichever one runs.
-    built = {n: build_strategy(n, repo, extras, effective_seed, epsilon) for n in STRATEGIES}
-    if strategy not in built:
+    strategies = {n: _strategy_config(n, repo, extras, seed, epsilon) for n in STRATEGIES}
+    return Experiment(seed, trace_config, repo, engine, strategies)
+
+
+def run_on(experiment: Experiment, trace: Trace, strategy: str, out_dir: Path | str) -> RunSummary:
+    """Run one strategy over trace into out_dir. The trace is only read, so one may serve
+    several runs; the strategy is built anew each run, as it keeps RNG and rank state."""
+    if strategy not in experiment.strategies:
         raise UnknownStrategy(strategy)
-    planner = built[strategy]
-    trace = generate_trace(trace_config)
+    planner = STRATEGIES[strategy][1](experiment.strategies[strategy])
     out = Path(out_dir)
     summary_path = out / SUMMARY_FILENAME
     try:
@@ -269,18 +284,54 @@ def run_experiment(
         ):
             registry = LogRegistry(metrics_out, events_out)
             run_loop(
-                trace,
-                repo,
-                planner,
-                registry=registry,
-                inference_seed=effective_seed + 2,
-                engine=engine,
+                trace, experiment.repo, planner,
+                registry=registry, inference_seed=experiment.seed + 2, engine=experiment.engine,
             )
     except OSError as exc:  # a write error carries no file name; the run directory stands in
         raise IoFailure(exc.filename or out, exc) from exc
-    summary = summarize(registry, len(trace), strategy, effective_seed, repo.ids())
+    summary = summarize(registry, len(trace), strategy, experiment.seed, experiment.repo.ids())
     write_summary(summary, summary_path)
     return summary
+
+
+def _check_strategies(names: Sequence[str], epsilon: float | None) -> None:
+    """Refuse an epsilon that none of names reads, then an unknown name."""
+    if epsilon is not None and "epsilon-greedy" not in names:
+        raise ConfigError(f"epsilon applies to epsilon-greedy only, not to {', '.join(names)}")
+    for name in names:
+        if name not in STRATEGIES:
+            raise UnknownStrategy(name)
+
+
+def run_experiment(
+    strategy: str,
+    out_dir: Path | str,
+    config_path: str | None = None,
+    seed: int | None = None,
+    epsilon: float | None = None,
+) -> RunSummary:
+    """Run one strategy end to end; writes CSVs plus summary.txt to out_dir."""
+    experiment = load_experiment(config_path, seed, epsilon)
+    _check_strategies((strategy,), epsilon)
+    return run_on(experiment, generate_trace(experiment.trace), strategy, out_dir)
+
+
+def run_experiments(
+    strategies: Sequence[str],
+    out_root: Path | str,
+    config_path: str | None = None,
+    seed: int | None = None,
+    epsilon: float | None = None,
+) -> list[RunSummary]:
+    """Load one experiment and run each of strategies into out_root/<name>."""
+    experiment = load_experiment(config_path, seed, epsilon)
+    _check_strategies(strategies, epsilon)
+    # Each run draws its own trace, like run_experiment. Sharing one would save a draw per
+    # run; that waits until the benchmark times this loop, so that the saving is measured.
+    return [
+        run_on(experiment, generate_trace(experiment.trace), name, Path(out_root) / name)
+        for name in strategies
+    ]
 
 
 def format_run_summary(summary: RunSummary) -> str:

@@ -18,6 +18,7 @@ _ACCEPTANCE_LABELS = {
     "test_full_run_selects_every_model": "full run selects every model",
     "test_usage_concentration_ordering": "usage concentration ordering",
     "test_average_switch_time_ordering": "average switch time ordering",
+    "test_orderings_hold_over_seeds": "both orderings on seeds 1-5",
     "test_window_aggregates_match_brute_force": "window aggregates match brute force",
     "test_identical_runs_are_byte_identical": "identical runs byte-identical",
     "test_csv_contract_headers_and_round_trip": "CSV headers and 4-decimal round trip",
@@ -30,14 +31,15 @@ _results: dict[str, str] = {}
 def pytest_runtest_logreport(report) -> None:
     if _ACCEPTANCE_FILE not in report.nodeid:
         return
-    name = report.nodeid.rsplit("::", 1)[-1]
+    # A parametrized check is one line, and it fails if any of its cases does.
+    name = report.nodeid.rsplit("::", 1)[-1].split("[")[0]
     if name not in _ACCEPTANCE_LABELS:
         return
-    if report.when == "call":
-        _results[name] = "PASS" if report.passed else "FAIL"
-    elif report.failed:
-        # A setup or teardown error still means the check did not pass.
+    if report.failed or (report.when == "call" and not report.passed):
+        # A setup or teardown error, or a skipped call, still means the check did not pass.
         _results[name] = "FAIL"
+    elif report.when == "call":
+        _results.setdefault(name, "PASS")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:

@@ -17,7 +17,7 @@ from random import Random
 import pytest
 
 from modelswitch.analyzer import compute_score
-from modelswitch.cli import RunSummary, max_share, run_experiment
+from modelswitch.cli import STRATEGY_NAMES, RunSummary, max_share, run_experiment, run_experiments
 from modelswitch.domain import SelectionMode, mean_confidence
 from modelswitch.knowledge import load_events_csv, load_metrics_csv
 from modelswitch.monitor import MetricsWindow
@@ -125,8 +125,8 @@ def test_full_run_selects_every_model(full_runs) -> None:
         assert selected[model] >= floor
 
 
-def test_usage_concentration_ordering(full_runs) -> None:
-    shares = {name: max_share(summary.usage_shares) for name, (summary, _, _) in full_runs.items()}
+def _assert_usage_concentration_ordering(summaries: dict[str, RunSummary]) -> None:
+    shares = {name: max_share(summary.usage_shares) for name, summary in summaries.items()}
     assert shares["epsilon-greedy"] < shares["naive"]
     assert shares["epsilon-greedy"] < shares["round-robin-boost"]
     assert shares["naive"] > 0.6
@@ -134,11 +134,28 @@ def test_usage_concentration_ordering(full_runs) -> None:
     assert shares["epsilon-greedy"] < 0.6
 
 
-def test_average_switch_time_ordering(full_runs) -> None:
-    naive = full_runs["naive"][0].avg_switch_time_s
-    greedy = full_runs["epsilon-greedy"][0].avg_switch_time_s
-    round_robin = full_runs["round-robin-boost"][0].avg_switch_time_s
+def _assert_average_switch_time_ordering(summaries: dict[str, RunSummary]) -> None:
+    naive = summaries["naive"].avg_switch_time_s
+    greedy = summaries["epsilon-greedy"].avg_switch_time_s
+    round_robin = summaries["round-robin-boost"].avg_switch_time_s
     assert naive < greedy < round_robin
+
+
+def test_usage_concentration_ordering(full_runs) -> None:
+    _assert_usage_concentration_ordering({name: run[0] for name, run in full_runs.items()})
+
+
+def test_average_switch_time_ordering(full_runs) -> None:
+    _assert_average_switch_time_ordering({name: run[0] for name, run in full_runs.items()})
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_orderings_hold_over_seeds(seed, tmp_path) -> None:
+    """Both orderings above, at the default full length, on seeds other than the default."""
+    summaries = dict(zip(STRATEGY_NAMES, run_experiments(STRATEGY_NAMES, tmp_path, seed=seed)))
+    assert all(summary.seed == seed for summary in summaries.values())
+    _assert_usage_concentration_ordering(summaries)
+    _assert_average_switch_time_ordering(summaries)
 
 
 def test_window_aggregates_match_brute_force() -> None:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modelswitch import cli
 from modelswitch.cli import (
     STRATEGY_NAMES,
     SUMMARY_FILENAME,
@@ -20,11 +21,14 @@ from modelswitch.cli import (
     UnknownStrategy,
     build_strategy,
     compare,
+    load_experiment,
     main,
     max_share,
     normalized_entropy,
     read_summary,
     run_experiment,
+    run_experiments,
+    run_on,
     write_summary,
 )
 from modelswitch.knowledge import (
@@ -41,7 +45,7 @@ from modelswitch.planner import (
 )
 from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR
 from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY
-from modelswitch.sim import TraceConfig, default_profiles, parse_config
+from modelswitch.sim import TraceConfig, default_profiles, generate_trace, parse_config
 
 DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 
@@ -180,6 +184,71 @@ def test_zero_epsilon_run_never_explores(small_config, tmp_path) -> None:
         "epsilon-greedy", tmp_path / "run", config_path=small_config, epsilon=0.0
     )
     assert summary.explore_count == 0
+
+
+def test_epsilon_for_no_epsilon_greedy_run_exits_one_before_writing(
+    small_config, tmp_path, capsys
+) -> None:
+    out = tmp_path / "out"
+    argv = ["run", "--strategy", "naive", "--epsilon", "0.3", "--config", small_config]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: epsilon applies to epsilon-greedy only, not to naive\n"
+    )
+    assert not (out / METRICS_FILENAME).exists()
+    with pytest.raises(ConfigError, match=r"^epsilon .* not to naive, round-robin-boost$"):
+        run_experiments(["naive", "round-robin-boost"], out, config_path=small_config, epsilon=0.3)
+    assert not out.exists()
+    # Beside epsilon-greedy, the override still reaches it.
+    greedy, naive = run_experiments(
+        ["epsilon-greedy", "naive"], out, config_path=small_config, epsilon=0.0
+    )
+    assert greedy.explore_count == 0 and naive.strategy == "naive"
+
+
+def test_one_trace_serves_every_strategy(small_config, tmp_path) -> None:
+    """run_on only reads the trace, so runs sharing one write what separate runs write."""
+    experiment = load_experiment(small_config, seed=11)
+    trace = generate_trace(experiment.trace)
+    for name in STRATEGY_NAMES:
+        run_on(experiment, trace, name, tmp_path / "shared" / name)
+        run_experiment(name, tmp_path / "single" / name, config_path=small_config, seed=11)
+    run_experiments(STRATEGY_NAMES, tmp_path / "loaded_once", config_path=small_config, seed=11)
+    for name in STRATEGY_NAMES:
+        for filename in (METRICS_FILENAME, EVENTS_FILENAME, SUMMARY_FILENAME):
+            expected = (tmp_path / "single" / name / filename).read_bytes()
+            assert (tmp_path / "shared" / name / filename).read_bytes() == expected
+            assert (tmp_path / "loaded_once" / name / filename).read_bytes() == expected
+    out = tmp_path / "bogus"
+    with pytest.raises(UnknownStrategy):
+        run_on(experiment, trace, "bogus", out)
+    with pytest.raises(UnknownStrategy):
+        run_experiments(["naive", "bogus"], out, config_path=small_config)
+    assert not out.exists()
+
+
+def test_run_experiment_builds_only_the_strategy_it_runs(
+    small_config, tmp_path, monkeypatch
+) -> None:
+    class Unbuildable:
+        def __init__(self, config):
+            raise AssertionError(f"built for a naive run: {config}")
+
+    for name in ("epsilon-greedy", "round-robin-boost"):
+        monkeypatch.setitem(cli.STRATEGIES, name, (cli.STRATEGIES[name][0], Unbuildable))
+    assert run_experiment("naive", tmp_path / "run", config_path=small_config).strategy == "naive"
+
+
+def test_a_bad_unused_section_fails_every_strategy_with_one_message(tmp_path, capsys) -> None:
+    bad = tmp_path / "bad.ini"
+    bad.write_text(SMALL_CONFIG + "\n[round-robin-boost]\ntime_slice_frames = 0\n", encoding="utf-8")
+    for name in STRATEGY_NAMES:
+        out = tmp_path / name
+        assert main(["run", "--strategy", name, "--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: [round-robin-boost] time_slice_frames must be >= 1: 0\n"
+        )
+        assert not out.exists()
 
 
 _FLOAT_FIELDS = ("avg_cpu_pct", "avg_confidence_pct", "avg_switch_time_s", "cumulative_switch_time_s")
