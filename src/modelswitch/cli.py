@@ -161,7 +161,7 @@ def write_summary(summary: RunSummary, path: Path) -> None:
 
 def read_summary(path: Path) -> RunSummary:
     """Parse a summary.txt back; MissingRun names the path and the first key
-    that is missing, unknown or unparsable."""
+    that is missing, unknown, repeated or unparsable."""
     if not path.is_file():
         raise MissingRun(str(path))
     try:
@@ -171,16 +171,21 @@ def read_summary(path: Path) -> RunSummary:
         raise IoFailure(path, exc) from exc
     per_model = {prefix: field for field, prefix in SUMMARY_PREFIXES.items()}
     values: dict[str, Any] = {field: {} for field in SUMMARY_PREFIXES}
+    seen = set()
     for key, _, text in (line.partition("=") for line in lines if line):
         head, dot, model = key.partition(".")
         field = per_model.get(head + dot, key)
-        if field not in _SUMMARY_TYPES or (field in SUMMARY_PREFIXES) != bool(dot):
+        # A per-model key needs a model id after its prefix; no other key has one.
+        if field not in _SUMMARY_TYPES or (field in SUMMARY_PREFIXES) != bool(model):
             raise MissingRun(f"{path}: {key}: unknown key")
+        if key in seen:
+            raise MissingRun(f"{path}: {key}: repeated")
+        seen.add(key)
         try:
             value = _SUMMARY_TYPES[field](text)
         except ValueError:
             raise MissingRun(f"{path}: {key}: unparsable value {text!r}") from None
-        if dot:
+        if model:
             values[field][model] = value
         else:
             values[field] = value

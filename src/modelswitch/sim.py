@@ -151,18 +151,6 @@ def validate_segments(segments: Sequence[ScheduleSegment], duration_s: float) ->
             raise InvalidSchedule(f"complexity out of range: {seg.complexity}", i)
 
 
-def gaussian(rng: Random, mu: float = 0.0, sigma: float = 1.0) -> float:
-    """One normal draw via the Box-Muller transform of two uniforms.
-
-    Kept explicit (rather than ``Random.gauss``) so the draw sequence is
-    pinned to documented arithmetic on ``Random.random`` output.
-    """
-    # 1 - random() lies in (0, 1], so the log is always finite.
-    u1 = 1.0 - rng.random()
-    u2 = rng.random()
-    return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
 def _poisson_draws(rng: Random, mean: float, n: int) -> array:
     """n poisson draws via Knuth's product-of-uniforms method."""
     if mean < 0.0:
@@ -287,10 +275,10 @@ def synth_inference(
     for _ in range(object_count):
         if random() >= recall:
             continue
-        # gaussian(rng, 0.0, noise_sd), inlined with the same operations in the same order.
+        # Box-Muller noise from two uniforms; 1 - random() lies in (0, 1], so the log is finite.
         u1 = 1.0 - random()
         u2 = random()
-        conf = degraded + (0.0 + noise_sd * sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2))
+        conf = degraded + noise_sd * sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2)
         if conf < 0.0:
             conf = 0.0
         elif conf > 1.0:
@@ -303,14 +291,10 @@ def synth_inference(
         while getrandbits(_LABEL_BITS) >= _LABELS:
             pass
         getrandbits(256)
-    # gaussian(rng), inlined the same way.
+    # Unit Box-Muller noise, drawn the same way.
     u1 = 1.0 - random()
     u2 = random()
-    cpu = (
-        base_cpu
-        + cpu_per_object * object_count
-        + (0.0 + 1.0 * sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2))
-    )
+    cpu = base_cpu + cpu_per_object * object_count + sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2)
     if cpu < 0.0:
         cpu = 0.0
     elif cpu > 100.0:

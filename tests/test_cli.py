@@ -374,6 +374,11 @@ def test_compare_rejects_missing_or_incomplete_runs(small_config, tmp_path) -> N
         if key != "strategy"  # any text is a strategy name
     ]
     cases.append(("colour", lines + ["colour=red"], "unknown key"))
+    # An empty model id would add a model that no run has.
+    cases += [(f"{prefix}.", lines + [f"{prefix}.=0"], "unknown key")
+              for prefix in ("usage_count", "usage_share")]
+    # A repeated key is refused rather than read twice, the last value winning.
+    cases += [(key, lines + [line], "repeated") for key, line in zip(keys, lines)]
     for key, edited, problem in cases:
         (broken / SUMMARY_FILENAME).write_text("\n".join(edited) + "\n", encoding="utf-8")
         with pytest.raises(MissingRun) as caught:

@@ -2,12 +2,9 @@ from __future__ import annotations
 
 import math
 from io import StringIO
-from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from test_sim import _eager_trace
+import spec
 
 from modelswitch import analyzer, executor, monitor, sim
 from modelswitch.domain import SelectionDecision, SelectionMode
@@ -391,27 +388,6 @@ class _Alternate(_StayPut):
         )
 
 
-def _walk(config: TraceConfig, latency_ms: float, decision_period: int):
-    """(frame_index, object_count, complexity) of every frame synthesis received in
-    one alternating run over config's trace, in order."""
-    received = []
-
-    def recording(object_count, complexity, profile, rng):
-        received.append((object_count, complexity))
-        return synth_inference(object_count, complexity, profile, rng)
-
-    repo = ModelRepository((_profile("a", 14.0, latency_ms), _profile("b", 10.0, latency_ms)))
-    strategy = _Alternate()
-    strategy.decision_period = decision_period
-    metrics_out = StringIO()
-    registry = LogRegistry(metrics_out, StringIO())
-    with mock.patch.object(executor, "synth_inference", recording):
-        run_loop(generate_trace(config), repo, strategy, registry=registry, inference_seed=5)
-    indices = [int(row.split(",", 1)[0]) for row in metrics_out.getvalue().splitlines()[1:]]
-    assert len(indices) == _processed(registry)
-    return [(i, *frame) for i, frame in zip(indices, received, strict=True)]
-
-
 def _first_frames(config: TraceConfig) -> list[int]:
     """Each later segment's first frame: the first whose clock f / fps reached its start."""
     firsts = []
@@ -442,61 +418,26 @@ _OFF_GRID = TraceConfig(
 
 
 def test_drops_jump_segment_boundaries_and_the_walk_follows(monkeypatch) -> None:
+    """Frames processed after a jump reach synthesis with the spec trace's counts and ramps."""
     monkeypatch.setattr("modelswitch.executor.SWITCH_JITTER", 0.0)
-    walk = _walk(_OFF_GRID, latency_ms=1000.0, decision_period=1)
+    received = []
+
+    def recording(object_count, complexity, profile, rng):
+        received.append((object_count, complexity))
+        return synth_inference(object_count, complexity, profile, rng)
+
+    monkeypatch.setattr(executor, "synth_inference", recording)
+    repo = ModelRepository((_profile("a", 14.0, 1000.0), _profile("b", 10.0, 1000.0)))
+    metrics_out = StringIO()
+    registry = LogRegistry(metrics_out, StringIO())
+    run_loop(generate_trace(_OFF_GRID), repo, _Alternate(), registry=registry, inference_seed=5)
+    processed = [int(row.split(",", 1)[0]) for row in metrics_out.getvalue().splitlines()[1:]]
     firsts = _first_frames(_OFF_GRID)
     assert firsts == [15, 15, 35]
-    processed = [i for i, _, _ in walk]
     jumped = [b for b in set(firsts) for p, q in zip(processed, processed[1:]) if p < b < q]
     assert sorted(jumped) == [15, 35]
-    reference = _eager_trace(_OFF_GRID)
-    assert walk == [reference[i] for i in processed]
-
-
-@st.composite
-def _walk_configs(draw) -> TraceConfig:
-    fps = draw(st.one_of(st.just(7), st.integers(1, 30)))
-    duration_s = draw(st.floats(min_value=1.0, max_value=15.0))
-    starts = set(
-        draw(
-            st.lists(
-                st.floats(min_value=0.0, max_value=duration_s, exclude_min=True, exclude_max=True),
-                max_size=4,
-            )
-        )
-    )
-    if draw(st.booleans()):
-        # Two starts inside one frame period: the segment between them holds no frame.
-        k = draw(st.integers(0, int(duration_s * fps) - 1))
-        a, b = draw(st.tuples(st.floats(0.05, 0.45), st.floats(0.55, 0.95)))
-        starts |= {(k + a) / fps, (k + b) / fps}
-    starts = sorted({0.0} | {s for s in starts if 0.0 < s < duration_s})
-    segments = tuple(
-        ScheduleSegment(
-            start_s=start,
-            mean_objects=draw(st.floats(min_value=0.0, max_value=15.0)),
-            complexity=draw(st.floats(min_value=0.0, max_value=1.0)),
-        )
-        for start in starts
-    )
-    seed = draw(st.integers(min_value=0, max_value=2**32))
-    return TraceConfig(fps=fps, duration_s=duration_s, segments=segments, rng_seed=seed)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    config=_walk_configs(),
-    latency_ms=st.floats(min_value=0.0, max_value=3000.0),
-    decision_period=st.integers(1, 4),
-)
-@example(config=_OFF_GRID, latency_ms=1000.0, decision_period=1)
-def test_synthesis_receives_the_eager_traces_frames(config, latency_ms, decision_period) -> None:
-    """Whatever frames switches drop, each processed frame's synthesis gets the
-    index, object count and complexity the eagerly built trace gave that frame."""
-    walk = _walk(config, latency_ms, decision_period)
-    reference = _eager_trace(config)
-    assert walk == [reference[i] for i, _, _ in walk]
-    assert walk[0][0] == 0
+    reference = spec.trace_frames(_OFF_GRID)
+    assert received == [reference[i] for i in processed]
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,14 @@
 from __future__ import annotations
 
-import math
 import statistics
-from dataclasses import dataclass
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+import spec
 
 from modelswitch import sim
 from modelswitch.sim import (
     DEFAULT_SEED,
-    OBJECT_CLASSES,
     ConfigError,
     InvalidSchedule,
     ModelProfile,
@@ -21,7 +17,6 @@ from modelswitch.sim import (
     TraceConfig,
     default_profiles,
     default_segments,
-    gaussian,
     generate_trace,
     parse_config,
     synth_inference,
@@ -53,13 +48,6 @@ def _frames(trace: Trace) -> list[tuple[int, float]]:
 @pytest.fixture(scope="module")
 def default_trace() -> Trace:
     return generate_trace(TraceConfig())
-
-
-def test_gaussian_moments() -> None:
-    rng = Random(11)
-    draws = [gaussian(rng, 2.0, 3.0) for _ in range(50_000)]
-    assert statistics.fmean(draws) == pytest.approx(2.0, abs=0.05)
-    assert statistics.stdev(draws) == pytest.approx(3.0, rel=0.02)
 
 
 def test_poisson_moments() -> None:
@@ -224,163 +212,32 @@ def test_synth_inference_cpu_tracks_object_count() -> None:
     assert statistics.fmean(cpus) == pytest.approx(17.0, abs=0.1)
 
 
-@dataclass(frozen=True)
-class Detection:
-    """A detected object as synthesis once built it: confidence, label and unit-square bbox."""
-
-    confidence: float
-    class_label: str
-    bbox: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        assert 0.0 <= self.confidence <= 1.0
-        x, y, w, h = self.bbox
-        assert min(x, y, w, h) >= 0.0 and x + w <= 1.0 + 1e-9 and y + h <= 1.0 + 1e-9
-
-
-def _synth_inference_with_detections(
-    object_count: int, complexity: float, profile: ModelProfile, rng: Random
-) -> tuple[list[Detection], float, float]:
-    """Reference: synthesis as it was when it built a Detection, label and bbox
-    per hit, and drew its noise through gaussian()."""
-    detections: list[Detection] = []
-    degraded = profile.base_confidence * (1.0 - 0.5 * complexity)
-    for _ in range(object_count):
-        if rng.random() >= profile.detection_recall:
-            continue
-        conf = degraded + gaussian(rng, 0.0, profile.confidence_noise_sd)
-        conf = min(1.0, max(0.0, conf))
-        label = OBJECT_CLASSES[rng.randrange(len(OBJECT_CLASSES))]
-        w = 0.05 + 0.25 * rng.random()
-        h = 0.05 + 0.25 * rng.random()
-        x = (1.0 - w) * rng.random()
-        y = (1.0 - h) * rng.random()
-        detections.append(Detection(confidence=conf, class_label=label, bbox=(x, y, w, h)))
-    cpu = profile.base_cpu_pct + profile.cpu_per_object_pct * object_count + gaussian(rng)
-    cpu = min(100.0, max(0.0, cpu))
-    return detections, cpu, profile.inference_time_ms
-
-
-_unit = st.floats(min_value=0.0, max_value=1.0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**64),
-    profile=st.one_of(
-        st.sampled_from(default_profiles()),
-        st.builds(
-            _profile,
-            base_cpu_pct=st.floats(min_value=0.0, max_value=100.0),
-            cpu_per_object_pct=st.floats(min_value=0.0, max_value=5.0),
-            base_confidence=_unit,
-            confidence_noise_sd=st.floats(min_value=0.0, max_value=0.5),
-            detection_recall=_unit,
-        ),
+# fps 7 puts no segment start but 0 on the frame grid: 10.05 s falls inside frame 70's period.
+_OFF_GRID = TraceConfig(
+    fps=7,
+    duration_s=30.0,
+    segments=(
+        ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1),
+        ScheduleSegment(start_s=10.05, mean_objects=12.0, complexity=0.6),
+        ScheduleSegment(start_s=20.0, mean_objects=3.0, complexity=0.1),
     ),
-    object_counts=st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=5),
-    complexity=_unit,
+    rng_seed=DEFAULT_SEED,
 )
-def test_synth_inference_matches_the_detection_building_reference(
-    seed: int, profile: ModelProfile, object_counts: list[int], complexity: float
-) -> None:
-    """Same confidences and CPU, and the same RNG state after every frame."""
-    rng, reference_rng = Random(seed), Random(seed)
-    for count in object_counts:
-        confidences, cpu, inference_ms = synth_inference(count, complexity, profile, rng)
-        detections, ref_cpu, ref_ms = _synth_inference_with_detections(
-            count, complexity, profile, reference_rng
-        )
-        assert confidences == [d.confidence for d in detections]
-        assert (cpu, inference_ms) == (ref_cpu, ref_ms)
-        assert rng.getstate() == reference_rng.getstate()
 
 
-def _eager_trace(config: TraceConfig) -> list[tuple[int, int, float]]:
-    """Reference: the trace as it was when every frame was built up front, as
-    (frame_index, object_count, complexity) per frame."""
-
-    def poisson(rng: Random, mean: float) -> int:
-        threshold = math.exp(-mean)
-        count = 0
-        product = rng.random()
-        while product > threshold:
-            count += 1
-            product *= rng.random()
-        return count
-
-    segments = config.segments
-    spans = []
-    for i, seg in enumerate(segments):
-        end = segments[i + 1].start_s if i + 1 < len(segments) else config.duration_s
-        target = segments[i + 1].complexity if i + 1 < len(segments) else seg.complexity
-        spans.append((seg, end, target))
-    rng = Random(config.rng_seed)
-    frames = []
-    span_i = 0
-    for f in range(config.total_frames):
-        t = f / config.fps
-        while span_i + 1 < len(spans) and t >= spans[span_i][1]:
-            span_i += 1
-        seg, end, target = spans[span_i]
-        width = end - seg.start_s
-        ramp = (t - seg.start_s) / width if width > 0 else 0.0
-        complexity = seg.complexity + (target - seg.complexity) * ramp
-        frames.append((f, poisson(rng, seg.mean_objects), complexity))
-    return frames
-
-
-@st.composite
-def _trace_configs(draw) -> TraceConfig:
-    fps = draw(st.one_of(st.sampled_from((1, 7, 10, 24, 30, 60)), st.integers(1, 120)))
-    duration_s = draw(st.floats(min_value=0.01, max_value=20.0))
-    # Segment starts off the frame grid and exactly on it (k / fps).
-    starts = draw(
-        st.lists(
-            st.one_of(
-                st.floats(min_value=0.0, max_value=duration_s, exclude_min=True, exclude_max=True),
-                st.integers(1, max(1, int(fps * duration_s))).map(lambda k: k / fps),
-            ),
-            max_size=5,
-        )
-    )
-    starts = sorted({0.0} | {s for s in starts if 0.0 < s < duration_s})
-    segments = tuple(
-        ScheduleSegment(
-            start_s=start,
-            mean_objects=draw(st.floats(min_value=0.0, max_value=20.0)),
-            complexity=draw(_unit),
-        )
-        for start in starts
-    )
-    seed = draw(st.integers(min_value=0, max_value=2**32))
-    return TraceConfig(fps=fps, duration_s=duration_s, segments=segments, rng_seed=seed)
-
-
-@settings(max_examples=200, deadline=None)
-@given(config=_trace_configs())
-@example(
-    config=TraceConfig(
-        fps=7,
-        duration_s=30.0,
-        segments=(
-            ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1),
-            ScheduleSegment(start_s=10.05, mean_objects=12.0, complexity=0.6),
-            ScheduleSegment(start_s=20.0, mean_objects=3.0, complexity=0.1),
-        ),
-        rng_seed=DEFAULT_SEED,
-    ),
-)
-def test_trace_matches_the_eager_reference(config: TraceConfig) -> None:
-    trace = generate_trace(config)
-    reference = _eager_trace(config)
+def test_trace_matches_the_eager_reference() -> None:
+    """The reader serves the spec's eagerly drawn frames, at any index in any order."""
+    trace = generate_trace(_OFF_GRID)
+    reference = spec.trace_frames(_OFF_GRID)
     n = len(reference)
-    assert len(trace) == n
-    assert trace.fps == config.fps
-    # Read forwards and backwards: the reader serves any index in range, in any order.
+    assert len(trace) == n == 210
+    assert trace.fps == _OFF_GRID.fps
     frame = trace.reader()
-    assert [(i, *frame(i)) for i in range(n)] == reference
-    assert [(i, *frame(i)) for i in reversed(range(n))] == reference[::-1]
+    assert [frame(i) for i in range(n)] == reference
+    assert [frame(i) for i in reversed(range(n))] == reference[::-1]
+    assert [frame(i) for i in range(0, n, 3)] + [frame(i) for i in range(1, n, 3)] == (
+        reference[::3] + reference[1::3]
+    )
     for bad in (n, -1):
         with pytest.raises(IndexError):
             frame(bad)
