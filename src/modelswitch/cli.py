@@ -163,7 +163,7 @@ def read_summary(path: Path) -> RunSummary:
     """Parse a summary.txt back; MissingRun names the path and the first key
     that is missing, unknown, repeated or unparsable."""
     if not path.is_file():
-        raise MissingRun(str(path))
+        raise MissingRun(f"{path}: missing")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -243,28 +243,34 @@ def load_experiment(
     config_path: str | None = None, seed: int | None = None, epsilon: float | None = None
 ) -> Experiment:
     """Load and check a config, each strategy's section included; seed, when given,
-    beats the file's, and epsilon beats the epsilon-greedy section's."""
+    beats the file's, and epsilon beats the epsilon-greedy section's. An error in the
+    file names the file; an error in seed or epsilon, checked first, names none."""
+    if seed is not None:
+        read_section("trace", {}, TraceConfig, overrides={"rng_seed": seed})
+    if epsilon is not None:
+        read_section("epsilon-greedy", {}, PlannerConfig, overrides={"epsilon": epsilon})
     if config_path is None:
         sim_config = SimConfig(trace=TraceConfig(), profiles=default_profiles(), extras={})
-    else:
-        try:
-            sim_config = parse_config(config_path)
-        except OSError as exc:
-            raise IoFailure(config_path, exc) from exc
-        except ConfigError as exc:
-            raise ConfigError(f"{config_path}: {exc}") from exc
+        return _experiment(sim_config, seed, epsilon)
+    try:
+        return _experiment(parse_config(config_path), seed, epsilon)
+    except OSError as exc:
+        raise IoFailure(config_path, exc) from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{config_path}: {exc}") from exc
+
+
+def _experiment(sim_config: SimConfig, seed: int | None, epsilon: float | None) -> Experiment:
+    """Check a parsed config's sections and build its Experiment with the checked overrides."""
     extras = sim_config.extras
     unknown = sorted(set(extras) - {ENGINE_SECTION, *STRATEGIES})
     if unknown:
         raise ConfigError(f"[{unknown[0]}]: unknown section")
-    seed = seed if seed is not None else sim_config.trace.rng_seed
-    # Built anew, not by _replace, so the new value passes TraceConfig's checks.
-    try:
-        trace_config = TraceConfig(**{**sim_config.trace._asdict(), "rng_seed": seed})
-    except ValueError as exc:
-        raise ConfigError(f"[trace] {exc}") from exc
-    if trace_config.total_frames == 0:
+    if sim_config.trace.total_frames == 0:
         raise ConfigError("[trace] fps * duration_s rounds to 0 frames")
+    seed = seed if seed is not None else sim_config.trace.rng_seed
+    # _replace skips TraceConfig's checks; load_experiment checked a given seed first.
+    trace_config = sim_config.trace._replace(rng_seed=seed)
     repo = ModelRepository(sim_config.profiles)
     engine = read_section(ENGINE_SECTION, extras.get(ENGINE_SECTION, {}), EngineConfig)
     strategies = {n: _strategy_config(n, repo, extras, seed, epsilon) for n in STRATEGIES}
@@ -360,6 +366,10 @@ def compare(run_dirs: list[Path | str]) -> str:
     """Side-by-side report over completed runs; row order is deterministic."""
     if len(run_dirs) < 2:
         raise ConfigError("compare needs at least two run directories")
+    resolved = [Path(run_dir).resolve() for run_dir in run_dirs]
+    for run_dir, path in zip(run_dirs, resolved):
+        if resolved.count(path) > 1:
+            raise ConfigError(f"compare lists run directory {run_dir} twice")
     summaries = sorted(
         (read_summary(Path(run_dir) / SUMMARY_FILENAME) for run_dir in run_dirs),
         key=lambda summary: (summary.strategy, summary.seed),

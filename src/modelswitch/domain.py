@@ -81,15 +81,6 @@ class FrameMetrics(NamedTuple):
         check_frame(self.frame_index, self.cpu_usage, self.confidence_score, self.detection_count)
 
 
-class WindowAggregate(NamedTuple):
-    """Sliding-window averages for one model."""
-
-    model: ModelId
-    avg_confidence: float
-    avg_cpu: float
-    sample_count: int
-
-
 class SelectionDecision(NamedTuple):
     """Outcome of one planner invocation."""
 

@@ -2,13 +2,14 @@
 
 Frames arrive at the trace's own rate. Every ``strategy.decision_period``
 processed frames, starting with the first, the strategy is consulted with
-the frame index, the active model and one RunView built for the whole run;
-if it switches models, the switch latency is paid on the simulated clock
-and the frames that arrive inside that window are dropped unprocessed.
-The loop builds one monitoring window per model. The executor records each
-processed frame into the active model's window and the log registry; the
-view hands out those windows themselves and scores a model when the
-strategy reads its score, so the next decision sees the frame.
+the frame index, the active model and the run's windows; if it switches
+models, the switch latency is paid on the simulated clock and the frames
+that arrive inside that window are dropped unprocessed. The loop builds
+one monitoring window per model, in registration order, and hands every
+decision the same read-only map of them. The executor records each
+processed frame into the active model's window and the log registry, and a
+window scores its model when a strategy reads the score, so the next
+decision sees the frame.
 
 The registry is the run's only tally: every count and total the summary
 reports is folded there as its rows are appended, and the clock's switch
@@ -24,12 +25,11 @@ from random import Random
 from types import MappingProxyType
 from typing import NamedTuple
 
-from modelswitch.analyzer import Scores
 from modelswitch.domain import checked
 from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor
 from modelswitch.knowledge import LogRegistry, ModelRepository
 from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY, MetricsWindow
-from modelswitch.planner import RunView, SelectionStrategy
+from modelswitch.planner import SelectionStrategy
 from modelswitch.sim import Trace
 
 
@@ -74,7 +74,6 @@ def run_loop(
     executor = Executor(
         repo, windows, registry, Random(inference_seed), confidence_floor=engine.confidence_floor
     )
-    view = RunView(model_ids=repo.ids(), scores=Scores(windows), windows=windows)
 
     fps = trace.fps
     frame = trace.reader()
@@ -86,7 +85,7 @@ def run_loop(
     while i < n:
         drop_count = 0
         if processed % decision_period == 0:
-            decision = strategy.decide(i, executor.active, view)
+            decision = strategy.decide(i, executor.active, windows)
             registry.append_decision(i, decision)
             event = executor.apply(decision, i)
             if event is not None:

@@ -1,26 +1,26 @@
 """Model-selection strategies.
 
-Three planners share one interface, ``decide(frame_index, active, view)``,
-and each keeps its rule in that method: an epsilon-greedy policy over the
-model scores, a naive two-threshold policy on the active model's latest
-frame, and round-robin over time slices that re-ranks the models by window
-CPU once per boost period. The ``RunView`` is built once per run and is live
-and read-only: each decision reads the run as it stands, and no strategy can
-change it. Each decision is a SelectionDecision; actually performing the
-switch is the executor's job. At the default decision period a decision is
-made for every processed frame, so the strategies build it by position:
-(selected, mode, random_draw, previous). A forced decision depends on the
-(selected, previous) pair alone, so the naive and round-robin strategies
-build each pair's decision once and hand out that same immutable tuple
-again.
+Three planners share one interface, ``decide(frame_index, active,
+windows)``, and each keeps its rule in that method: an epsilon-greedy
+policy over the window scores, a naive two-threshold policy on the active
+model's latest frame, and round-robin over time slices that re-ranks the
+models by window mean CPU once per boost period. ``windows`` is the loop's
+one live, read-only map of the per-model windows, in registration order:
+each decision reads the run as it stands, and no strategy can change it.
+Each decision is a SelectionDecision; actually performing the switch is
+the executor's job. At the default decision period a decision is made for
+every processed frame, so the strategies build it by position: (selected,
+mode, random_draw, previous). A forced decision depends on the (selected,
+previous) pair alone, so the naive and round-robin strategies build each
+pair's decision once and hand out that same immutable tuple again.
 """
 
 from __future__ import annotations
 
 from random import Random
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
-from modelswitch.domain import ModelId, SelectionDecision, SelectionMode, WindowAggregate, checked
+from modelswitch.domain import ModelId, SelectionDecision, SelectionMode, checked
 from modelswitch.monitor import MetricsWindow
 
 DEFAULT_EPSILON = 0.1
@@ -88,42 +88,22 @@ class RoundRobinBoostConfig(NamedTuple):
             raise ValueError(f"boost_period_frames must be >= 1: {self.boost_period_frames}")
 
 
-class RunView(NamedTuple):
-    """What a strategy may read of a run: built once, live and read-only.
-
-    ``scores`` is a read-only mapping that scores a model when it is read
-    (0.0 before the model's first frame), and ``windows`` is the monitor's
-    read-only map of per-model windows: ``len(windows[m])`` entries, with
-    ``windows[m].cpus`` and ``windows[m].confidences`` newest last, and
-    ``windows[m].aggregate()`` the window means (None before the model's
-    first frame). None of it is a copy, so every decision sees the current
-    values.
-    """
-
-    model_ids: tuple[ModelId, ...]
-    scores: Mapping[ModelId, float]
-    windows: Mapping[ModelId, MetricsWindow]
-
-
-def best_model(scores: Mapping[ModelId, float]) -> ModelId:
+def best_model(windows: Mapping[ModelId, MetricsWindow]) -> ModelId:
     """Minimum-score model; ties break toward the lexicographically first id."""
-    if not scores:
-        raise EmptyRepository("no scores to choose from")
-    return min(scores, key=lambda m: (scores[m], m))
+    if not windows:
+        raise EmptyRepository("no models to choose from")
+    return min(windows, key=lambda m: (windows[m].score(), m))
 
 
-def rank_models_by_cpu(
-    model_ids: Sequence[ModelId], aggregates: Mapping[ModelId, WindowAggregate | None]
-) -> tuple[ModelId, ...]:
-    """Order models by observed average CPU, lightest first.
+def rank_models_by_cpu(windows: Mapping[ModelId, MetricsWindow]) -> tuple[ModelId, ...]:
+    """Order models by their window mean CPU, lightest first.
 
     Models without any window data go last, keeping their given order; the
     id breaks ties among observed models so the ranking is deterministic.
     """
-    observed = [m for m in model_ids if aggregates.get(m) is not None]
-    unobserved = [m for m in model_ids if aggregates.get(m) is None]
-    observed.sort(key=lambda m: (aggregates[m].avg_cpu, m))
-    return tuple(observed + unobserved)
+    means = {m: window.means() for m, window in windows.items()}
+    observed = sorted((m for m in means if means[m] is not None), key=lambda m: (means[m][0], m))
+    return tuple(observed + [m for m in means if means[m] is None])
 
 
 class SelectionStrategy:
@@ -132,7 +112,9 @@ class SelectionStrategy:
     # Processed frames between two decisions; run_loop reads it once per run.
     decision_period: int = DEFAULT_DECISION_PERIOD
 
-    def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
+    def decide(
+        self, frame_index: int, active: ModelId, windows: Mapping[ModelId, MetricsWindow]
+    ) -> SelectionDecision:
         """Pick the model for frame_index; active is the model live now."""
         raise NotImplementedError
 
@@ -149,9 +131,9 @@ class _ForcedDecisions(dict):
 class EpsilonGreedyStrategy(SelectionStrategy):
     """Draws p in [0, 1) once per decision; p <= epsilon explores.
 
-    Exploring is a uniform pick over the repository, minus the current best
+    Exploring is a uniform pick over the models, minus the current best
     scorer when exclusion is on. Otherwise (and when a lone model leaves
-    nothing to explore) it exploits the minimum score.
+    nothing to explore) it exploits the minimum window score.
     """
 
     def __init__(self, config: PlannerConfig = PlannerConfig()):
@@ -159,12 +141,13 @@ class EpsilonGreedyStrategy(SelectionStrategy):
         self.decision_period = config.decision_period
         self.rng = Random(config.rng_seed)
 
-    def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
+    def decide(
+        self, frame_index: int, active: ModelId, windows: Mapping[ModelId, MetricsWindow]
+    ) -> SelectionDecision:
         p = self.rng.random()
-        scores = view.scores
-        best = best_model(scores)
+        best = best_model(windows)
         if p <= self.config.epsilon:
-            candidates = sorted(scores)
+            candidates = sorted(windows)
             if self.config.exclude_best:
                 candidates.remove(best)
             if candidates:
@@ -187,11 +170,13 @@ class NaiveThresholdStrategy(SelectionStrategy):
         self._confidence_low = config.confidence_low_threshold
         self._decisions = _ForcedDecisions()
 
-    def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
+    def decide(
+        self, frame_index: int, active: ModelId, windows: Mapping[ModelId, MetricsWindow]
+    ) -> SelectionDecision:
         order = self._order
         position = order.index(active)
         selected = active
-        window = view.windows[active]
+        window = windows[active]
         cpus = window.cpus
         if cpus:
             if cpus[-1] > self._cpu_high:
@@ -217,11 +202,12 @@ class RoundRobinBoostStrategy(SelectionStrategy):
         self._position = -1
         self._decisions = _ForcedDecisions()
 
-    def decide(self, frame_index: int, active: ModelId, view: RunView) -> SelectionDecision:
+    def decide(
+        self, frame_index: int, active: ModelId, windows: Mapping[ModelId, MetricsWindow]
+    ) -> SelectionDecision:
         rank_slot = frame_index // self.config.boost_period_frames
         if rank_slot > self._rank_slot:
-            ids = view.model_ids
-            self.rank = rank_models_by_cpu(ids, {m: view.windows[m].aggregate() for m in ids})
+            self.rank = rank_models_by_cpu(windows)
             self._rank_slot = rank_slot
         if not self.rank:
             raise EmptyRepository("no models to rank")

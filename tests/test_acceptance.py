@@ -21,7 +21,7 @@ from modelswitch.cli import STRATEGY_NAMES, RunSummary, max_share, run_experimen
 from modelswitch.domain import SelectionMode, mean_confidence
 from modelswitch.knowledge import load_events_csv, load_metrics_csv
 from modelswitch.monitor import MetricsWindow
-from modelswitch.planner import EpsilonGreedyStrategy, PlannerConfig, RunView
+from modelswitch.planner import EpsilonGreedyStrategy, PlannerConfig
 
 MODEL_IDS = (
     "ssd-mobilenet-v1",
@@ -66,6 +66,19 @@ def test_frame_confidence_matches_reference_example() -> None:
     assert mean_confidence([0.85, 0.75, 0.9]) == pytest.approx(0.8333, abs=1e-4)
 
 
+class _FixtureWindow:
+    """A stand-in for a model's MetricsWindow that scores as the fixture says."""
+
+    def __init__(self, score: float):
+        self.fixed_score = score
+
+    def score(self) -> float:
+        return self.fixed_score
+
+
+FIXTURE_WINDOWS = {m: _FixtureWindow(FIXTURE_SCORES[m]) for m in MODEL_IDS}
+
+
 class _FixtureDraws:
     """A draw source whose random() is the fixture's p; randrange comes from Random(seed)."""
 
@@ -80,8 +93,7 @@ class _FixtureDraws:
 def _fixture_decision(p: float, seed: int):
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.1))
     strategy.rng = _FixtureDraws(p, seed)
-    view = RunView(model_ids=MODEL_IDS, scores=FIXTURE_SCORES, windows={})
-    return strategy.decide(0, "efficientdet-lite0", view)
+    return strategy.decide(0, "efficientdet-lite0", FIXTURE_WINDOWS)
 
 
 def test_selection_fixture_exploit_and_explore() -> None:
@@ -98,12 +110,11 @@ def test_selection_fixture_exploit_and_explore() -> None:
 
 def test_exploration_rate_within_binomial_bound() -> None:
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.1, rng_seed=7))
-    view = RunView(model_ids=MODEL_IDS, scores=FIXTURE_SCORES, windows={})
     started = time.perf_counter()
     explored = sum(
         1
         for _ in range(100_000)
-        if strategy.decide(0, "efficientdet-lite0", view).mode is SelectionMode.EXPLORE
+        if strategy.decide(0, "efficientdet-lite0", FIXTURE_WINDOWS).mode is SelectionMode.EXPLORE
     )
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -170,15 +181,16 @@ def test_window_aggregates_match_brute_force() -> None:
             cpu = 100.0 * rng.random()
             window.record(i, cpu, confidence)
             seen.append((cpu, confidence))
-        aggregate = window.aggregate()
+        means = window.means()
         if not seen:
-            assert aggregate is None
+            assert means is None
             continue
         tail = seen[-capacity:]
-        assert aggregate is not None
-        assert aggregate.sample_count == len(tail)
-        assert abs(aggregate.avg_confidence - sum(c for _, c in tail) / len(tail)) <= 1e-9
-        assert abs(aggregate.avg_cpu - sum(cpu for cpu, _ in tail) / len(tail)) <= 1e-9
+        assert means is not None
+        assert len(window) == len(tail)
+        avg_cpu, avg_confidence = means
+        assert abs(avg_confidence - sum(c for _, c in tail) / len(tail)) <= 1e-9
+        assert abs(avg_cpu - sum(cpu for cpu, _ in tail) / len(tail)) <= 1e-9
 
 
 def test_identical_runs_are_byte_identical(full_runs, tmp_path) -> None:

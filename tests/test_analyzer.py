@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modelswitch.analyzer import ZERO_CONFIDENCE_SCORE, Scores, compute_score
+from modelswitch import monitor
+from modelswitch.analyzer import ZERO_CONFIDENCE_SCORE, compute_score
 from modelswitch.monitor import MetricsWindow
 
 
@@ -54,65 +55,56 @@ def _windows(model_ids: tuple[str, ...], capacity: int) -> dict[str, MetricsWind
     return {m: MetricsWindow(m, capacity) for m in model_ids}
 
 
+def _scores(windows: dict[str, MetricsWindow]) -> dict[str, float]:
+    return {m: window.score() for m, window in windows.items()}
+
+
 def test_scores_move_only_for_the_recorded_model() -> None:
     windows = _windows(("a", "b"), capacity=4)
-    scores = Scores(windows)
 
     _record(windows, 0, "a", confidence=0.5, cpu=10.0)
     # A single-entry window averages to the frame itself, so the ratio is 1.
-    assert scores["a"] == pytest.approx(0.0)
-    assert scores["b"] == 0.0
+    assert windows["a"].score() == pytest.approx(0.0)
+    assert windows["b"].score() == 0.0
 
     _record(windows, 1, "a", confidence=0.4, cpu=12.0)
     # Window average is now (0.5 + 0.4) / 2 = 0.45, above the current 0.4,
     # so the score must come out negative: min(12, 11) * (1 - 0.45/0.4).
-    assert scores["a"] == pytest.approx(11.0 * (1.0 - 0.45 / 0.4))
-    assert scores["a"] < 0.0
-    assert scores == {"a": scores["a"], "b": 0.0}
-    assert list(scores) == ["a", "b"] and len(scores) == 2
+    assert windows["a"].score() == pytest.approx(11.0 * (1.0 - 0.45 / 0.4))
+    assert windows["a"].score() < 0.0
+    assert windows["b"].score() == 0.0
 
 
 def test_scores_read_the_sentinel_on_zero_confidence() -> None:
     windows = _windows(("a",), capacity=4)
-    scores = Scores(windows)
     _record(windows, 0, "a", confidence=0.0, cpu=15.0)
-    assert scores["a"] == ZERO_CONFIDENCE_SCORE
+    assert windows["a"].score() == ZERO_CONFIDENCE_SCORE
 
 
 def test_scores_are_zero_before_a_models_first_frame() -> None:
     windows = _windows(("a", "b"), capacity=4)
-    scores = Scores(windows)
-    assert scores == {"a": 0.0, "b": 0.0}
+    assert _scores(windows) == {"a": 0.0, "b": 0.0}
     _record(windows, 0, "b", confidence=0.0, cpu=15.0)
-    assert scores["a"] == 0.0
+    assert windows["a"].score() == 0.0
 
 
-def test_scores_use_the_window_means_of_the_aggregate() -> None:
-    windows = _windows(("a",), capacity=3)
-    scores = Scores(windows)
+def test_a_score_is_the_formula_over_the_window_means_once_per_frame(monkeypatch) -> None:
+    calls = []
+
+    def scored(*args):
+        calls.append(args)
+        return -1.0
+
+    monkeypatch.setattr(monitor, "compute_score", scored)
+    window = MetricsWindow("a", capacity=3)
+    assert window.score() == 0.0 and calls == []
     for frame_index, (confidence, cpu) in enumerate(
         ((0.7, 12.5), (0.3, 19.0), (0.55, 11.25), (0.45, 16.0), (0.6, 14.0))
     ):
-        _record(windows, frame_index, "a", confidence=confidence, cpu=cpu)
-        aggregate = windows["a"].aggregate()
-        expected = compute_score(cpu, confidence, aggregate.avg_cpu, aggregate.avg_confidence)
-        assert scores["a"] == expected  # bit for bit
-
-
-def test_scores_raise_key_error_for_an_unknown_model() -> None:
-    scores = Scores(_windows(("a",), capacity=4))
-    with pytest.raises(KeyError):
-        scores["ghost"]
-    assert "ghost" not in scores
-
-
-def test_scores_are_read_only() -> None:
-    scores = Scores(_windows(("a",), capacity=4))
-    with pytest.raises(TypeError):
-        scores["a"] = 1.0  # type: ignore[index]
-    with pytest.raises(TypeError):
-        del scores["a"]  # type: ignore[attr-defined]
-    assert scores == {"a": 0.0}
+        window.record(frame_index, cpu, confidence)
+        # Read twice: the second read is the kept value.
+        assert window.score() == window.score() == -1.0
+        assert calls[frame_index:] == [(cpu, confidence, *window.means())]
 
 
 _frames = st.lists(
@@ -129,11 +121,10 @@ _frames = st.lists(
 @given(models=st.integers(1, 4), capacity=st.integers(1, 5), frames=_frames)
 @example(models=1, capacity=2, frames=[(0, 1.0, 0.0), (0, 5e-324, 0.0)])
 def test_scores_equal_a_table_refreshed_after_every_frame(models, capacity, frames) -> None:
-    """Scores computed on read equal, bit for bit, a table that re-scores each
-    model from its own window right after that model records a frame."""
+    """Window scores computed on read equal, bit for bit, a table that re-scores
+    each model from its own window right after that model records a frame."""
     ids = tuple("abcd"[:models])
     windows = _windows(ids, capacity)
-    scores = Scores(windows)
     table = dict.fromkeys(ids, 0.0)
     tails = {m: (deque(maxlen=capacity), deque(maxlen=capacity)) for m in ids}
     for frame_index, (slot, confidence, cpu) in enumerate(frames):
@@ -144,4 +135,4 @@ def test_scores_equal_a_table_refreshed_after_every_frame(models, capacity, fram
         confidences.append(confidence)
         n = len(cpus)
         table[model] = compute_score(cpu, confidence, sum(cpus) / n, sum(confidences) / n)
-        assert dict(scores) == table
+        assert _scores(windows) == table

@@ -246,7 +246,7 @@ def test_a_bad_unused_section_fails_every_strategy_with_one_message(tmp_path, ca
         out = tmp_path / name
         assert main(["run", "--strategy", name, "--config", str(bad), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "config error: [round-robin-boost] time_slice_frames must be >= 1: 0\n"
+            f"config error: {bad}: [round-robin-boost] time_slice_frames must be >= 1: 0\n"
         )
         assert not out.exists()
 
@@ -352,11 +352,26 @@ def test_compare_needs_at_least_two_runs(tmp_path) -> None:
         compare([tmp_path])
 
 
+def test_compare_refuses_one_run_directory_listed_twice(small_config, tmp_path, capsys) -> None:
+    done = tmp_path / "done"
+    other = tmp_path / "other"
+    run_experiment("naive", done, config_path=small_config)
+    run_experiment("round-robin-boost", other, config_path=small_config)
+    report = tmp_path / "report.txt"
+    # The same directory by another spelling is the same run.
+    again = other / ".." / "done"
+    assert main(["compare", str(done), str(other), str(again), "--out", str(report)]) == 1
+    assert capsys.readouterr() == ("", f"config error: compare lists run directory {done} twice\n")
+    assert not report.exists()
+
+
 def test_compare_rejects_missing_or_incomplete_runs(small_config, tmp_path) -> None:
     done = tmp_path / "done"
     run_experiment("naive", done, config_path=small_config)
-    with pytest.raises(MissingRun):
-        compare([done, tmp_path / "never-ran"])
+    never_ran = tmp_path / "never-ran"
+    with pytest.raises(MissingRun) as caught:
+        compare([done, never_ran])
+    assert str(caught.value) == f"{never_ran / SUMMARY_FILENAME}: missing"
 
     broken = tmp_path / "broken"
     broken.mkdir()
@@ -426,7 +441,7 @@ def test_main_rejects_a_trace_with_no_frames(tmp_path, capsys) -> None:
     out = tmp_path / "out"
     code = main(["run", "--strategy", "naive", "--config", str(bad), "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("config error: [trace] ")
+    assert capsys.readouterr().err.startswith(f"config error: {bad}: [trace] ")
     assert not out.exists()
 
 
@@ -482,6 +497,42 @@ def test_main_names_the_trace_section_of_a_negative_rng_seed(tmp_path, capsys) -
     assert main(["run", "--strategy", "naive", "--config", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"config error: {bad}: [trace] rng_seed must not be negative: -1\n"
+    assert not out.exists()
+
+
+_NO_FRAMES = (
+    "[trace]\nfps = 60\nduration_s = 0.001\n"
+    "[segment.1]\nstart_s = 0\nmean_objects = 3\ncomplexity = 0.1\n"
+)
+
+
+# (file text, extra flags, message after "config error: "): an error in the file
+# names the file ({path}), and an error in a flag names none.
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        (SMALL_CONFIG + "\n[bogus]\nx = 1\n", [], "{path}: [bogus]: unknown section"),
+        (SMALL_CONFIG + "\n[engine]\nextra = 1\n", [], "{path}: [engine] extra: unknown key"),
+        (
+            SMALL_CONFIG + "\n[naive]\ncpu_high_threshold = 200\n",
+            [],
+            "{path}: [naive] cpu_high_threshold out of range: 200.0",
+        ),
+        (_NO_FRAMES, [], "{path}: [trace] fps * duration_s rounds to 0 frames"),
+        (SMALL_CONFIG, ["--seed", "-1"], "[trace] rng_seed must not be negative: -1"),
+        (SMALL_CONFIG, ["--epsilon", "2"], "[epsilon-greedy] epsilon out of range: 2.0"),
+    ],
+    ids=["section", "key", "value", "no-frames", "seed-flag", "epsilon-flag"],
+)
+def test_main_names_the_file_of_an_error_in_the_file_only(
+    text, flags, message, tmp_path, capsys
+) -> None:
+    config = tmp_path / "experiment.ini"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--strategy", "epsilon-greedy", "--config", str(config), "--out", str(out)]
+    assert main([*argv, *flags]) == 1
+    assert capsys.readouterr().err == f"config error: {message.format(path=config)}\n"
     assert not out.exists()
 
 
@@ -546,7 +597,7 @@ def test_main_rejects_out_of_range_engine_settings(engine, tmp_path, capsys) -> 
     out = tmp_path / "out"
     code = main(["run", "--strategy", "naive", "--config", str(bad), "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("config error: [engine] ")
+    assert capsys.readouterr().err.startswith(f"config error: {bad}: [engine] ")
     assert not out.exists()
 
 

@@ -194,10 +194,11 @@ def test_bad_config_exits_one_before_writing(
     sections = {name: dict(values) for name, values in SMALL.items()}
     sections.setdefault(section, {})[key] = value
     out = tmp_path / "out"
-    code, err = _run_main(strategy, _write_ini(tmp_path / "bad.ini", sections), out, capsys)
+    config = _write_ini(tmp_path / "bad.ini", sections)
+    code, err = _run_main(strategy, config, out, capsys)
     assert code == 1
-    assert err.startswith("config error:")
-    assert f"[{section}]" in err
+    # Every case is an error in the file, so the message names the file.
+    assert err.startswith(f"config error: {config}: [{section}]")
     assert not out.exists()
 
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from io import StringIO
 
 import pytest
 import spec
 
-from modelswitch import analyzer, executor, monitor, sim
+from modelswitch import executor, monitor, sim
 from modelswitch.domain import SelectionDecision, SelectionMode
 from modelswitch.knowledge import (
     EVENTS_FILENAME,
@@ -24,7 +25,6 @@ from modelswitch.planner import (
     PlannerConfig,
     RoundRobinBoostConfig,
     RoundRobinBoostStrategy,
-    RunView,
     SelectionStrategy,
 )
 from modelswitch.sim import (
@@ -34,6 +34,10 @@ from modelswitch.sim import (
     generate_trace,
     synth_inference,
 )
+
+
+# What a strategy reads of a run: the loop's read-only map of windows.
+Windows = Mapping[str, monitor.MetricsWindow]
 
 
 def _profile(model: str, base_cpu: float, latency: float) -> ModelProfile:
@@ -96,15 +100,15 @@ def _logged_run(tmp_path, *args, **kwargs):
 
 
 class _StayPut(SelectionStrategy):
-    """Always keeps the active model; records (frame_index, active, view) per decision."""
+    """Always keeps the active model; records (frame_index, active, windows) per decision."""
 
     name = "stay-put"
 
     def __init__(self) -> None:
-        self.calls: list[tuple[int, str, RunView]] = []
+        self.calls: list[tuple[int, str, Windows]] = []
 
-    def decide(self, frame_index: int, active: str, view: RunView) -> SelectionDecision:
-        self.calls.append((frame_index, active, view))
+    def decide(self, frame_index: int, active: str, windows: Windows) -> SelectionDecision:
+        self.calls.append((frame_index, active, windows))
         return SelectionDecision(
             selected=active, mode=SelectionMode.FORCED, random_draw=None, previous=active
         )
@@ -119,8 +123,8 @@ class _SwitchOnce(_StayPut):
         super().__init__()
         self.target = target
 
-    def decide(self, frame_index: int, active: str, view: RunView) -> SelectionDecision:
-        self.calls.append((frame_index, active, view))
+    def decide(self, frame_index: int, active: str, windows: Windows) -> SelectionDecision:
+        self.calls.append((frame_index, active, windows))
         selected = self.target if frame_index == 0 else active
         return SelectionDecision(
             selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=active
@@ -162,7 +166,7 @@ def test_switch_near_the_end_cannot_drop_past_the_trace(monkeypatch) -> None:
     monkeypatch.setattr("modelswitch.executor.SWITCH_JITTER", 0.0)
 
     class _SwitchLate(_StayPut):
-        def decide(self, frame_index: int, active: str, view: RunView) -> SelectionDecision:
+        def decide(self, frame_index: int, active: str, windows: Windows) -> SelectionDecision:
             selected = "b" if frame_index == 48 else active
             return SelectionDecision(
                 selected=selected,
@@ -226,28 +230,28 @@ def test_one_live_view_serves_every_decision() -> None:
     class _ViewWatcher(_StayPut):
         def __init__(self) -> None:
             super().__init__()
-            self.seen: list[tuple[int | None, dict[str, float]]] = []
+            self.seen: list[tuple[int, dict[str, float]]] = []
 
-        def decide(self, frame_index: int, active: str, view: RunView) -> SelectionDecision:
-            # What the view shows at each decision: the frames seen so far.
-            last_frame = view.windows[active].last_frame
-            self.seen.append((last_frame, dict(view.scores)))
-            return super().decide(frame_index, active, view)
+        def decide(self, frame_index: int, active: str, windows: Windows) -> SelectionDecision:
+            # What the windows show at each decision: the frames seen so far.
+            scores = {m: window.score() for m, window in windows.items()}
+            self.seen.append((windows[active].last_frame, scores))
+            return super().decide(frame_index, active, windows)
 
     strategy = _ViewWatcher()
     run_loop(_trace(5), _repo(), strategy, registry=_sink(), inference_seed=3)
-    views = {id(view) for _, _, view in strategy.calls}
+    views = {id(windows) for _, _, windows in strategy.calls}
     assert len(views) == 1
-    view = strategy.calls[0][2]
-    assert view.model_ids == ("a", "b")
+    windows = strategy.calls[0][2]
+    assert list(windows) == ["a", "b"]
     # Before the first frame nothing is observed; later decisions see the frame before.
     assert [frame_index for frame_index, _ in strategy.seen] == [-1, 0, 1, 2, 3]
     assert strategy.seen[0][1] == {"a": 0.0, "b": 0.0}
-    # The view is live: after the run it shows the last frame and score.
-    assert view.windows["a"].last_frame == 4
-    assert view.windows["b"].aggregate() is None
+    # The map is live: after the run it shows the last frame and score.
+    assert windows["a"].last_frame == 4
+    assert windows["b"].means() is None
     with pytest.raises(TypeError):
-        view.scores["a"] = 1.0  # type: ignore[index]
+        windows["a"] = monitor.MetricsWindow("a", 30)  # type: ignore[index]
 
 
 def _count_calls(monkeypatch, owner, name: str) -> list[int]:
@@ -272,14 +276,14 @@ def _count_calls(monkeypatch, owner, name: str) -> list[int]:
     ids=["naive", "round-robin-boost"],
 )
 def test_strategies_that_read_no_score_compute_none(monkeypatch, strategy) -> None:
-    calls = _count_calls(monkeypatch, analyzer, "compute_score")
+    calls = _count_calls(monkeypatch, monitor, "compute_score")
     registry = _run(_trace(200), _repo(), strategy, inference_seed=3)
     assert _processed(registry) > 0
     assert calls == [0]
 
 
 def test_epsilon_greedy_computes_at_most_one_score_per_processed_frame(monkeypatch) -> None:
-    calls = _count_calls(monkeypatch, analyzer, "compute_score")
+    calls = _count_calls(monkeypatch, monitor, "compute_score")
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.3, rng_seed=4))
     registry = _run(_trace(300), _repo(), strategy, inference_seed=3)
     assert 0 < calls[0] <= _processed(registry)
@@ -334,7 +338,7 @@ def test_the_engine_config_sizes_the_windows_and_filters_detections() -> None:
     strategy = _StayPut()
     engine = EngineConfig(window_capacity=2, confidence_floor=1.0)
     run_loop(_trace(10), _repo(), strategy, registry=_sink(), inference_seed=1, engine=engine)
-    window = strategy.calls[0][2].windows["a"]
+    window = strategy.calls[0][2]["a"]
     assert len(window) == 2
     # No synthetic confidence reaches a floor of 1.0, so every frame comes out empty.
     assert list(window.confidences) == [0.0, 0.0]
@@ -381,7 +385,7 @@ class _Alternate(_StayPut):
 
     name = "alternate"
 
-    def decide(self, frame_index: int, active: str, view: RunView) -> SelectionDecision:
+    def decide(self, frame_index: int, active: str, windows: Windows) -> SelectionDecision:
         selected = "b" if active == "a" else "a"
         return SelectionDecision(
             selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=active

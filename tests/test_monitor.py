@@ -20,7 +20,7 @@ def test_window_rejects_nonpositive_capacity() -> None:
 
 def test_empty_window_has_no_aggregate() -> None:
     window = MetricsWindow("m", 5)
-    assert window.aggregate() is None
+    assert window.means() is None
     assert window.last_frame == -1
     assert len(window) == 0
 
@@ -29,10 +29,8 @@ def test_window_keeps_only_the_newest_entries() -> None:
     window = MetricsWindow("m", 3)
     for i, confidence in enumerate([0.1, 0.2, 0.3, 0.4, 0.5]):
         window.record(i, 10.0 + i, confidence)
-    aggregate = window.aggregate()
-    assert aggregate is not None
-    assert aggregate.sample_count == 3
-    assert aggregate.avg_confidence == pytest.approx((0.3 + 0.4 + 0.5) / 3)
+    assert len(window) == 3
+    assert window.means() == pytest.approx(((12.0 + 13.0 + 14.0) / 3, (0.3 + 0.4 + 0.5) / 3))
     # Newest last: the latest frame is the tail of each deque.
     assert list(window.cpus) == [12.0, 13.0, 14.0]
     assert list(window.confidences) == [0.3, 0.4, 0.5]
@@ -60,19 +58,18 @@ def test_window_aggregate_matches_brute_force() -> None:
             cpu, confidence = 100.0 * rng.random(), rng.random()
             window.record(i, cpu, confidence)
             seen.append((cpu, confidence))
-        aggregate = window.aggregate()
+        means = window.means()
         if not seen:
-            assert aggregate is None
+            assert means is None
             continue
         tail = seen[-capacity:]
-        assert aggregate is not None
-        assert aggregate.sample_count == len(tail)
-        assert aggregate.avg_confidence == pytest.approx(
+        assert means is not None
+        assert len(window) == len(tail)
+        avg_cpu, avg_confidence = means
+        assert avg_confidence == pytest.approx(
             sum(confidence for _, confidence in tail) / len(tail), abs=1e-12
         )
-        assert aggregate.avg_cpu == pytest.approx(
-            sum(cpu for cpu, _ in tail) / len(tail), abs=1e-12
-        )
+        assert avg_cpu == pytest.approx(sum(cpu for cpu, _ in tail) / len(tail), abs=1e-12)
 
 
 def _profile(model: str) -> ModelProfile:

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelswitch.domain import SelectionDecision, SelectionMode, WindowAggregate
-from modelswitch.analyzer import Scores
+from modelswitch.domain import SelectionDecision, SelectionMode
 from modelswitch.monitor import MetricsWindow
 from modelswitch.planner import (
     DEFAULT_CONFIDENCE_LOW_THRESHOLD,
@@ -20,7 +19,6 @@ from modelswitch.planner import (
     PlannerConfig,
     RoundRobinBoostConfig,
     RoundRobinBoostStrategy,
-    RunView,
     best_model,
     rank_models_by_cpu,
 )
@@ -29,34 +27,42 @@ SCORES = {"a": 0.5, "b": -0.2, "c": 0.1}
 
 
 class _Window:
-    """A stand-in for a model's MetricsWindow holding at most one frame's
-    (cpu, confidence) and a settable agg; it counts the aggregate() reads a
-    re-rank makes."""
+    """A stand-in for a model's MetricsWindow with a fixed score, at most one
+    frame's (cpu, confidence) and settable means; it counts the means() reads
+    a re-rank makes."""
 
-    def __init__(self, latest: tuple[float, float] | None = None) -> None:
+    def __init__(self, latest: tuple[float, float] | None = None, score: float = 0.0) -> None:
         self.cpus: deque[float] = deque()
         self.confidences: deque[float] = deque()
         if latest is not None:
             self.cpus.append(latest[0])
             self.confidences.append(latest[1])
-        self.agg: WindowAggregate | None = None
+        self.fixed_score = score
+        self.mean: tuple[float, float] | None = None
         self.reads = 0
 
-    def aggregate(self) -> WindowAggregate | None:
+    def score(self) -> float:
+        return self.fixed_score
+
+    def means(self) -> tuple[float, float] | None:
         self.reads += 1
-        return self.agg
+        return self.mean
 
 
-def _view(scores=None, model_ids=("a", "b", "c"), windows=None) -> RunView:
-    """A view over fixed scores and empty stand-in windows, unless windows are given."""
-    return RunView(
-        model_ids=model_ids,
-        scores=SCORES if scores is None else scores,
-        windows={m: _Window() for m in model_ids} if windows is None else windows,
-    )
+def _windows(scores=SCORES) -> dict[str, _Window]:
+    """Stand-in windows that score as given and hold no frame."""
+    return {m: _Window(score=score) for m, score in scores.items()}
 
 
-VIEW = _view()
+def _cpu_windows(cpus: dict[str, float | None]) -> dict[str, _Window]:
+    """Stand-in windows whose means hold the given CPU; None is an unobserved model."""
+    windows = _windows(dict.fromkeys(cpus, 0.0))
+    for m, cpu in cpus.items():
+        windows[m].mean = None if cpu is None else (cpu, 0.5)
+    return windows
+
+
+WINDOWS = _windows()
 
 
 class _Draws:
@@ -74,7 +80,7 @@ def _greedy(scores, active, p, epsilon, seed, exclude_best=True):
     """One EpsilonGreedyStrategy decision over scores with p drawn as given."""
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=epsilon, exclude_best=exclude_best))
     strategy.rng = _Draws(p, seed)
-    return strategy.decide(0, active, _view(scores=scores, model_ids=tuple(scores)))
+    return strategy.decide(0, active, _windows(scores))
 
 
 def _record(windows, cpu: float, confidence: float, model: str, frame_index: int = 0):
@@ -82,11 +88,11 @@ def _record(windows, cpu: float, confidence: float, model: str, frame_index: int
 
 
 def test_best_model_takes_the_minimum() -> None:
-    assert best_model(SCORES) == "b"
+    assert best_model(WINDOWS) == "b"
 
 
 def test_best_model_breaks_ties_lexicographically() -> None:
-    assert best_model({"z": 1.0, "k": 1.0, "m": 1.0}) == "k"
+    assert best_model(_windows({"z": 1.0, "k": 1.0, "m": 1.0})) == "k"
 
 
 def test_best_model_rejects_empty_scores() -> None:
@@ -133,7 +139,7 @@ def test_lone_model_falls_back_to_exploit() -> None:
 def test_explore_picks_uniformly_among_candidates() -> None:
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.1))
     strategy.rng = _Draws(p=0.0, seed=43)
-    hits = Counter(strategy.decide(i, "a", VIEW).selected for i in range(30_000))
+    hits = Counter(strategy.decide(i, "a", WINDOWS).selected for i in range(30_000))
     assert set(hits) == {"a", "c"}
     for count in hits.values():
         assert count / 30_000 == pytest.approx(0.5, abs=0.02)
@@ -143,33 +149,32 @@ def test_strategy_is_deterministic_per_seed() -> None:
     config = PlannerConfig(rng_seed=9)
     first = EpsilonGreedyStrategy(config)
     second = EpsilonGreedyStrategy(config)
-    assert [first.decide(i, "a", VIEW) for i in range(500)] == [
-        second.decide(i, "a", VIEW) for i in range(500)
+    assert [first.decide(i, "a", WINDOWS) for i in range(500)] == [
+        second.decide(i, "a", WINDOWS) for i in range(500)
     ]
 
 
 def test_zero_epsilon_never_explores() -> None:
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.0, rng_seed=3))
-    decisions = [strategy.decide(i, "a", VIEW) for i in range(10_000)]
+    decisions = [strategy.decide(i, "a", WINDOWS) for i in range(10_000)]
     assert all(d.mode is SelectionMode.EXPLOIT for d in decisions)
 
 
 def test_unit_epsilon_always_explores() -> None:
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=1.0, rng_seed=3))
-    decisions = [strategy.decide(i, "a", VIEW) for i in range(1000)]
+    decisions = [strategy.decide(i, "a", WINDOWS) for i in range(1000)]
     assert all(d.mode is SelectionMode.EXPLORE for d in decisions)
 
 
 def test_epsilon_greedy_reads_the_live_score_table() -> None:
     windows = {m: MetricsWindow(m, 30) for m in ("a", "b")}
-    view = _view(scores=Scores(windows), model_ids=("a", "b"), windows=windows)
     strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=0.0))
     # Both score 0.0 before any frame; the tie goes to the first id.
-    assert strategy.decide(0, "a", view).selected == "a"
+    assert strategy.decide(0, "a", windows).selected == "a"
     # b's confidence drops below its window mean: 10 * (1 - 0.6 / 0.4) = -5.
     _record(windows, cpu=10.0, confidence=0.8, model="b", frame_index=0)
     _record(windows, cpu=10.0, confidence=0.4, model="b", frame_index=1)
-    assert strategy.decide(1, "a", view).selected == "b"
+    assert strategy.decide(1, "a", windows).selected == "b"
 
 
 def test_planner_config_validation() -> None:
@@ -187,7 +192,7 @@ def _naive(latest: tuple[float, float] | None, active: str):
     strategy = NaiveThresholdStrategy(NaiveConfig(model_order=("s", "m", "l")))
     windows = {m: _Window() for m in ("s", "m", "l")}
     windows[active] = _Window(latest)
-    return strategy.decide(0, active, _view(scores={}, model_ids=("s", "m", "l"), windows=windows))
+    return strategy.decide(0, active, windows)
 
 
 def test_naive_steps_lighter_on_high_cpu() -> None:
@@ -225,9 +230,8 @@ def test_naive_strategy_reads_the_latest_metrics_of_the_active_model() -> None:
     windows = {m: MetricsWindow(m, 30) for m in ("s", "m", "l")}
     _record(windows, cpu=30.0, confidence=0.9, model="m")
     _record(windows, cpu=10.0, confidence=0.1, model="s")
-    view = _view(scores={}, model_ids=("s", "m", "l"), windows=windows)
     strategy = NaiveThresholdStrategy(NaiveConfig(model_order=("s", "m", "l")))
-    assert strategy.decide(5, "m", view).selected == "s"
+    assert strategy.decide(5, "m", windows).selected == "s"
 
 
 # One decision step: the active model (an index into s < m < l) and that model's
@@ -253,15 +257,15 @@ def test_naive_decisions_equal_freshly_built_ones(steps) -> None:
     first, second = (NaiveThresholdStrategy(NaiveConfig(model_order=order)) for _ in range(2))
     for frame_index, (position, latest) in enumerate(steps):
         active = order[position]
-        view = _view(scores={}, model_ids=order, windows={m: _Window(latest) for m in order})
+        windows = {m: _Window(latest) for m in order}
         selected = active
         if latest is not None and latest[0] > DEFAULT_CPU_HIGH_THRESHOLD:
             selected = order[max(position - 1, 0)]
         elif latest is not None and latest[1] < DEFAULT_CONFIDENCE_LOW_THRESHOLD:
             selected = order[min(position + 1, 2)]
-        decision = first.decide(frame_index, active, view)
+        decision = first.decide(frame_index, active, windows)
         assert decision == SelectionDecision(selected, SelectionMode.FORCED, None, active)
-        other = second.decide(frame_index, active, view)
+        other = second.decide(frame_index, active, windows)
         assert other == decision and other is not decision
 
 
@@ -276,51 +280,45 @@ def test_naive_config_validation() -> None:
         NaiveConfig(model_order=("a", "b"), confidence_low_threshold=1.5)
 
 
-def _agg(model: str, avg_cpu: float) -> WindowAggregate:
-    return WindowAggregate(model=model, avg_confidence=0.5, avg_cpu=avg_cpu, sample_count=10)
-
-
 def test_rank_orders_observed_models_by_cpu() -> None:
-    rank = rank_models_by_cpu(
-        ("a", "b", "c"), {"a": _agg("a", 30.0), "b": _agg("b", 10.0), "c": _agg("c", 20.0)}
-    )
+    rank = rank_models_by_cpu(_cpu_windows({"a": 30.0, "b": 10.0, "c": 20.0}))
     assert rank == ("b", "c", "a")
 
 
 def test_rank_puts_unobserved_models_last_in_given_order() -> None:
-    rank = rank_models_by_cpu(("a", "b", "c", "d"), {"c": _agg("c", 20.0)})
+    rank = rank_models_by_cpu(_cpu_windows({"a": None, "b": None, "c": 20.0, "d": None}))
     assert rank == ("c", "a", "b", "d")
-    assert rank_models_by_cpu(("a", "b"), {}) == ("a", "b")
+    assert rank_models_by_cpu(_cpu_windows({"a": None, "b": None})) == ("a", "b")
 
 
 def test_rank_ties_break_on_model_id() -> None:
-    rank = rank_models_by_cpu(("b", "a"), {"a": _agg("a", 10.0), "b": _agg("b", 10.0)})
+    rank = rank_models_by_cpu(_cpu_windows({"b": 10.0, "a": 10.0}))
     assert rank == ("a", "b")
 
 
 def test_round_robin_holds_within_a_slice() -> None:
     strategy = RoundRobinBoostStrategy(RoundRobinBoostConfig(time_slice_frames=10))
-    picks = [strategy.decide(i, "a", VIEW).selected for i in range(10)]
+    picks = [strategy.decide(i, "a", WINDOWS).selected for i in range(10)]
     assert picks == ["a"] * 10
 
 
 def test_round_robin_advances_one_step_per_slice() -> None:
     strategy = RoundRobinBoostStrategy(RoundRobinBoostConfig(time_slice_frames=10))
-    picks = [strategy.decide(i, "a", VIEW).selected for i in (0, 10, 20, 30, 40)]
+    picks = [strategy.decide(i, "a", WINDOWS).selected for i in (0, 10, 20, 30, 40)]
     assert picks == ["a", "b", "c", "a", "b"]
 
 
 def test_round_robin_advances_once_even_after_a_gap() -> None:
     """Skipped slices (frames dropped during long switches) cost one step, not many."""
     strategy = RoundRobinBoostStrategy(RoundRobinBoostConfig(time_slice_frames=10))
-    assert strategy.decide(0, "a", VIEW).selected == "a"
-    assert strategy.decide(57, "a", VIEW).selected == "b"
-    assert strategy.decide(60, "a", VIEW).selected == "c"
+    assert strategy.decide(0, "a", WINDOWS).selected == "a"
+    assert strategy.decide(57, "a", WINDOWS).selected == "b"
+    assert strategy.decide(60, "a", WINDOWS).selected == "c"
 
 
 def test_round_robin_reports_forced_mode() -> None:
     strategy = RoundRobinBoostStrategy(RoundRobinBoostConfig(time_slice_frames=10))
-    decision = strategy.decide(0, "c", VIEW)
+    decision = strategy.decide(0, "c", WINDOWS)
     assert decision.mode is SelectionMode.FORCED
     assert decision.previous == "c"
 
@@ -341,20 +339,19 @@ def test_round_robin_decisions_equal_freshly_built_ones(steps) -> None:
         frame_index += gap
         if frame_index // 10 > last_slot:
             last_slot, boundaries = frame_index // 10, boundaries + 1
-        decision = first.decide(frame_index, ids[active], VIEW)
+        decision = first.decide(frame_index, ids[active], WINDOWS)
         expected = SelectionDecision(ids[boundaries % 3], SelectionMode.FORCED, None, ids[active])
         assert decision == expected
-        other = second.decide(frame_index, ids[active], VIEW)
+        other = second.decide(frame_index, ids[active], WINDOWS)
         assert other == expected and other is not decision
 
 
-def _boosting(boost_period_frames: int) -> tuple[RoundRobinBoostStrategy, dict, RunView]:
+def _boosting(boost_period_frames: int) -> tuple[RoundRobinBoostStrategy, dict]:
     # A slice longer than any test's frames: the pick is always the head of the rank.
     strategy = RoundRobinBoostStrategy(
         RoundRobinBoostConfig(time_slice_frames=10_000, boost_period_frames=boost_period_frames)
     )
-    windows = {m: _Window() for m in ("a", "b", "c")}
-    return strategy, windows, _view(windows=windows)
+    return strategy, _windows()
 
 
 def _reads(windows: dict) -> int:
@@ -362,49 +359,44 @@ def _reads(windows: dict) -> int:
 
 
 def test_round_robin_reranks_at_the_first_decision_of_each_boost_slot() -> None:
-    strategy, windows, view = _boosting(100)
+    strategy, windows = _boosting(100)
     # Nothing observed yet: the first decision ranks in repository order.
-    assert strategy.decide(0, "a", view).selected == "a"
+    assert strategy.decide(0, "a", windows).selected == "a"
     assert strategy.rank == ("a", "b", "c")
     assert _reads(windows) == 3
 
-    windows["c"].agg = _agg("c", 5.0)
-    windows["a"].agg = _agg("a", 9.0)
+    windows["c"].mean = (5.0, 0.5)
+    windows["a"].mean = (9.0, 0.5)
     # The same boost slot keeps the stale rank and reads nothing.
-    assert strategy.decide(99, "a", view).selected == "a"
+    assert strategy.decide(99, "a", windows).selected == "a"
     assert _reads(windows) == 3
 
     # The next slot's first decision re-ranks before it picks.
-    assert strategy.decide(100, "a", view).selected == "c"
+    assert strategy.decide(100, "a", windows).selected == "c"
     assert strategy.rank == ("c", "a", "b")
     assert _reads(windows) == 6
-    strategy.decide(150, "c", view)
+    strategy.decide(150, "c", windows)
     assert _reads(windows) == 6
 
 
 def test_round_robin_reranks_once_after_skipped_boost_slots() -> None:
     """A switch that swallows whole boost slots costs one re-rank, not one per slot."""
-    strategy, windows, view = _boosting(100)
-    strategy.decide(0, "a", view)
-    windows["b"].agg = _agg("b", 5.0)
-    assert strategy.decide(350, "a", view).selected == "b"
+    strategy, windows = _boosting(100)
+    strategy.decide(0, "a", windows)
+    windows["b"].mean = (5.0, 0.5)
+    assert strategy.decide(350, "a", windows).selected == "b"
     assert _reads(windows) == 6
-    strategy.decide(399, "b", view)
+    strategy.decide(399, "b", windows)
     assert _reads(windows) == 6
-    windows["c"].agg = _agg("c", 1.0)
-    assert strategy.decide(400, "b", view).selected == "c"
+    windows["c"].mean = (1.0, 0.5)
+    assert strategy.decide(400, "b", windows).selected == "c"
     assert _reads(windows) == 9
 
 
 def test_round_robin_rejects_empty_rank() -> None:
     strategy = RoundRobinBoostStrategy()
     with pytest.raises(EmptyRepository):
-        strategy.decide(0, "a", _view(model_ids=()))
-
-
-def test_run_view_is_frozen() -> None:
-    with pytest.raises(AttributeError):
-        VIEW.scores = {}  # type: ignore[misc]
+        strategy.decide(0, "a", {})
 
 
 def test_round_robin_config_validation() -> None:

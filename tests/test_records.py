@@ -14,9 +14,9 @@ import re
 import pytest
 
 from modelswitch.cli import RunSummary
-from modelswitch.domain import FrameMetrics, WindowAggregate
+from modelswitch.domain import FrameMetrics
 from modelswitch.loop import EngineConfig
-from modelswitch.planner import NaiveConfig, PlannerConfig, RoundRobinBoostConfig, RunView
+from modelswitch.planner import NaiveConfig, PlannerConfig, RoundRobinBoostConfig
 from modelswitch.sim import ScheduleSegment, SimConfig, TraceConfig, default_profiles
 
 FRAME = FrameMetrics(
@@ -36,7 +36,6 @@ ENGINE = EngineConfig(window_capacity=5)
 
 RECORDS = [
     FRAME,
-    WindowAggregate(model="m", avg_confidence=0.5, avg_cpu=12.0, sample_count=4),
     PROFILE,
     ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1),
     TRACE,
@@ -44,7 +43,6 @@ RECORDS = [
     PLANNER,
     NAIVE,
     ROUND_ROBIN,
-    RunView(model_ids=("a",), scores={"a": 0.0}, windows={}),
     ENGINE,
     RunSummary(
         strategy="naive",
