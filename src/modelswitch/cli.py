@@ -210,7 +210,7 @@ class Experiment(NamedTuple):
 
 def _strategy_config(
     name: str, repo: ModelRepository, extras: dict[str, dict[str, str]], seed: int,
-    epsilon: float | None,
+    epsilon: float | None = None,
 ) -> Any:
     """Read and check a strategy's section. The planner draws from the trace seed + 1,
     naive's ladder defaults to the repository order, and epsilon beats the file."""
@@ -227,16 +227,12 @@ def _strategy_config(
 
 
 def build_strategy(
-    name: str,
-    repo: ModelRepository,
-    extras: dict[str, dict[str, str]],
-    seed: int,
-    epsilon: float | None = None,
+    name: str, repo: ModelRepository, extras: dict[str, dict[str, str]], seed: int
 ) -> SelectionStrategy:
     """Construct the named strategy from its section, read as load_experiment reads it."""
     if name not in STRATEGIES:
         raise UnknownStrategy(name)
-    return STRATEGIES[name][1](_strategy_config(name, repo, extras, seed, epsilon))
+    return STRATEGIES[name][1](_strategy_config(name, repo, extras, seed))
 
 
 def load_experiment(
@@ -249,31 +245,26 @@ def load_experiment(
         read_section("trace", {}, TraceConfig, overrides={"rng_seed": seed})
     if epsilon is not None:
         read_section("epsilon-greedy", {}, PlannerConfig, overrides={"epsilon": epsilon})
-    if config_path is None:
-        sim_config = SimConfig(trace=TraceConfig(), profiles=default_profiles(), extras={})
-        return _experiment(sim_config, seed, epsilon)
+    # With no file the built-in defaults stand, and they pass every check below.
     try:
-        return _experiment(parse_config(config_path), seed, epsilon)
+        if config_path is None:
+            sim_config = SimConfig(trace=TraceConfig(), profiles=default_profiles(), extras={})
+        else:
+            sim_config = parse_config(config_path)
+        extras = sim_config.extras
+        unknown = sorted(set(extras) - {ENGINE_SECTION, *STRATEGIES})
+        if unknown:
+            raise ConfigError(f"[{unknown[0]}]: unknown section")
+        seed = seed if seed is not None else sim_config.trace.rng_seed
+        # _replace skips TraceConfig's checks; a given seed was checked above.
+        trace_config = sim_config.trace._replace(rng_seed=seed)
+        repo = ModelRepository(sim_config.profiles)
+        engine = read_section(ENGINE_SECTION, extras.get(ENGINE_SECTION, {}), EngineConfig)
+        strategies = {n: _strategy_config(n, repo, extras, seed, epsilon) for n in STRATEGIES}
     except OSError as exc:
         raise IoFailure(config_path, exc) from exc
     except ConfigError as exc:
         raise ConfigError(f"{config_path}: {exc}") from exc
-
-
-def _experiment(sim_config: SimConfig, seed: int | None, epsilon: float | None) -> Experiment:
-    """Check a parsed config's sections and build its Experiment with the checked overrides."""
-    extras = sim_config.extras
-    unknown = sorted(set(extras) - {ENGINE_SECTION, *STRATEGIES})
-    if unknown:
-        raise ConfigError(f"[{unknown[0]}]: unknown section")
-    if sim_config.trace.total_frames == 0:
-        raise ConfigError("[trace] fps * duration_s rounds to 0 frames")
-    seed = seed if seed is not None else sim_config.trace.rng_seed
-    # _replace skips TraceConfig's checks; load_experiment checked a given seed first.
-    trace_config = sim_config.trace._replace(rng_seed=seed)
-    repo = ModelRepository(sim_config.profiles)
-    engine = read_section(ENGINE_SECTION, extras.get(ENGINE_SECTION, {}), EngineConfig)
-    strategies = {n: _strategy_config(n, repo, extras, seed, epsilon) for n in STRATEGIES}
     return Experiment(seed, trace_config, repo, engine, strategies)
 
 

@@ -7,39 +7,56 @@ reporting boundaries.
 Every record type of the package is a NamedTuple: immutable, compared by
 value and picklable, and cheap to define at import, where generating and
 compiling per-class methods would add to every process start-up. A type
-whose values have a valid range is decorated with ``checked``, so building
-it runs its ``_check``. A processed frame's figures travel as plain values;
-FrameMetrics is only the row type of a metrics.csv read back.
+whose values have a valid range is decorated with ``checked``, given each
+bounded field's closed range, and building it runs that table and then the
+type's ``_check``, if any, for the rules no one field's range states. A
+processed frame's figures travel as plain values; FrameMetrics is only the
+row type of a metrics.csv read back.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import wraps
-from typing import NamedTuple, Sequence, TypeVar
+from math import inf
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 ModelId = str
 
 _T = TypeVar("_T")
 
 
-def checked(cls: type[_T]) -> type[_T]:
-    """Make building the NamedTuple cls, by call or by unpickling, run its ``_check``.
+def checked(**ranges: tuple[float, float]) -> Callable[[type[_T]], type[_T]]:
+    """Make building a NamedTuple, by call or by unpickling, check its values.
 
-    NamedTuple forbids a ``__new__`` in the class body, so this wraps the
-    generated one. ``_make`` and ``_replace`` build through ``tuple.__new__``
-    and skip the check, so a changed copy is built by calling cls.
+    Each keyword maps a field to its closed range (low, high): a value outside
+    it, or not finite, raises ValueError. The type's ``_check``, if any, runs
+    next. NamedTuple forbids a ``__new__`` in the class body, so this wraps the
+    generated one; ``_make`` and ``_replace`` build through ``tuple.__new__``
+    and skip every check, so a changed copy is built by calling the type.
     """
-    new = cls.__new__
 
-    @wraps(new)
-    def __new__(cls_, *args, **kwargs):
-        self = new(cls_, *args, **kwargs)
-        self._check()
-        return self
+    def decorate(cls: type[_T]) -> type[_T]:
+        new = cls.__new__
+        check = getattr(cls, "_check", None)
 
-    cls.__new__ = staticmethod(__new__)
-    return cls
+        @wraps(new)
+        def __new__(cls_, *args, **kwargs):
+            self = new(cls_, *args, **kwargs)
+            for name, (low, high) in ranges.items():
+                value = getattr(self, name)
+                # Compared, never passed to math.isfinite, which raises OverflowError on a huge int.
+                if not (low <= value <= high and -inf < value < inf):
+                    end = "]" if high < inf else ")"
+                    raise ValueError(f"{name} must lie in [{low}, {high}{end}: {value}")
+            if check is not None:
+                check(self)
+            return self
+
+        cls.__new__ = staticmethod(__new__)
+        return cls
+
+    return decorate
 
 
 class SelectionMode(Enum):
@@ -66,7 +83,7 @@ def check_frame(
         raise ValueError("empty frame must carry confidence_score 0.0")
 
 
-@checked
+@checked()
 class FrameMetrics(NamedTuple):
     """One metrics.csv row as read back: what the monitor recorded for one processed frame."""
 

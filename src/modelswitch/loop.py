@@ -33,18 +33,13 @@ from modelswitch.planner import SelectionStrategy
 from modelswitch.sim import Trace
 
 
-@checked
+# A deque's maxlen is a C ssize_t.
+@checked(window_capacity=(1, sys.maxsize), confidence_floor=(0.0, 1.0))
 class EngineConfig(NamedTuple):
     """Loop settings shared by every strategy: the [engine] section."""
 
     window_capacity: int = DEFAULT_WINDOW_CAPACITY
     confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR
-
-    def _check(self) -> None:
-        if not 1 <= self.window_capacity <= sys.maxsize:  # a deque's maxlen is a C ssize_t
-            raise ValueError(f"window_capacity out of range: {self.window_capacity}")
-        if not 0.0 <= self.confidence_floor <= 1.0:
-            raise ValueError(f"confidence_floor must lie in [0, 1]: {self.confidence_floor}")
 
 
 def run_loop(

@@ -17,6 +17,7 @@ pair's decision once and hand out that same immutable tuple again.
 
 from __future__ import annotations
 
+from math import inf
 from random import Random
 from typing import Mapping, NamedTuple
 
@@ -35,7 +36,7 @@ class EmptyRepository(ValueError):
     """A decision was requested, or a ladder given, with no models to choose from."""
 
 
-@checked
+@checked(epsilon=(0.0, 1.0), decision_period=(1, inf))
 class PlannerConfig(NamedTuple):
     """Epsilon-greedy knobs."""
 
@@ -46,14 +47,8 @@ class PlannerConfig(NamedTuple):
     # model, so every explore step buys new information.
     exclude_best: bool = True
 
-    def _check(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon out of range: {self.epsilon}")
-        if self.decision_period < 1:
-            raise ValueError(f"decision_period must be >= 1: {self.decision_period}")
 
-
-@checked
+@checked(cpu_high_threshold=(0.0, 100.0), confidence_low_threshold=(0.0, 1.0))
 class NaiveConfig(NamedTuple):
     """Thresholds for the naive baseline."""
 
@@ -66,26 +61,14 @@ class NaiveConfig(NamedTuple):
             raise EmptyRepository("model_order is empty")
         if len(set(self.model_order)) != len(self.model_order):
             raise ValueError(f"model_order has duplicates: {self.model_order}")
-        if not 0.0 <= self.cpu_high_threshold <= 100.0:
-            raise ValueError(f"cpu_high_threshold out of range: {self.cpu_high_threshold}")
-        if not 0.0 <= self.confidence_low_threshold <= 1.0:
-            raise ValueError(
-                f"confidence_low_threshold out of range: {self.confidence_low_threshold}"
-            )
 
 
-@checked
+@checked(time_slice_frames=(1, inf), boost_period_frames=(1, inf))
 class RoundRobinBoostConfig(NamedTuple):
     """Slice and recalibration cadence for round-robin with boosting."""
 
     time_slice_frames: int = DEFAULT_TIME_SLICE_FRAMES
     boost_period_frames: int = DEFAULT_BOOST_PERIOD_FRAMES
-
-    def _check(self) -> None:
-        if self.time_slice_frames < 1:
-            raise ValueError(f"time_slice_frames must be >= 1: {self.time_slice_frames}")
-        if self.boost_period_frames < 1:
-            raise ValueError(f"boost_period_frames must be >= 1: {self.boost_period_frames}")
 
 
 def best_model(windows: Mapping[ModelId, MetricsWindow]) -> ModelId:

@@ -14,7 +14,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from math import cos, log, sqrt
+from math import cos, inf, log, sqrt
 from random import Random
 from typing import Any, Callable, Mapping, NamedTuple, Sequence, get_origin, get_type_hints
 
@@ -39,6 +39,15 @@ _TWO_PI = 2.0 * math.pi
 # would raise OverflowError on append rather than wrap.
 COUNT_TYPECODE = "I"
 
+# Knuth's method stops at exp(-mean): past this mean (708.3964185322641 is the last
+# float below it) that is subnormal or 0, and the draws no longer follow the mean
+# (800 and 1e6 both average 745).
+MAX_POISSON_MEAN = -log(sys.float_info.min)
+
+# The last frame index the float clock (f / fps here, i * period_ms in the loop) still
+# counts exactly: every int up to 2**53 is a float. Derived from the clock, not a setting.
+LAST_EXACT_FRAME = 2**53
+
 
 class InvalidSchedule(Exception):
     """Density schedule does not cover the trace duration.
@@ -52,7 +61,14 @@ class InvalidSchedule(Exception):
         self.position = position
 
 
-@checked
+@checked(
+    base_cpu_pct=(0.0, 100.0),
+    cpu_per_object_pct=(0.0, inf),
+    base_confidence=(0.0, 1.0),
+    confidence_noise_sd=(0.0, inf),
+    detection_recall=(0.0, 1.0),
+    switch_latency_ms=(0.0, inf),
+)
 class ModelProfile(NamedTuple):
     """Cost/quality profile of one synthetic detection model."""
 
@@ -71,23 +87,11 @@ class ModelProfile(NamedTuple):
         # The id is a field of metrics.csv and events.csv and part of a summary.txt key.
         if "," in self.model or "=" in self.model:
             raise ValueError(f"model id must not contain ',' or '=': {self.model!r}")
-        if not 0.0 <= self.base_cpu_pct <= 100.0:
-            raise ValueError(f"base_cpu_pct out of range: {self.base_cpu_pct}")
-        # Each one-sided check is written so that nan fails it too.
-        if not self.cpu_per_object_pct >= 0.0:
-            raise ValueError(f"negative cpu_per_object_pct: {self.cpu_per_object_pct}")
-        if not 0.0 <= self.base_confidence <= 1.0:
-            raise ValueError(f"base_confidence out of range: {self.base_confidence}")
-        if not self.confidence_noise_sd >= 0.0:
-            raise ValueError(f"negative confidence_noise_sd: {self.confidence_noise_sd}")
-        if not 0.0 <= self.detection_recall <= 1.0:
-            raise ValueError(f"detection_recall out of range: {self.detection_recall}")
-        if not self.switch_latency_ms >= 0.0:
-            raise ValueError(f"negative switch_latency_ms: {self.switch_latency_ms}")
-        if not self.inference_time_ms > 0.0:
-            raise ValueError(f"inference_time_ms must be positive: {self.inference_time_ms}")
+        if not 0.0 < self.inference_time_ms < inf:
+            raise ValueError(f"inference_time_ms must lie in (0, inf): {self.inference_time_ms}")
 
 
+@checked(start_s=(0.0, inf), mean_objects=(0.0, MAX_POISSON_MEAN), complexity=(0.0, 1.0))
 class ScheduleSegment(NamedTuple):
     """One stretch of the density schedule."""
 
@@ -106,7 +110,8 @@ def default_segments() -> tuple[ScheduleSegment, ...]:
     )
 
 
-@checked
+# Random(seed) drops an int seed's sign: -5 would replay seed 5's traffic.
+@checked(fps=(1, LAST_EXACT_FRAME), rng_seed=(0, inf))
 class TraceConfig(NamedTuple):
     """Everything needed to regenerate a trace bit-for-bit."""
 
@@ -116,14 +121,14 @@ class TraceConfig(NamedTuple):
     rng_seed: int = DEFAULT_SEED
 
     def _check(self) -> None:
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive: {self.fps}")
-        if not self.duration_s > 0:
-            raise ValueError(f"duration_s must be positive: {self.duration_s}")
-        # Random(seed) drops an int seed's sign: -5 would replay seed 5's traffic.
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must not be negative: {self.rng_seed}")
+        if not 0.0 < self.duration_s < inf:
+            raise ValueError(f"duration_s must lie in (0, inf): {self.duration_s}")
+        frames = self.fps * self.duration_s  # compared unrounded: it may be inf
+        if frames > LAST_EXACT_FRAME:
+            raise ValueError(f"fps * duration_s must not exceed {LAST_EXACT_FRAME}: {frames}")
         validate_segments(self.segments, self.duration_s)
+        if self.total_frames == 0:
+            raise ValueError("fps * duration_s rounds to 0 frames")
 
     @property
     def total_frames(self) -> int:
@@ -141,14 +146,6 @@ def validate_segments(segments: Sequence[ScheduleSegment], duration_s: float) ->
     for i, seg in enumerate(segments):
         if seg.start_s >= duration_s:
             raise InvalidSchedule(f"segment start {seg.start_s} beyond duration {duration_s}", i)
-        if not seg.mean_objects >= 0.0:
-            raise InvalidSchedule(f"negative mean_objects: {seg.mean_objects}", i)
-        # Knuth's method stops at exp(-mean): past a mean of about 708.4 that is subnormal
-        # or 0, and the draws no longer follow the mean (800 and 1e6 both average 745).
-        if math.exp(-seg.mean_objects) < sys.float_info.min:
-            raise InvalidSchedule(f"mean_objects too large to draw: {seg.mean_objects}", i)
-        if not 0.0 <= seg.complexity <= 1.0:
-            raise InvalidSchedule(f"complexity out of range: {seg.complexity}", i)
 
 
 def _poisson_draws(rng: Random, mean: float, n: int) -> array:
@@ -360,13 +357,6 @@ class ConfigError(ValueError):
     """The experiment config could not be used."""
 
 
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(raw)
-    return value
-
-
 def _bool(raw: str) -> bool:
     # configparser is imported here and in parse_config, not with the module:
     # a run without a config file never needs it.
@@ -375,13 +365,12 @@ def _bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
 
-# How an INI value becomes its field's type: a float must be finite (inf
-# overflows the arithmetic downstream, and a nan is refused here by its key
-# rather than by a range check), a bool takes the words configparser knows
-# (true/false, yes/no, on/off, 1/0), a tuple a comma list.
+# How an INI value becomes its field's type: a bool takes the words
+# configparser knows (true/false, yes/no, on/off, 1/0), a tuple a comma list.
+# A nan or inf real parses, and its record refuses it.
 _PARSERS: dict[type, Callable[[str], Any]] = {
     int: int,
-    float: _finite_float,
+    float: float,
     bool: _bool,
     tuple: lambda raw: tuple(part.strip() for part in raw.split(",") if part.strip()),
 }
@@ -415,8 +404,7 @@ def read_section(
         try:
             parsed[key] = _PARSERS[kind](value)
         except (KeyError, ValueError):
-            expected = "finite float" if kind is float else kind.__name__
-            raise ConfigError(f"[{section}] {key}: expected {expected}: {value!r}") from None
+            raise ConfigError(f"[{section}] {key}: expected {kind.__name__}: {value!r}") from None
     merged = {**defaults, **parsed, **overrides, **fixed}
     kwargs = {key: value for key, value in merged.items() if key in types}
     for name in cls._fields:

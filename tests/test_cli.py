@@ -109,15 +109,6 @@ def test_build_strategy_rejects_unknown_name() -> None:
         build_strategy("simulated-annealing", _repo(), {}, seed=0)
 
 
-def test_build_strategy_epsilon_argument_wins_over_config() -> None:
-    extras = {"epsilon-greedy": {"epsilon": "0.5"}}
-    strategy = build_strategy("epsilon-greedy", _repo(), extras, seed=0, epsilon=0.25)
-    assert isinstance(strategy, EpsilonGreedyStrategy)
-    assert strategy.config.epsilon == 0.25
-    strategy = build_strategy("epsilon-greedy", _repo(), extras, seed=0)
-    assert strategy.config.epsilon == 0.5
-
-
 def test_build_strategy_rejects_bad_extras() -> None:
     with pytest.raises(ConfigError):
         build_strategy("epsilon-greedy", _repo(), {"epsilon-greedy": {"epsilon": "lots"}}, seed=0)
@@ -246,7 +237,7 @@ def test_a_bad_unused_section_fails_every_strategy_with_one_message(tmp_path, ca
         out = tmp_path / name
         assert main(["run", "--strategy", name, "--config", str(bad), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"config error: {bad}: [round-robin-boost] time_slice_frames must be >= 1: 0\n"
+            f"config error: {bad}: [round-robin-boost] time_slice_frames must lie in [1, inf): 0\n"
         )
         assert not out.exists()
 
@@ -463,7 +454,8 @@ def test_main_names_the_trace_section_of_a_trace_value_out_of_range(tmp_path, ca
     bad.write_text(SMALL_CONFIG.replace("fps = 20", "fps = 0"), encoding="utf-8")
     code = main(["run", "--strategy", "naive", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert capsys.readouterr().err == f"config error: {bad}: [trace] fps must be positive: 0\n"
+    err = capsys.readouterr().err
+    assert err == f"config error: {bad}: [trace] fps must lie in [1, 9007199254740992]: 0\n"
 
 
 def test_main_rejects_a_mean_objects_too_large_to_draw(tmp_path, capsys) -> None:
@@ -484,8 +476,8 @@ def test_main_rejects_a_negative_seed_before_writing_anything(tmp_path, capsys) 
     out = tmp_path / "out"
     argv = ["run", "--strategy", "naive", "--config", str(config), "--out", str(out)]
     assert main([*argv, "--seed", "-1"]) == 1
-    assert capsys.readouterr().err == "config error: [trace] rng_seed must not be negative: -1\n"
-    with pytest.raises(ConfigError, match=r"^\[trace\] rng_seed must not be negative: -5$"):
+    assert capsys.readouterr().err == "config error: [trace] rng_seed must lie in [0, inf): -1\n"
+    with pytest.raises(ConfigError, match=r"^\[trace\] rng_seed must lie in \[0, inf\): -5$"):
         run_experiment("naive", out, seed=-5)
     assert not out.exists()
 
@@ -496,7 +488,7 @@ def test_main_names_the_trace_section_of_a_negative_rng_seed(tmp_path, capsys) -
     out = tmp_path / "out"
     assert main(["run", "--strategy", "naive", "--config", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == f"config error: {bad}: [trace] rng_seed must not be negative: -1\n"
+    assert err == f"config error: {bad}: [trace] rng_seed must lie in [0, inf): -1\n"
     assert not out.exists()
 
 
@@ -516,11 +508,11 @@ _NO_FRAMES = (
         (
             SMALL_CONFIG + "\n[naive]\ncpu_high_threshold = 200\n",
             [],
-            "{path}: [naive] cpu_high_threshold out of range: 200.0",
+            "{path}: [naive] cpu_high_threshold must lie in [0.0, 100.0]: 200.0",
         ),
         (_NO_FRAMES, [], "{path}: [trace] fps * duration_s rounds to 0 frames"),
-        (SMALL_CONFIG, ["--seed", "-1"], "[trace] rng_seed must not be negative: -1"),
-        (SMALL_CONFIG, ["--epsilon", "2"], "[epsilon-greedy] epsilon out of range: 2.0"),
+        (SMALL_CONFIG, ["--seed", "-1"], "[trace] rng_seed must lie in [0, inf): -1"),
+        (SMALL_CONFIG, ["--epsilon", "2"], "[epsilon-greedy] epsilon must lie in [0.0, 1.0]: 2.0"),
     ],
     ids=["section", "key", "value", "no-frames", "seed-flag", "epsilon-flag"],
 )
@@ -533,6 +525,29 @@ def test_main_names_the_file_of_an_error_in_the_file_only(
     argv = ["run", "--strategy", "epsilon-greedy", "--config", str(config), "--out", str(out)]
     assert main([*argv, *flags]) == 1
     assert capsys.readouterr().err == f"config error: {message.format(path=config)}\n"
+    assert not out.exists()
+
+
+# A trace the float clock cannot count: a 400-digit fps overflowed the frame
+# search with a traceback, and 1e300 s began drawing 6e301 Poisson counts. Each
+# is refused while the experiment loads, before a frame is drawn.
+@pytest.mark.parametrize(
+    "fps, duration_s",
+    [(10**400, 45), (20, 1e300), (2**53, 1e300)],
+    ids=["fps-400-digits", "duration_s-1e300", "fps-2**53-duration_s-1e300"],
+)
+def test_a_trace_the_float_clock_cannot_count_is_refused(
+    fps, duration_s, tmp_path, capsys
+) -> None:
+    config = tmp_path / "huge.ini"
+    text = SMALL_CONFIG.replace("fps = 20", f"fps = {fps}")
+    config.write_text(text.replace("duration_s = 45", f"duration_s = {duration_s}"))
+    with pytest.raises(ConfigError) as refused:
+        load_experiment(str(config))
+    assert str(refused.value).startswith(f"{config}: [trace] ")
+    out = tmp_path / "out"
+    assert main(["run", "--strategy", "naive", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {refused.value}\n"
     assert not out.exists()
 
 
@@ -552,17 +567,18 @@ def _segment(number: int, start_s: float, mean_objects: float = 3, complexity: f
     )
 
 
-# One case per validate_segments failure. The sections are written out of
-# order, so the named one must come from the segment numbers, not the file.
+# One case per validate_segments failure, and one per range a segment refuses
+# itself. The sections are written out of order, so the named one must come
+# from the segment numbers, not the file.
 @pytest.mark.parametrize(
     "segments, section, message",
     [
         (_segment(3, 1), "segment.3", "first segment must start at 0"),
         (_segment(9, 5) + _segment(1, 0) + _segment(4, 5), "segment.9", "strictly increasing"),
         (_segment(7, 50) + _segment(1, 0), "segment.7", "segment start 50.0 beyond duration"),
-        (_segment(2, 5, mean_objects=-1) + _segment(1, 0), "segment.2", "negative mean_objects"),
-        (_segment(2, 5, mean_objects=800) + _segment(1, 0), "segment.2", "too large to draw"),
-        (_segment(1, 0) + _segment(5, 5, complexity=1.5), "segment.5", "complexity out of range"),
+        (_segment(2, 5, mean_objects=-1) + _segment(1, 0), "segment.2", "mean_objects must lie in"),
+        (_segment(2, 5, mean_objects=800) + _segment(1, 0), "segment.2", "mean_objects must lie in"),
+        (_segment(1, 0) + _segment(5, 5, complexity=1.5), "segment.5", "complexity must lie in"),
     ],
 )
 def test_main_names_the_segment_that_breaks_the_schedule(
@@ -586,6 +602,7 @@ def test_main_names_the_segment_that_breaks_the_schedule(
         "window_capacity = -3",
         # Above sys.maxsize: no deque can be that long.
         "window_capacity = 10000000000000000000000",
+        pytest.param(f"window_capacity = {10**399}", id="window_capacity = 10**399"),
         "confidence_floor = 5",
         "confidence_floor = -0.1",
         "confidence_floor = nan",

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import configparser
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
 from modelswitch import cli
 from modelswitch.cli import STRATEGY_NAMES, main, run_experiment
+from modelswitch.loop import EngineConfig
+from modelswitch.planner import NaiveConfig, PlannerConfig, RoundRobinBoostConfig
+from modelswitch.sim import ScheduleSegment, TraceConfig, default_profiles
 
 DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 
@@ -203,7 +208,8 @@ def test_bad_config_exits_one_before_writing(
 
 
 # (section, float key, non-finite value): one case per section kind, and every
-# value that escaped as a traceback or ran silently before it was rejected.
+# value that escaped as a traceback or ran silently before it was rejected. The
+# value parses, and its record refuses it.
 NON_FINITE = [
     ("trace", "duration_s", "nan"),
     ("segment.2", "start_s", "nan"),
@@ -229,8 +235,90 @@ def test_non_finite_float_exits_one_naming_section_and_key(
     code, err = _run_main("naive", _write_ini(tmp_path / "bad.ini", sections), out, capsys)
     assert code == 1
     assert err.startswith("config error:")
-    assert f"[{section}] {key}: expected finite float" in err
+    assert f"[{section}] {key} must lie in " in err
     assert not out.exists()
+
+
+_PROFILE = default_profiles()[0]
+_SEGMENT = ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1)
+# One second, so that fps at its top end still counts every frame exactly.
+_TRACE = TraceConfig(fps=20, duration_s=1.0, segments=(_SEGMENT,), rng_seed=5)
+
+# Every declared range, written out here so that a changed bound fails: (a
+# record that builds, the field, its section in SMALL, low, high). A range is
+# closed and holds finite values only, so an inf end is no value of it.
+RANGES = [
+    (_PROFILE, "base_cpu_pct", "model.tiny", 0.0, 100.0),
+    (_PROFILE, "cpu_per_object_pct", "model.tiny", 0.0, math.inf),
+    (_PROFILE, "base_confidence", "model.tiny", 0.0, 1.0),
+    (_PROFILE, "confidence_noise_sd", "model.tiny", 0.0, math.inf),
+    (_PROFILE, "detection_recall", "model.tiny", 0.0, 1.0),
+    (_PROFILE, "switch_latency_ms", "model.tiny", 0.0, math.inf),
+    (_TRACE, "fps", "trace", 1, 2**53),
+    (_TRACE, "rng_seed", "trace", 0, math.inf),
+    (_SEGMENT, "start_s", "segment.2", 0.0, math.inf),
+    (_SEGMENT, "mean_objects", "segment.2", 0.0, 708.3964185322641),
+    (_SEGMENT, "complexity", "segment.2", 0.0, 1.0),
+    (EngineConfig(), "window_capacity", "engine", 1, sys.maxsize),
+    (EngineConfig(), "confidence_floor", "engine", 0.0, 1.0),
+    (PlannerConfig(), "epsilon", "epsilon-greedy", 0.0, 1.0),
+    (PlannerConfig(), "decision_period", "epsilon-greedy", 1, math.inf),
+    (NaiveConfig(model_order=("a", "b")), "cpu_high_threshold", "naive", 0.0, 100.0),
+    (NaiveConfig(model_order=("a", "b")), "confidence_low_threshold", "naive", 0.0, 1.0),
+    (RoundRobinBoostConfig(), "time_slice_frames", "round-robin-boost", 1, math.inf),
+    (RoundRobinBoostConfig(), "boost_period_frames", "round-robin-boost", 1, math.inf),
+]
+_RANGE_IDS = [f"{type(record).__name__}.{field}" for record, field, *_ in RANGES]
+
+
+def _refused(low, high) -> list:
+    """The values just past each finite end (the next int of an int range, the next
+    float of a real one), then nan, inf and -inf."""
+    if isinstance(low, int):
+        past = [low - 1] + ([high + 1] if high < math.inf else [])
+    else:
+        past = [math.nextafter(low, -math.inf), math.nextafter(high, math.inf)]
+    return [*past, math.nan, math.inf, -math.inf]
+
+
+def _range_message(field, low, high, value) -> str:
+    return f"{field} must lie in [{low}, {high}{']' if high < math.inf else ')'}: {value}"
+
+
+@pytest.mark.parametrize("record, field, section, low, high", RANGES, ids=_RANGE_IDS)
+def test_a_record_accepts_each_end_of_a_declared_range_and_nothing_past_it(
+    record, field, section, low, high
+) -> None:
+    def build(value):
+        return type(record)(**{**record._asdict(), field: value})
+
+    for end in (low, high):
+        if end < math.inf:
+            assert getattr(build(end), field) == end
+    for value in _refused(low, high):
+        with pytest.raises(ValueError) as refused:
+            build(value)
+        assert str(refused.value) == _range_message(field, low, high, value)
+
+
+@pytest.mark.parametrize("record, field, section, low, high", RANGES, ids=_RANGE_IDS)
+def test_a_value_past_a_declared_range_exits_one_naming_section_and_key(
+    record, field, section, low, high, tmp_path, capsys
+) -> None:
+    for value in _refused(low, high):
+        sections = {name: dict(values) for name, values in SMALL.items()}
+        sections.setdefault(section, {})[field] = text = repr(value)
+        out = tmp_path / "out"
+        config = _write_ini(tmp_path / "bad.ini", sections)
+        code, err = _run_main("naive", config, out, capsys)
+        assert code == 1
+        # A real in an int field fails to parse before its record sees it.
+        if isinstance(low, int) and not isinstance(value, int):
+            message = f"{field}: expected int: {text!r}"
+        else:
+            message = _range_message(field, low, high, value)
+        assert err == f"config error: {config}: [{section}] {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["segment.one", "segment.01"])

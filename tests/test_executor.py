@@ -194,9 +194,10 @@ def test_run_inference_rejects_figures_out_of_range(
 
 
 def test_run_inference_rejects_the_nan_cpu_of_an_infinite_per_object_cost() -> None:
-    """A valid profile can still synthesize an out-of-range figure: an infinite
-    per-object CPU cost on a frame with no object gives 0 * inf, a nan CPU."""
-    repo = ModelRepository((_profile("small", cpu_per_object=float("inf")),))
+    """The frame check stands behind the profile's: a profile built past its check
+    (by _replace) with an infinite per-object CPU cost, on a frame with no object,
+    gives 0 * inf, a nan CPU."""
+    repo = ModelRepository((_profile("small")._replace(cpu_per_object_pct=float("inf")),))
     metrics_out = StringIO()
     executor, windows = _executor(Random(0), repo, metrics_out)
     with pytest.raises(ValueError, match=r"^cpu_usage out of range: nan$"):

@@ -28,6 +28,7 @@ FRAME = FrameMetrics(
     inference_time_ms=40.0,
 )
 PROFILE = default_profiles()[0]
+SEGMENT = ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1)
 TRACE = TraceConfig(fps=30, rng_seed=7)
 PLANNER = PlannerConfig(epsilon=0.3, rng_seed=5)
 NAIVE = NaiveConfig(model_order=("a", "b"))
@@ -37,7 +38,7 @@ ENGINE = EngineConfig(window_capacity=5)
 RECORDS = [
     FRAME,
     PROFILE,
-    ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1),
+    SEGMENT,
     TRACE,
     SimConfig(trace=TRACE, profiles=(PROFILE,), extras={"naive": {"epsilon": "0.2"}}),
     PLANNER,
@@ -66,6 +67,7 @@ RECORDS = [
 OUT_OF_RANGE = [
     (FRAME, {"cpu_usage": 101.0}),
     (PROFILE, {"base_cpu_pct": -1.0}),
+    (SEGMENT, {"complexity": 1.5}),
     (TRACE, {"fps": 0}),
     (TRACE, {"segments": ()}),
     (PLANNER, {"epsilon": 1.5}),
