@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence, get_args, get_type_hints
+from typing import Any, Iterable, NamedTuple, Sequence, get_args, get_type_hints
 
 from modelswitch.knowledge import (
     EVENTS_FILENAME,
@@ -19,6 +19,7 @@ from modelswitch.knowledge import (
     IoFailure,
     LogRegistry,
     ModelRepository,
+    read_lines,
 )
 from modelswitch.loop import EngineConfig, run_loop
 from modelswitch.planner import (
@@ -55,14 +56,6 @@ STRATEGIES: dict[str, tuple[type, type[SelectionStrategy]]] = {
 STRATEGY_NAMES = tuple(STRATEGIES)
 
 BATTERY_PLACEHOLDER = "n/a"
-
-
-class UnknownStrategy(Exception):
-    """Strategy name outside STRATEGY_NAMES."""
-
-
-class MissingRun(Exception):
-    """A run directory lacks the files of a completed run."""
 
 
 class RunSummary(NamedTuple):
@@ -160,15 +153,11 @@ def write_summary(summary: RunSummary, path: Path) -> None:
 
 
 def read_summary(path: Path) -> RunSummary:
-    """Parse a summary.txt back; MissingRun names the path and the first key
+    """Parse a summary.txt back; IoFailure names the path and the first key
     that is missing, unknown, repeated or unparsable."""
     if not path.is_file():
-        raise MissingRun(f"{path}: missing")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoFailure(path, exc) from exc
+        raise IoFailure(path, "missing")
+    lines = read_lines(path)
     per_model = {prefix: field for field, prefix in SUMMARY_PREFIXES.items()}
     values: dict[str, Any] = {field: {} for field in SUMMARY_PREFIXES}
     seen = set()
@@ -177,14 +166,14 @@ def read_summary(path: Path) -> RunSummary:
         field = per_model.get(head + dot, key)
         # A per-model key needs a model id after its prefix; no other key has one.
         if field not in _SUMMARY_TYPES or (field in SUMMARY_PREFIXES) != bool(model):
-            raise MissingRun(f"{path}: {key}: unknown key")
+            raise IoFailure(path, f"{key}: unknown key")
         if key in seen:
-            raise MissingRun(f"{path}: {key}: repeated")
+            raise IoFailure(path, f"{key}: repeated")
         seen.add(key)
         try:
             value = _SUMMARY_TYPES[field](text)
         except ValueError:
-            raise MissingRun(f"{path}: {key}: unparsable value {text!r}") from None
+            raise IoFailure(path, f"{key}: unparsable value {text!r}") from None
         if model:
             values[field][model] = value
         else:
@@ -194,7 +183,7 @@ def read_summary(path: Path) -> RunSummary:
     missing = [field for field in RunSummary._fields if field not in values]
     missing += [p + m for f, p in SUMMARY_PREFIXES.items() for m in models if m not in values[f]]
     if missing:
-        raise MissingRun(f"{path}: {missing[0]}: missing")
+        raise IoFailure(path, f"{missing[0]}: missing")
     return RunSummary(**values)
 
 
@@ -206,6 +195,11 @@ class Experiment(NamedTuple):
     repo: ModelRepository
     engine: EngineConfig
     strategies: dict[str, Any]
+
+
+def _check_strategy_name(name: str, choices: Iterable[str] = STRATEGY_NAMES) -> None:
+    if name not in choices:
+        raise ConfigError(f"unknown strategy {name!r}; choose one of {', '.join(choices)}")
 
 
 def _strategy_config(
@@ -230,8 +224,7 @@ def build_strategy(
     name: str, repo: ModelRepository, extras: dict[str, dict[str, str]], seed: int
 ) -> SelectionStrategy:
     """Construct the named strategy from its section, read as load_experiment reads it."""
-    if name not in STRATEGIES:
-        raise UnknownStrategy(name)
+    _check_strategy_name(name)
     return STRATEGIES[name][1](_strategy_config(name, repo, extras, seed))
 
 
@@ -271,8 +264,7 @@ def load_experiment(
 def run_on(experiment: Experiment, trace: Trace, strategy: str, out_dir: Path | str) -> RunSummary:
     """Run one strategy over trace into out_dir. The trace is only read, so one may serve
     several runs; the strategy is built anew each run, as it keeps RNG and rank state."""
-    if strategy not in experiment.strategies:
-        raise UnknownStrategy(strategy)
+    _check_strategy_name(strategy, experiment.strategies)
     planner = STRATEGIES[strategy][1](experiment.strategies[strategy])
     out = Path(out_dir)
     summary_path = out / SUMMARY_FILENAME
@@ -301,8 +293,7 @@ def _check_strategies(names: Sequence[str], epsilon: float | None) -> None:
     if epsilon is not None and "epsilon-greedy" not in names:
         raise ConfigError(f"epsilon applies to epsilon-greedy only, not to {', '.join(names)}")
     for name in names:
-        if name not in STRATEGIES:
-            raise UnknownStrategy(name)
+        _check_strategy_name(name)
 
 
 def run_experiment(
@@ -434,10 +425,10 @@ def main(argv: list[str] | None = None) -> int:
                 except OSError as exc:
                     raise IoFailure(args.out, exc) from exc
         return 0
-    except (ConfigError, UnknownStrategy) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (IoFailure, MissingRun, OSError) as exc:
+    except (IoFailure, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
 

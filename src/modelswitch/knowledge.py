@@ -45,9 +45,10 @@ class UnknownModel(Exception):
 
 
 class IoFailure(Exception):
-    """A log file could not be written or read; carries the path."""
+    """A file could not be read, decoded or written, or a run is incomplete; carries
+    the path, and the cause as an exception or a reason."""
 
-    def __init__(self, path: Path | str, cause: Exception):
+    def __init__(self, path: Path | str, cause: Exception | str):
         super().__init__(f"{path}: {cause}")
         self.path = Path(path)
         self.cause = cause
@@ -166,13 +167,18 @@ class LogRegistry:
         self.cumulative_switch_time_ms += event.switch_time_ms
 
 
-def _read_rows(path: Path | str, header: str, kind: str) -> Iterator[list[str]]:
-    """The fields of each non-empty row of a CSV file that starts with header."""
+def read_lines(path: Path | str) -> list[str]:
+    """The lines of a UTF-8 run file; IoFailure names the path if it cannot be read or decoded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
+            return fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(path, exc) from exc
+
+
+def _read_rows(path: Path | str, header: str, kind: str) -> Iterator[list[str]]:
+    """The fields of each non-empty row of a CSV file that starts with header."""
+    lines = read_lines(path)
     if not lines or lines[0] != header:
         raise ValueError(f"{path}: unexpected {kind} header")
     width = header.count(",") + 1

@@ -426,17 +426,18 @@ def parse_config(path: str) -> SimConfig:
     other section is passed through untouched for the caller. Missing
     sections fall back to the built-in defaults. Raises ConfigError, naming
     the section where there is one, on a malformed file, an unknown or
-    missing key, an unparsable value or a value out of range, and
-    ``OSError`` if the file cannot be read.
+    missing key, an unparsable value, a value out of range or bytes that
+    are not UTF-8, and ``OSError`` if the file cannot be read.
     """
     import configparser
 
     # Values are read as written (no %-interpolation), and [DEFAULT] is a plain section.
     parser = configparser.ConfigParser(default_section="", interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
+        # A duplicate section or key, a missing header, or bytes that are not UTF-8.
         try:
             parser.read_file(fh)
-        except configparser.Error as exc:  # a duplicate section or key, a missing header
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(str(exc)) from None
     sections = {name: dict(parser[name]) for name in parser.sections()}
 

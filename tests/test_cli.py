@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import statistics
 import subprocess
@@ -16,9 +18,7 @@ from modelswitch.cli import (
     STRATEGY_NAMES,
     SUMMARY_FILENAME,
     ConfigError,
-    MissingRun,
     RunSummary,
-    UnknownStrategy,
     build_strategy,
     compare,
     load_experiment,
@@ -34,6 +34,7 @@ from modelswitch.cli import (
 from modelswitch.knowledge import (
     EVENTS_FILENAME,
     METRICS_FILENAME,
+    IoFailure,
     ModelRepository,
     load_events_csv,
     load_metrics_csv,
@@ -105,8 +106,12 @@ def test_build_strategy_constructs_each_kind() -> None:
 
 
 def test_build_strategy_rejects_unknown_name() -> None:
-    with pytest.raises(UnknownStrategy):
+    with pytest.raises(ConfigError) as caught:
         build_strategy("simulated-annealing", _repo(), {}, seed=0)
+    assert str(caught.value) == (
+        "unknown strategy 'simulated-annealing';"
+        " choose one of epsilon-greedy, naive, round-robin-boost"
+    )
 
 
 def test_build_strategy_rejects_bad_extras() -> None:
@@ -211,9 +216,9 @@ def test_one_trace_serves_every_strategy(small_config, tmp_path) -> None:
             assert (tmp_path / "shared" / name / filename).read_bytes() == expected
             assert (tmp_path / "loaded_once" / name / filename).read_bytes() == expected
     out = tmp_path / "bogus"
-    with pytest.raises(UnknownStrategy):
+    with pytest.raises(ConfigError):
         run_on(experiment, trace, "bogus", out)
-    with pytest.raises(UnknownStrategy):
+    with pytest.raises(ConfigError):
         run_experiments(["naive", "bogus"], out, config_path=small_config)
     assert not out.exists()
 
@@ -360,14 +365,14 @@ def test_compare_rejects_missing_or_incomplete_runs(small_config, tmp_path) -> N
     done = tmp_path / "done"
     run_experiment("naive", done, config_path=small_config)
     never_ran = tmp_path / "never-ran"
-    with pytest.raises(MissingRun) as caught:
+    with pytest.raises(IoFailure) as caught:
         compare([done, never_ran])
     assert str(caught.value) == f"{never_ran / SUMMARY_FILENAME}: missing"
 
     broken = tmp_path / "broken"
     broken.mkdir()
     (broken / SUMMARY_FILENAME).write_text("strategy=naive\n", encoding="utf-8")
-    with pytest.raises(MissingRun):
+    with pytest.raises(IoFailure):
         compare([done, broken])
 
     # Every key is required, and a bad line is named by its key.
@@ -387,9 +392,108 @@ def test_compare_rejects_missing_or_incomplete_runs(small_config, tmp_path) -> N
     cases += [(key, lines + [line], "repeated") for key, line in zip(keys, lines)]
     for key, edited, problem in cases:
         (broken / SUMMARY_FILENAME).write_text("\n".join(edited) + "\n", encoding="utf-8")
-        with pytest.raises(MissingRun) as caught:
+        with pytest.raises(IoFailure) as caught:
             compare([done, broken])
         assert str(caught.value) == f"{broken / SUMMARY_FILENAME}: {key}: {problem}"
+
+
+def test_compare_over_a_summary_that_is_not_utf8_exits_two(
+    small_config, tmp_path, capsys
+) -> None:
+    done = tmp_path / "done"
+    run_experiment("naive", done, config_path=small_config)
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    summary = broken / SUMMARY_FILENAME
+    summary.write_bytes((done / SUMMARY_FILENAME).read_bytes().replace(b"naive", b"na\xffve"))
+    assert main(["compare", str(done), str(broken)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"i/o error: {summary}: 'utf-8' codec can't decode byte 0xff")
+
+
+# Every drawn config follows this header: its 2 s at the default 60 fps are at most
+# 120 frames, and a drawn [trace] or [segment.1] repeats a section, a config error.
+_DRAWN_CONFIG_HEADER = (
+    b"[trace]\nduration_s = 2\n\n[segment.1]\nstart_s = 0\nmean_objects = 3\ncomplexity = 0.1\n"
+)
+_BOM = b"\xef\xbb\xbf"
+# Bytes that are not UTF-8: a stray continuation byte, a lone lead byte, an
+# encoded surrogate, an overlong slash and a byte no UTF-8 text holds.
+_BAD_UTF8 = [b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xff"]
+_INI_FRAGMENTS = [
+    b"\n", b"\r\n", b"[", b"]", b" = ", b"=", b":", b"%", b"#", b";", b"\x00", b"nan", b"-1",
+    b"[trace]\n", b"[segment.1]\n", b"[DEFAULT]\n", b"[unknown]\n", b"fps = 30\n",
+    b"[segment.2]\nstart_s = 1\nmean_objects = 12\ncomplexity = 0.6\n",
+    b"[segment.x]\n", b"start_s = 0\n",
+    b"[model.tiny]\nbase_cpu_pct = 10\ncpu_per_object_pct = 0.2\nbase_confidence = 0.5\n"
+    b"confidence_noise_sd = 0.05\ndetection_recall = 0.9\nswitch_latency_ms = 300\n"
+    b"inference_time_ms = 40\n",
+    b"[model.a,b]\n", b"[engine]\nwindow_capacity = 5\n", b"confidence_floor = 2\n",
+    b"[epsilon-greedy]\nepsilon = 0.5\n", b"[naive]\nmodel_order = tiny\n",
+    b"[round-robin-boost]\ntime_slice_frames = 7\n",
+]
+_FRAGMENTS = st.one_of(
+    st.binary(max_size=16), st.sampled_from(_BAD_UTF8 + _INI_FRAGMENTS + [_BOM])
+)
+
+
+def _main_quietly(argv: list[str]) -> tuple[int, str]:
+    """main's exit code and stderr; hypothesis refuses capsys, a per-test fixture."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_failure_surface(code: int, err: str) -> None:
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("config error: ")
+    elif code == 2:
+        assert err.startswith("i/o error: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    strategy=st.sampled_from(STRATEGY_NAMES),
+    prefix=st.sampled_from([b"", _BOM]),
+    drawn=st.lists(_FRAGMENTS, max_size=8).map(b"".join),
+)
+def test_run_over_drawn_config_bytes_exits_0_1_or_2(strategy, prefix, drawn) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "drawn.ini", Path(tmp) / "out"
+        config.write_bytes(prefix + _DRAWN_CONFIG_HEADER + drawn)
+        code, err = _main_quietly(
+            ["run", "--strategy", strategy, "--config", str(config), "--out", str(out)]
+        )
+        _assert_failure_surface(code, err)
+        if code == 1:
+            assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def completed_run(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("completed")
+    config = root / "short.ini"
+    config.write_bytes(_DRAWN_CONFIG_HEADER)
+    run_experiment("naive", root / "run", config_path=str(config))
+    return root / "run"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_compare_over_drawn_summary_bytes_exits_0_1_or_2(completed_run, data) -> None:
+    """The completed run's summary.txt with up to three lines replaced or inserted: a
+    drawn line is one of its own lines (a repeat) or fragment bytes (b"" drops one)."""
+    lines = (completed_run / SUMMARY_FILENAME).read_bytes().splitlines(keepends=True)
+    line = st.one_of(st.sampled_from(lines), _FRAGMENTS)
+    edits = st.tuples(st.integers(0, len(lines)), line, st.booleans())
+    for at, drawn, replace in data.draw(st.lists(edits, max_size=3)):
+        lines[at:at + replace] = [drawn]
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / SUMMARY_FILENAME).write_bytes(b"".join(lines))
+        _assert_failure_surface(*_main_quietly(["compare", str(completed_run), tmp]))
 
 
 def test_main_run_and_compare_round_trip(small_config, tmp_path, capsys) -> None:

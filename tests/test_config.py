@@ -321,6 +321,16 @@ def test_a_value_past_a_declared_range_exits_one_naming_section_and_key(
         assert not out.exists()
 
 
+def test_config_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys) -> None:
+    config = tmp_path / "bad.ini"
+    config.write_bytes(b"[trace]\xff\nfps = 20\n")
+    out = tmp_path / "out"
+    code, err = _run_main("naive", str(config), out, capsys)
+    assert code == 1
+    assert err.startswith(f"config error: {config}: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["segment.one", "segment.01"])
 def test_segment_number_must_be_a_new_integer(name, tmp_path, capsys) -> None:
     """[segment.one] has no number and [segment.01] repeats [segment.1]'s; either stops the run."""

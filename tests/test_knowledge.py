@@ -194,6 +194,16 @@ def test_io_errors_carry_the_path(tmp_path) -> None:
     assert excinfo.value.path == blocker
 
 
+def test_csv_that_is_not_utf8_is_an_io_failure_naming_the_file(tmp_path) -> None:
+    for header, load in ((METRICS_HEADER, load_metrics_csv), (EVENTS_HEADER, load_events_csv)):
+        bad = tmp_path / f"{load.__name__}.csv"
+        bad.write_bytes(header.encode("utf-8") + b"\n\xff\n")
+        with pytest.raises(IoFailure) as excinfo:
+            load(bad)
+        assert excinfo.value.path == bad
+        assert str(excinfo.value).startswith(f"{bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 def _nudge(x: float, ulps: int) -> float:
     for _ in range(abs(ulps)):
         x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
