@@ -20,6 +20,7 @@ from modelswitch.knowledge import (
     LogRegistry,
     ModelRepository,
     read_lines,
+    write_text,
 )
 from modelswitch.loop import EngineConfig, run_loop
 from modelswitch.planner import (
@@ -145,11 +146,7 @@ def write_summary(summary: RunSummary, path: Path) -> None:
         text = "{:.6f}".format if _SUMMARY_TYPES[field] is float else str
         items = value.items() if field in SUMMARY_PREFIXES else [("", value)]
         lines += (f"{SUMMARY_PREFIXES.get(field, field)}{model}={text(v)}" for model, v in items)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(path, exc) from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_summary(path: Path) -> RunSummary:
@@ -319,12 +316,10 @@ def run_experiments(
     """Load one experiment and run each of strategies into out_root/<name>."""
     experiment = load_experiment(config_path, seed, epsilon)
     _check_strategies(strategies, epsilon)
-    # Each run draws its own trace, like run_experiment. Sharing one would save a draw per
-    # run; that waits until the benchmark times this loop, so that the saving is measured.
-    return [
-        run_on(experiment, generate_trace(experiment.trace), name, Path(out_root) / name)
-        for name in strategies
-    ]
+    # A trace holds no draws, so sharing one saves nothing but its schedule: each run's
+    # reader draws the counts again.
+    trace = generate_trace(experiment.trace)
+    return [run_on(experiment, trace, name, Path(out_root) / name) for name in strategies]
 
 
 def format_run_summary(summary: RunSummary) -> str:
@@ -419,11 +414,7 @@ def main(argv: list[str] | None = None) -> int:
             report = compare(args.run_dirs)
             print(report)
             if args.out:
-                try:
-                    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                        fh.write(report + "\n")
-                except OSError as exc:
-                    raise IoFailure(args.out, exc) from exc
+                write_text(args.out, report + "\n")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

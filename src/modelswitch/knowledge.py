@@ -176,6 +176,15 @@ def read_lines(path: Path | str) -> list[str]:
         raise IoFailure(path, exc) from exc
 
 
+def write_text(path: Path | str, text: str) -> None:
+    """Write text to a run file as UTF-8, newlines as given; IoFailure names the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoFailure(path, exc) from exc
+
+
 def _read_rows(path: Path | str, header: str, kind: str) -> Iterator[list[str]]:
     """The fields of each non-empty row of a CSV file that starts with header."""
     lines = read_lines(path)

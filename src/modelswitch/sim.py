@@ -1,7 +1,8 @@
 """Deterministic workload simulator.
 
-Generates a seeded traffic-camera trace (object density rises for a rush
-segment, then falls back) and synthesizes per-frame inference results for
+Schedules a seeded traffic-camera trace (object density rises for a rush
+segment, then falls back), whose reads draw the object counts of the frames
+they pass and store none, and synthesizes per-frame inference results for
 a given model profile. All randomness flows through ``random.Random``
 (Mersenne Twister, a named and portable generator); gaussian and poisson
 draws below are explicit transforms of its uniform output so a seed
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from bisect import bisect_right
 from math import cos, inf, log, sqrt
 from random import Random
@@ -33,11 +33,6 @@ OBJECT_CLASSES = ("car", "bus", "truck", "motorcycle", "rickshaw")
 _LABELS = len(OBJECT_CLASSES)
 _LABEL_BITS = _LABELS.bit_length()
 _TWO_PI = 2.0 * math.pi
-
-# Array type code of the stored object counts. Knuth's loop ends once the
-# product of uniforms underflows, so no count comes near 2**32; a larger one
-# would raise OverflowError on append rather than wrap.
-COUNT_TYPECODE = "I"
 
 # Knuth's method stops at exp(-mean): past this mean (708.3964185322641 is the last
 # float below it) that is subnormal or 0, and the draws no longer follow the mean
@@ -148,14 +143,9 @@ def validate_segments(segments: Sequence[ScheduleSegment], duration_s: float) ->
             raise InvalidSchedule(f"segment start {seg.start_s} beyond duration {duration_s}", i)
 
 
-def _poisson_draws(rng: Random, mean: float, n: int) -> array:
-    """n poisson draws via Knuth's product-of-uniforms method."""
-    if mean < 0.0:
-        raise ValueError(f"negative poisson mean: {mean}")
-    threshold = math.exp(-mean)
-    random = rng.random
-    draws = array(COUNT_TYPECODE)
-    append = draws.append
+def _draw_counts(random: Callable[[], float], threshold: float, n: int, append: Callable) -> None:
+    """Append n poisson counts by Knuth's product-of-uniforms method: each count is how
+    many uniforms keep their running product above threshold, which is exp(-mean)."""
     for _ in range(n):
         count = 0
         product = random()
@@ -163,7 +153,6 @@ def _poisson_draws(rng: Random, mean: float, n: int) -> array:
             count += 1
             product *= random()
         append(count)
-    return draws
 
 
 def _first_frame_at(t: float, fps: int) -> int:
@@ -176,76 +165,87 @@ def _first_frame_at(t: float, fps: int) -> int:
     return f
 
 
-class Trace:
-    """A run's frames: the stored object count of each, and its complexity computed on read.
+# Frames a reader draws at a time: the most counts it holds, whatever the trace's length.
+_BLOCK = 4096
 
-    ``fps`` is the frame rate the trace was drawn at; frame ``f`` arrives at
-    ``f / fps`` seconds. Segment ``j`` covers the frames from ``bounds[j - 1]``
-    (0 for the first) up to ``bounds[j]``; ``ramps[j]`` is its (start_s,
-    complexity, step to the target complexity, width_s). Only ``reader``
-    evaluates the complexity ramp, one frame at a time, so a frame nobody
-    reads costs nothing beyond its count.
+
+class Trace:
+    """A run's frames as a seed and a schedule; a reader draws each count as it reads.
+
+    ``fps`` is the frame rate of the trace; frame ``f`` arrives at ``f / fps``
+    seconds. Segment ``j`` covers the frames from ``stops[j - 1]`` (0 for the
+    first) up to ``stops[j]``, the last stop being the trace's length, and
+    ``schedule[j]`` is its (start_s, complexity, step to the target
+    complexity, width_s, Knuth threshold exp(-mean)). No count is stored: a
+    reader draws them from ``Random(seed)`` in frame order, the frames it
+    skips included, so every reader serves the same counts and memory does
+    not grow with the trace.
     """
 
-    __slots__ = ("_counts", "fps", "_bounds", "_ramps")
+    __slots__ = ("fps", "_seed", "_stops", "_schedule")
 
-    def __init__(
-        self,
-        counts: array,
-        fps: int,
-        bounds: list[int],
-        ramps: list[tuple[float, float, float, float]],
-    ):
-        self._counts = counts
-        self.fps = fps
-        self._bounds = bounds
-        self._ramps = ramps
+    def __init__(self, fps: int, seed: int, stops: list[int], schedule: list[tuple[float, ...]]):
+        self.fps, self._seed, self._stops, self._schedule = fps, seed, stops, schedule
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return self._stops[-1]
 
     def reader(self) -> Callable[[int], tuple[int, float]]:
         """A function from a frame index in [0, len) to that frame's (object_count, complexity).
 
-        It builds no per-frame object beyond the pair; an index outside
-        [0, len) raises IndexError.
+        A read draws the counts up to its frame ``_BLOCK`` frames at a time and
+        keeps the last block; a read behind that block draws again from frame
+        0. An index outside [0, len) raises IndexError.
         """
-        counts, fps, bounds, ramps = self._counts, self.fps, self._bounds, self._ramps
+        fps, seed, stops, schedule = self.fps, self._seed, self._stops, self._schedule
+        total = stops[-1]
+        block: list[int] = []
+        append = block.append
+        random = Random(seed).random
+        base = end = 0  # block holds the counts of frames [base, end)
 
         def frame(index: int) -> tuple[int, float]:
-            if index < 0:
-                raise IndexError(f"frame index out of range: {index}")
-            count = counts[index]
-            start, complexity, step, width = ramps[bisect_right(bounds, index)]
-            return count, complexity + step * ((index / fps - start) / width)
+            nonlocal random, base, end
+            if not base <= index < end:
+                if not 0 <= index < total:
+                    raise IndexError(f"frame index out of range: {index}")
+                if index < base:
+                    random, base, end = Random(seed).random, 0, 0
+                while end <= index:
+                    base, end = end, min(end + _BLOCK, total)
+                    block.clear()
+                    pos, j = base, bisect_right(stops, base)
+                    while pos < end:
+                        stop = min(stops[j], end)
+                        _draw_counts(random, schedule[j][4], stop - pos, append)
+                        pos, j = stop, j + 1
+            start, complexity, step, width, _ = schedule[bisect_right(stops, index)]
+            return block[index - base], complexity + step * ((index / fps - start) / width)
 
         return frame
 
 
 def generate_trace(config: TraceConfig) -> Trace:
-    """Draw the seeded object counts of one run's frames.
+    """The seeded schedule of one run's frames; its readers draw the counts.
 
     Object counts are poisson around the active segment's mean, drawn frame
     by frame in order; complexity ramps linearly from each segment's value
     toward the next segment's (the last segment holds constant). A frame
     belongs to the last segment whose start its clock ``f / fps`` has reached.
     """
-    rng = Random(config.rng_seed)
     segments = config.segments
     total = config.total_frames
-    counts = array(COUNT_TYPECODE)
-    bounds: list[int] = []
-    ramps = []
-    for i, seg in enumerate(segments):
+    stops = []
+    schedule = []
+    for i, (start, mean, complexity) in enumerate(segments):
         if i + 1 < len(segments):
             end, target = segments[i + 1].start_s, segments[i + 1].complexity
-            stop = min(total, _first_frame_at(end, config.fps))
-            bounds.append(stop)
+            stops.append(min(total, _first_frame_at(end, config.fps)))
         else:
-            end, target, stop = config.duration_s, seg.complexity, total
-        counts.extend(_poisson_draws(rng, seg.mean_objects, stop - len(counts)))
-        ramps.append((seg.start_s, seg.complexity, target - seg.complexity, end - seg.start_s))
-    return Trace(counts, config.fps, bounds, ramps)
+            end, target = config.duration_s, complexity
+            stops.append(total)
+        schedule.append((start, complexity, target - complexity, end - start, math.exp(-mean)))
+    return Trace(config.fps, config.rng_seed, stops, schedule)
 
 
 def synth_inference(

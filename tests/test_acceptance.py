@@ -3,6 +3,7 @@
 Each test here pins one externally agreed behavior: two arithmetic
 reference values, the selection fixture, three statistical properties of
 the policies, the orderings the three-strategy comparison must reproduce,
+epsilon-greedy's move to the lightest model in rush hour and back,
 and the determinism and file contracts of a full run. The conftest hook
 prints one PASS/FAIL line per check at the end of the session.
 """
@@ -152,6 +153,20 @@ def _assert_average_switch_time_ordering(summaries: dict[str, RunSummary]) -> No
     assert naive < greedy < round_robin
 
 
+def _assert_lightest_model_follows_rush_hour(metrics_path: Path) -> None:
+    """The paper's adaptation claim, on a default-schedule run's metrics.csv: the lightest
+    model's share of processed frames rises in rush hour ([segment.2], frames 36,000-71,999)
+    by at least 0.1 over both off-peak segments, and falls back to within 0.1 of the first."""
+    processed, lightest = Counter(), Counter()
+    for _, row in load_metrics_csv(metrics_path):
+        segment = row.frame_index // 36_000
+        processed[segment] += 1
+        lightest[segment] += row.model == MODEL_IDS[0]
+    before, rush, after = (lightest[s] / processed[s] for s in range(3))
+    assert rush - before >= 0.1 and rush - after >= 0.1
+    assert abs(after - before) <= 0.1
+
+
 def test_usage_concentration_ordering(full_runs) -> None:
     _assert_usage_concentration_ordering({name: run[0] for name, run in full_runs.items()})
 
@@ -162,11 +177,16 @@ def test_average_switch_time_ordering(full_runs) -> None:
 
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_orderings_hold_over_seeds(seed, tmp_path) -> None:
-    """Both orderings above, at the default full length, on seeds other than the default."""
+    """Both orderings above and epsilon-greedy's rush-hour shift, at the default full length,
+    on seeds other than the default."""
     summaries = dict(zip(STRATEGY_NAMES, run_experiments(STRATEGY_NAMES, tmp_path, seed=seed)))
     assert all(summary.seed == seed for summary in summaries.values())
     _assert_usage_concentration_ordering(summaries)
     _assert_average_switch_time_ordering(summaries)
+    # A run seeds its trace, planner and inference streams with seed, seed + 1 and seed + 2,
+    # so seed s's planner stream is seed s + 1's trace stream: the seeds checked here and
+    # in CI share streams and are not independent samples.
+    _assert_lightest_model_follows_rush_hour(tmp_path / "epsilon-greedy" / "metrics.csv")
 
 
 def test_window_aggregates_match_brute_force() -> None:

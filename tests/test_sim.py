@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 import statistics
 import sys
+import time
+import tracemalloc
 from random import Random
 
 import pytest
@@ -52,8 +54,15 @@ def default_trace() -> Trace:
     return generate_trace(TraceConfig())
 
 
+def _counts(mean: float, n: int, seed: int) -> list[int]:
+    """n poisson counts around mean, read from a one-segment trace of n frames."""
+    segments = (ScheduleSegment(start_s=0.0, mean_objects=mean, complexity=0.5),)
+    trace = generate_trace(TraceConfig(fps=n, duration_s=1.0, segments=segments, rng_seed=seed))
+    return [count for count, _ in _frames(trace)]
+
+
 def test_poisson_moments() -> None:
-    draws = sim._poisson_draws(Random(13), 4.0, 50_000)
+    draws = _counts(4.0, 50_000, 13)
     assert min(draws) >= 0
     assert statistics.fmean(draws) == pytest.approx(4.0, abs=0.05)
     # For a poisson distribution the variance equals the mean.
@@ -61,12 +70,12 @@ def test_poisson_moments() -> None:
 
 
 def test_poisson_zero_mean_is_always_zero() -> None:
-    assert all(count == 0 for count in sim._poisson_draws(Random(17), 0.0, 100))
+    assert all(count == 0 for count in _counts(0.0, 100, 17))
 
 
 def test_poisson_rejects_negative_mean() -> None:
     with pytest.raises(ValueError):
-        sim._poisson_draws(Random(0), -1.0, 1)
+        _counts(-1.0, 1, 0)
 
 
 def test_trace_is_deterministic_per_seed() -> None:
@@ -234,6 +243,47 @@ def test_trace_matches_the_eager_reference() -> None:
     for bad in (n, -1):
         with pytest.raises(IndexError):
             frame(bad)
+
+
+def test_reads_across_blocks_match_the_eager_reference() -> None:
+    """A read behind the reader's block draws again from frame 0 and serves the same frames."""
+    config = TraceConfig(fps=499, duration_s=_OFF_GRID.duration_s, segments=_OFF_GRID.segments)
+    reference = spec.trace_frames(config)
+    n = len(reference)
+    assert n > 3 * sim._BLOCK
+    frame = generate_trace(config).reader()
+    order = [*range(n), *reversed(range(n)), *range(0, n, 3), *range(1, n, 3)]
+    assert [frame(i) for i in order] == [reference[i] for i in order]
+
+
+def test_reading_a_long_trace_keeps_no_count_it_passed() -> None:
+    """Memory does not grow with trace length: reading 200,000 frames of a 30x trace
+    allocates under 1 MiB, where keeping its 3,240,000 counts as 4-byte ints takes 13 MB."""
+    scale = 30
+    segments = tuple(
+        ScheduleSegment(seg.start_s * scale, seg.mean_objects, seg.complexity)
+        for seg in default_segments()
+    )
+    config = TraceConfig(duration_s=sim.DEFAULT_DURATION_S * scale, segments=segments)
+    tracemalloc.start()
+    try:
+        frame = generate_trace(config).reader()
+        for i in range(200_000):
+            frame(i)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_trace_of_2_53_frames_reads_frame_0_at_once() -> None:
+    segments = (ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1),)
+    start = time.perf_counter()
+    trace = generate_trace(TraceConfig(fps=2**53, duration_s=1, segments=segments))
+    count, complexity = trace.reader()(0)
+    assert time.perf_counter() - start < 1.0
+    assert len(trace) == 2**53
+    assert count >= 0 and complexity == 0.1
 
 
 def test_model_profile_validation() -> None:
