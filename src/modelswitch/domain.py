@@ -99,21 +99,11 @@ class FrameMetrics(NamedTuple):
 
 
 class SelectionDecision(NamedTuple):
-    """Outcome of one planner invocation."""
+    """Outcome of one planner invocation: the model chosen and how."""
 
     selected: ModelId
     mode: SelectionMode
     random_draw: float | None
-    previous: ModelId
-
-
-class SwitchEvent(NamedTuple):
-    """An executed model change and what it cost."""
-
-    frame_index: int
-    from_model: ModelId
-    to_model: ModelId
-    switch_time_ms: float
 
 
 def mean_confidence(confidences: Sequence[float]) -> float:

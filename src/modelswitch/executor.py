@@ -8,9 +8,10 @@ and at no other time, and runs inference with what it keeps. Inference
 output is post-filtered by a confidence floor before the frame confidence
 is computed, mirroring a detector's score-threshold stage.
 
-Each processed frame's figures are checked, then recorded as plain values
-into the bound window and the log registry; the registry keeps the run's
-totals, switches included.
+A switch returns only its cost: the loop, which knows the model it left,
+logs it. Each processed frame's figures are checked, then recorded as
+plain values into the bound window and the log registry; the registry
+keeps the run's totals, switches included.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from random import Random
 from typing import Mapping
 
-from modelswitch.domain import ModelId, SelectionDecision, SwitchEvent, check_frame, mean_confidence
+from modelswitch.domain import ModelId, check_frame, mean_confidence
 from modelswitch.knowledge import LogRegistry, ModelRepository
 from modelswitch.monitor import MetricsWindow
 from modelswitch.sim import synth_inference
@@ -50,13 +51,11 @@ class Executor:
         self._profile = repo.get(self.active)
         self._window = windows[self.active]
 
-    def apply(self, decision: SelectionDecision, frame_index: int) -> SwitchEvent | None:
-        """Carry out a decision. A same-model selection is a free no-op; a switch
-        looks up the incoming profile (UnknownModel if unregistered) and window
-        and keeps them."""
-        selected = decision.selected
-        active = self.active
-        if selected == active:
+    def apply(self, selected: ModelId) -> float | None:
+        """Make selected the live model and return the switch's cost in ms, or None
+        when it is live already. A switch looks up the incoming profile (ValueError
+        if unregistered) and window and keeps them."""
+        if selected == self.active:
             return None
         profile = self._repo.get(selected)
         window = self._windows[selected]
@@ -64,7 +63,7 @@ class Executor:
         self._profile = profile
         self._window = window
         self.active = selected
-        return SwitchEvent(frame_index, active, selected, profile.switch_latency_ms * jitter)
+        return profile.switch_latency_ms * jitter
 
     def run_inference(
         self, frame_index: int, object_count: int, complexity: float, sim_time_ms: float

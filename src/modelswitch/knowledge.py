@@ -6,7 +6,7 @@ streams plain UTF-8 CSV with LF line endings and reals printed with 4
 decimal places, so identical runs produce byte-identical files. Each kind
 of row (metrics, decision, switch) has one ``%`` layout, declared beside
 its file's header; a draw-less decision is its frame index plus the rest of
-its row, kept per decision.
+its row, kept per (mode, previous, selected).
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from modelswitch.domain import (
-    FrameMetrics,
-    ModelId,
-    SelectionDecision,
-    SelectionMode,
-    SwitchEvent,
-)
+from modelswitch.domain import FrameMetrics, ModelId, SelectionDecision, SelectionMode
 from modelswitch.sim import ModelProfile
 
 METRICS_FILENAME = "metrics.csv"
@@ -38,10 +32,6 @@ EVENTS_HEADER = "frame_index,event_type,mode,random_draw,from_model,to_model,swi
 # which leaves the part of its row that follows the frame index.
 DECISION_ROW = "%s,decision,%s,%s,%s,%s,\n"
 SWITCH_ROW = "%d,switch,,,%s,%s,%.4f\n"
-
-
-class UnknownModel(Exception):
-    """A model id that is not registered in the repository."""
 
 
 class IoFailure(Exception):
@@ -71,7 +61,7 @@ class ModelRepository:
         try:
             return self._profiles[model]
         except KeyError:
-            raise UnknownModel(model) from None
+            raise ValueError(f"unknown model: {model}") from None
 
     def ids(self) -> tuple[ModelId, ...]:
         return tuple(self._profiles)
@@ -96,7 +86,7 @@ class LogRegistry:
         self._write_metrics = metrics_out.write
         self._write_event = events_out.write
         self._last_frame = -1
-        self._decision_suffixes: dict[SelectionDecision, str] = {}
+        self._decision_suffixes: dict[tuple[str, ModelId, ModelId], str] = {}
         self.usage_counts: dict[ModelId, int] = {}
         self.cpu_total = 0.0
         self.confidence_total = 0.0
@@ -134,37 +124,42 @@ class LogRegistry:
         self.cpu_total += cpu_usage
         self.confidence_total += confidence_score
 
-    def append_decision(self, frame_index: int, decision: SelectionDecision) -> None:
+    def append_decision(
+        self, frame_index: int, decision: SelectionDecision, previous: ModelId
+    ) -> None:
+        """One decision's row; previous is the model that was live when it was made."""
         if frame_index < self._last_frame:
             raise self._backwards(frame_index)
         self._last_frame = frame_index
-        selected, mode, draw, previous = decision
+        selected, mode, draw = decision
         # _value_ is the member's value; Enum.value is a property, dearer to read per row.
+        value = mode._value_
         if draw is None:
+            key = (value, previous, selected)
             try:
-                suffix = self._decision_suffixes[decision]
+                suffix = self._decision_suffixes[key]
             except KeyError:
-                suffix = self._decision_suffixes[decision] = (
-                    DECISION_ROW % ("", mode._value_, "", previous, selected)
-                )
+                suffix = DECISION_ROW % ("", value, "", previous, selected)
+                self._decision_suffixes[key] = suffix
             self._write_event(str(frame_index) + suffix)
         else:
             self._write_event(
-                DECISION_ROW % (frame_index, mode._value_, "%.4f" % draw, previous, selected)
+                DECISION_ROW % (frame_index, value, "%.4f" % draw, previous, selected)
             )
         self.decision_count += 1
         if mode is SelectionMode.EXPLORE:
             self.explore_count += 1
 
-    def append_switch(self, event: SwitchEvent) -> None:
-        if event.frame_index < self._last_frame:
-            raise self._backwards(event.frame_index)
-        self._last_frame = event.frame_index
-        self._write_event(
-            SWITCH_ROW % (event.frame_index, event.from_model, event.to_model, event.switch_time_ms)
-        )
+    def append_switch(
+        self, frame_index: int, from_model: ModelId, to_model: ModelId, switch_time_ms: float
+    ) -> None:
+        """One executed switch's row; the arguments are its columns, in order."""
+        if frame_index < self._last_frame:
+            raise self._backwards(frame_index)
+        self._last_frame = frame_index
+        self._write_event(SWITCH_ROW % (frame_index, from_model, to_model, switch_time_ms))
         self.switch_count += 1
-        self.cumulative_switch_time_ms += event.switch_time_ms
+        self.cumulative_switch_time_ms += switch_time_ms
 
 
 def read_lines(path: Path | str) -> list[str]:

@@ -2,14 +2,15 @@
 
 Frames arrive at the trace's own rate. Every ``strategy.decision_period``
 processed frames, starting with the first, the strategy is consulted with
-the frame index, the active model and the run's windows; if it switches
-models, the switch latency is paid on the simulated clock and the frames
-that arrive inside that window are dropped unprocessed. The loop builds
-one monitoring window per model, in registration order, and hands every
-decision the same read-only map of them. The executor records each
-processed frame into the active model's window and the log registry, and a
-window scores its model when a strategy reads the score, so the next
-decision sees the frame.
+the frame index, the active model and the run's windows. The loop logs
+each decision from the model that was live when it was asked, and if the
+executor switches models, it logs the switch, pays its latency on the
+simulated clock and drops the frames that arrive inside that window
+unprocessed. The loop builds one monitoring window per model, in
+registration order, and hands every decision the same read-only map of
+them. The executor records each processed frame into the active model's
+window and the log registry, and a window scores its model when a strategy
+reads the score, so the next decision sees the frame.
 
 The registry is the run's only tally: every count and total the summary
 reports is folded there as its rows are appended, and the clock's switch
@@ -80,13 +81,15 @@ def run_loop(
     while i < n:
         drop_count = 0
         if processed % decision_period == 0:
-            decision = strategy.decide(i, executor.active, windows)
-            registry.append_decision(i, decision)
-            event = executor.apply(decision, i)
-            if event is not None:
-                registry.append_switch(event)
+            active = executor.active
+            decision = strategy.decide(i, active, windows)
+            registry.append_decision(i, decision, active)
+            selected = decision.selected
+            switch_time_ms = executor.apply(selected)
+            if switch_time_ms is not None:
+                registry.append_switch(i, active, selected, switch_time_ms)
                 switch_ms = registry.cumulative_switch_time_ms
-                drop_count = min(round(event.switch_time_ms * fps / 1000.0), n - 1 - i)
+                drop_count = min(round(switch_time_ms * fps / 1000.0), n - 1 - i)
         object_count, complexity = frame(i)
         executor.run_inference(i, object_count, complexity, i * period_ms + switch_ms)
         processed += 1

@@ -19,10 +19,6 @@ from modelswitch.domain import ModelId
 DEFAULT_WINDOW_CAPACITY = 30
 
 
-class OutOfOrderFrame(Exception):
-    """A frame index at or below the last one recorded for that model."""
-
-
 class MetricsWindow:
     """Fixed-capacity FIFO of one model's recent confidence and CPU figures.
 
@@ -44,7 +40,7 @@ class MetricsWindow:
 
     def record(self, frame_index: int, cpu_usage: float, confidence_score: float) -> None:
         if frame_index <= self.last_frame:
-            raise OutOfOrderFrame(f"{self.model}: frame {frame_index} after {self.last_frame}")
+            raise ValueError(f"{self.model}: frame {frame_index} after {self.last_frame}")
         self.last_frame = frame_index
         self.confidences.append(confidence_score)
         self.cpus.append(cpu_usage)

@@ -7,12 +7,13 @@ model's latest frame, and round-robin over time slices that re-ranks the
 models by window mean CPU once per boost period. ``windows`` is the loop's
 one live, read-only map of the per-model windows, in registration order:
 each decision reads the run as it stands, and no strategy can change it.
-Each decision is a SelectionDecision; actually performing the switch is
-the executor's job. At the default decision period a decision is made for
-every processed frame, so the strategies build it by position: (selected,
-mode, random_draw, previous). A forced decision depends on the (selected,
-previous) pair alone, so the naive and round-robin strategies build each
-pair's decision once and hand out that same immutable tuple again.
+Each decision is a SelectionDecision of the model chosen and how; the loop
+knows which model was live, and performing the switch is the executor's
+job. At the default decision period a decision is made for every processed
+frame, so the strategies build it by position: (selected, mode,
+random_draw). A forced decision depends on its model alone, so the naive
+and round-robin strategies build each model's decision once and hand out
+that same immutable tuple again.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ DEFAULT_CPU_HIGH_THRESHOLD = 17.5
 DEFAULT_CONFIDENCE_LOW_THRESHOLD = 0.4
 DEFAULT_TIME_SLICE_FRAMES = 40
 DEFAULT_BOOST_PERIOD_FRAMES = 600
-
-
-class EmptyRepository(ValueError):
-    """A decision was requested, or a ladder given, with no models to choose from."""
 
 
 @checked(epsilon=(0.0, 1.0), decision_period=(1, inf))
@@ -58,7 +55,7 @@ class NaiveConfig(NamedTuple):
 
     def _check(self) -> None:
         if not self.model_order:
-            raise EmptyRepository("model_order is empty")
+            raise ValueError("model_order is empty")
         if len(set(self.model_order)) != len(self.model_order):
             raise ValueError(f"model_order has duplicates: {self.model_order}")
 
@@ -74,7 +71,7 @@ class RoundRobinBoostConfig(NamedTuple):
 def best_model(windows: Mapping[ModelId, MetricsWindow]) -> ModelId:
     """Minimum-score model; ties break toward the lexicographically first id."""
     if not windows:
-        raise EmptyRepository("no models to choose from")
+        raise ValueError("no models to choose from")
     return min(windows, key=lambda m: (windows[m].score(), m))
 
 
@@ -102,15 +99,6 @@ class SelectionStrategy:
         raise NotImplementedError
 
 
-class _ForcedDecisions(dict):
-    """One strategy's forced decisions, keyed by (selected, previous) and built on first use."""
-
-    def __missing__(self, key: tuple[ModelId, ModelId]) -> SelectionDecision:
-        selected, previous = key
-        decision = self[key] = SelectionDecision(selected, SelectionMode.FORCED, None, previous)
-        return decision
-
-
 class EpsilonGreedyStrategy(SelectionStrategy):
     """Draws p in [0, 1) once per decision; p <= epsilon explores.
 
@@ -135,8 +123,8 @@ class EpsilonGreedyStrategy(SelectionStrategy):
                 candidates.remove(best)
             if candidates:
                 pick = candidates[self.rng.randrange(len(candidates))]
-                return SelectionDecision(pick, SelectionMode.EXPLORE, p, active)
-        return SelectionDecision(best, SelectionMode.EXPLOIT, p, active)
+                return SelectionDecision(pick, SelectionMode.EXPLORE, p)
+        return SelectionDecision(best, SelectionMode.EXPLOIT, p)
 
 
 class NaiveThresholdStrategy(SelectionStrategy):
@@ -151,7 +139,7 @@ class NaiveThresholdStrategy(SelectionStrategy):
         self._order = config.model_order
         self._cpu_high = config.cpu_high_threshold
         self._confidence_low = config.confidence_low_threshold
-        self._decisions = _ForcedDecisions()
+        self._decisions = {m: SelectionDecision(m, SelectionMode.FORCED, None) for m in self._order}
 
     def decide(
         self, frame_index: int, active: ModelId, windows: Mapping[ModelId, MetricsWindow]
@@ -166,7 +154,7 @@ class NaiveThresholdStrategy(SelectionStrategy):
                 selected = order[max(position - 1, 0)]
             elif window.confidences[-1] < self._confidence_low:
                 selected = order[min(position + 1, len(order) - 1)]
-        return self._decisions[selected, active]
+        return self._decisions[selected]
 
 
 class RoundRobinBoostStrategy(SelectionStrategy):
@@ -183,7 +171,7 @@ class RoundRobinBoostStrategy(SelectionStrategy):
         self._rank_slot = -1
         self._slot = -1
         self._position = -1
-        self._decisions = _ForcedDecisions()
+        self._decisions: dict[ModelId, SelectionDecision] = {}
 
     def decide(
         self, frame_index: int, active: ModelId, windows: Mapping[ModelId, MetricsWindow]
@@ -192,13 +180,15 @@ class RoundRobinBoostStrategy(SelectionStrategy):
         if rank_slot > self._rank_slot:
             self.rank = rank_models_by_cpu(windows)
             self._rank_slot = rank_slot
+            for m in self.rank:
+                if m not in self._decisions:
+                    self._decisions[m] = SelectionDecision(m, SelectionMode.FORCED, None)
         if not self.rank:
-            raise EmptyRepository("no models to rank")
+            raise ValueError("no models to rank")
         slot = frame_index // self.config.time_slice_frames
         if slot > self._slot:
             # A single step per observed boundary keeps the rotation order
             # even when a long switch swallows whole slices.
             self._position += 1
             self._slot = slot
-        selected = self.rank[self._position % len(self.rank)]
-        return self._decisions[selected, active]
+        return self._decisions[self.rank[self._position % len(self.rank)]]

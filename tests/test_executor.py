@@ -9,13 +9,11 @@ import pytest
 
 from modelswitch import executor as executor_module
 from modelswitch.cli import summarize
-from modelswitch.domain import SelectionDecision, SelectionMode, SwitchEvent
 from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor
 from modelswitch.knowledge import (
     METRICS_FILENAME,
     LogRegistry,
     ModelRepository,
-    UnknownModel,
     load_metrics_csv,
 )
 from modelswitch.monitor import MetricsWindow
@@ -37,12 +35,6 @@ def _profile(model: str, latency: float = 500.0, cpu_per_object: float = 0.3) ->
 
 def _repo() -> ModelRepository:
     return ModelRepository((_profile("small", 300.0), _profile("large", 800.0)))
-
-
-def _decision(selected: str, previous: str) -> SelectionDecision:
-    return SelectionDecision(
-        selected=selected, mode=SelectionMode.EXPLOIT, random_draw=0.5, previous=previous
-    )
 
 
 def _executor(
@@ -92,20 +84,17 @@ def test_same_model_selection_is_a_free_no_op(monkeypatch) -> None:
     state = dict(vars(executor))
     looked_up = _count_lookups(monkeypatch)
     rng_state = rng.getstate()
-    assert executor.apply(_decision("small", "small"), 10) is None
+    assert executor.apply("small") is None
     assert vars(executor) == state
     assert looked_up == []
     assert rng.getstate() == rng_state
 
 
-def test_switch_produces_event_and_accounting(monkeypatch) -> None:
+def test_switch_returns_its_cost_and_keeps_the_model(monkeypatch) -> None:
     executor, windows = _executor(Random(0))
     looked_up = _count_lookups(monkeypatch)
-    event = executor.apply(_decision("large", "small"), 10)
-    assert event is not None
-    assert event.frame_index == 10
-    assert event.from_model == "small"
-    assert event.to_model == "large"
+    switch_time_ms = executor.apply("large")
+    assert 800.0 * 0.9 <= switch_time_ms <= 800.0 * 1.1
     assert executor.active == "large"
     # One lookup per switch; inference then runs on the kept profile, into the kept window.
     executor.run_inference(10, 3, 0.2, 0.0)
@@ -118,10 +107,10 @@ def test_switch_time_jitters_within_ten_percent() -> None:
     repo = _repo()
     rng = Random(7)
     times = []
-    for i in range(2000):
-        event = _executor(rng, repo)[0].apply(_decision("large", "small"), i)
-        assert event is not None
-        times.append(event.switch_time_ms)
+    for _ in range(2000):
+        switch_time_ms = _executor(rng, repo)[0].apply("large")
+        assert switch_time_ms is not None
+        times.append(switch_time_ms)
     assert min(times) >= 800.0 * 0.9
     assert max(times) <= 800.0 * 1.1
     assert min(times) < 800.0 < max(times)
@@ -130,16 +119,16 @@ def test_switch_time_jitters_within_ten_percent() -> None:
 
 def test_switch_latency_belongs_to_the_incoming_model() -> None:
     repo = ModelRepository((_profile("large", 800.0), _profile("small", 300.0)))
-    event = _executor(Random(1), repo)[0].apply(_decision("small", "large"), 0)
-    assert event is not None
-    assert 300.0 * 0.9 <= event.switch_time_ms <= 300.0 * 1.1
+    switch_time_ms = _executor(Random(1), repo)[0].apply("small")
+    assert switch_time_ms is not None
+    assert 300.0 * 0.9 <= switch_time_ms <= 300.0 * 1.1
 
 
 def test_unknown_selection_is_rejected() -> None:
     executor, _ = _executor(Random(0))
     state = dict(vars(executor))
-    with pytest.raises(UnknownModel):
-        executor.apply(_decision("ghost", "small"), 0)
+    with pytest.raises(ValueError, match="unknown model: ghost"):
+        executor.apply("ghost")
     assert vars(executor) == state
 
 
@@ -147,7 +136,7 @@ def test_average_switch_time_accounting() -> None:
     def avg_switch_time_s(*switch_times_ms: float) -> float:
         registry = LogRegistry(StringIO(), StringIO())
         for i, switch_time_ms in enumerate(switch_times_ms):
-            registry.append_switch(SwitchEvent(i, "small", "large", switch_time_ms))
+            registry.append_switch(i, "small", "large", switch_time_ms)
         return summarize(registry, 0, "naive", 0, ("small",)).avg_switch_time_s
 
     assert avg_switch_time_s() == 0.0

@@ -10,7 +10,7 @@ from typing import Iterator
 import pytest
 
 from modelswitch.cli import run_experiment
-from modelswitch.domain import SelectionDecision, SelectionMode, SwitchEvent
+from modelswitch.domain import SelectionDecision, SelectionMode
 from modelswitch.knowledge import (
     EVENTS_FILENAME,
     EVENTS_HEADER,
@@ -19,7 +19,6 @@ from modelswitch.knowledge import (
     IoFailure,
     LogRegistry,
     ModelRepository,
-    UnknownModel,
     load_events_csv,
     load_metrics_csv,
 )
@@ -43,10 +42,8 @@ def _append_metrics(registry: LogRegistry, frame_index: int, sim_time_ms: float,
     registry.append_metrics(frame_index, sim_time_ms, model, 17.25, 0.512345, 3, 40.0)
 
 
-def _decision(selected: str = "b", previous: str = "a") -> SelectionDecision:
-    return SelectionDecision(
-        selected=selected, mode=SelectionMode.EXPLORE, random_draw=0.0421, previous=previous
-    )
+def _decision(selected: str = "b") -> SelectionDecision:
+    return SelectionDecision(selected=selected, mode=SelectionMode.EXPLORE, random_draw=0.0421)
 
 
 @contextmanager
@@ -64,7 +61,7 @@ def test_repository_preserves_registration_order() -> None:
     assert repo.ids() == ("b", "a")
     assert len(repo) == 2
     assert repo.get("a").model == "a"
-    with pytest.raises(UnknownModel):
+    with pytest.raises(ValueError, match="unknown model: z"):
         repo.get("z")
 
 
@@ -72,7 +69,7 @@ def test_repository_rejects_duplicates_and_unknowns() -> None:
     repo = ModelRepository((_profile("a"),))
     with pytest.raises(ValueError):
         repo.register(_profile("a"))
-    with pytest.raises(UnknownModel):
+    with pytest.raises(ValueError, match="unknown model: ghost"):
         repo.get("ghost")
 
 
@@ -82,17 +79,15 @@ def test_registry_rejects_backwards_frame_indices() -> None:
     with pytest.raises(ValueError):
         _append_metrics(registry, 4, 1.0)
     # The same frame index is fine: a decision and its metrics share one.
-    registry.append_decision(5, _decision())
-    registry.append_switch(
-        SwitchEvent(frame_index=5, from_model="a", to_model="b", switch_time_ms=310.0)
-    )
+    registry.append_decision(5, _decision(), "a")
+    registry.append_switch(5, "a", "b", 310.0)
 
 
 def test_registry_folds_the_summary_totals() -> None:
     registry = LogRegistry(StringIO(), StringIO())
-    registry.append_decision(0, _decision())
+    registry.append_decision(0, _decision(), "a")
     _append_metrics(registry, 0, 0.0, model="b")
-    registry.append_decision(1, _decision()._replace(mode=SelectionMode.EXPLOIT))
+    registry.append_decision(1, _decision()._replace(mode=SelectionMode.EXPLOIT), "b")
     _append_metrics(registry, 1, 16.7, model="b")
     _append_metrics(registry, 2, 33.3, model="a")
     assert registry.usage_counts == {"b": 2, "a": 1}
@@ -107,10 +102,8 @@ def test_export_writes_both_csv_files() -> None:
     registry = LogRegistry(metrics_out, events_out)
     assert metrics_out.getvalue() == METRICS_HEADER + "\n"
     assert events_out.getvalue() == EVENTS_HEADER + "\n"
-    registry.append_decision(0, _decision())
-    registry.append_switch(
-        SwitchEvent(frame_index=0, from_model="a", to_model="b", switch_time_ms=312.5)
-    )
+    registry.append_decision(0, _decision(), "a")
+    registry.append_switch(0, "a", "b", 312.5)
     _append_metrics(registry, 0, 312.5, model="b")
 
     metrics_lines = metrics_out.getvalue().splitlines()
@@ -121,6 +114,20 @@ def test_export_writes_both_csv_files() -> None:
     assert events_lines[0] == EVENTS_HEADER
     assert events_lines[1] == "0,decision,explore,0.0421,a,b,"
     assert events_lines[2] == "0,switch,,,a,b,312.5000"
+
+
+def test_a_kept_draw_less_row_names_the_model_it_left() -> None:
+    """Two draw-less decisions that differ only in the model left write two rows."""
+    events_out = StringIO()
+    registry = LogRegistry(StringIO(), events_out)
+    forced_b = SelectionDecision("b", SelectionMode.FORCED, None)
+    for frame_index, previous in enumerate(("a", "b", "a")):
+        registry.append_decision(frame_index, forced_b, previous)
+    assert events_out.getvalue().splitlines()[1:] == [
+        "0,decision,forced,,a,b,",
+        "1,decision,forced,,b,b,",
+        "2,decision,forced,,a,b,",
+    ]
 
 
 def test_export_uses_lf_line_endings(tmp_path) -> None:
@@ -150,10 +157,8 @@ def test_export_round_trips_metrics(tmp_path) -> None:
 
 def test_load_events_csv_round_trip(tmp_path) -> None:
     with _registry(tmp_path) as registry:
-        registry.append_decision(0, _decision())
-        registry.append_switch(
-            SwitchEvent(frame_index=0, from_model="a", to_model="b", switch_time_ms=312.5)
-        )
+        registry.append_decision(0, _decision(), "a")
+        registry.append_switch(0, "a", "b", 312.5)
     rows = load_events_csv(tmp_path / EVENTS_FILENAME)
     assert [r["event_type"] for r in rows] == ["decision", "switch"]
     assert rows[0]["mode"] == "explore"
@@ -227,8 +232,8 @@ def test_rows_round_reals_at_four_decimals(x) -> None:
     """Every real column rounds the binary value at 4 decimals, half to even."""
     metrics_out, events_out = StringIO(), StringIO()
     registry = LogRegistry(metrics_out, events_out)
-    registry.append_decision(0, _decision()._replace(random_draw=x))
-    registry.append_switch(SwitchEvent(0, "a", "b", x))
+    registry.append_decision(0, _decision()._replace(random_draw=x), "a")
+    registry.append_switch(0, "a", "b", x)
     registry.append_metrics(0, x, "b", x, x, 3, x)
     r = _four_decimals(x)
     assert metrics_out.getvalue().splitlines()[1] == f"0,{r},b,{r},{r},3,{r},"

@@ -109,9 +109,7 @@ class _StayPut(SelectionStrategy):
 
     def decide(self, frame_index: int, active: str, windows: Windows) -> SelectionDecision:
         self.calls.append((frame_index, active, windows))
-        return SelectionDecision(
-            selected=active, mode=SelectionMode.FORCED, random_draw=None, previous=active
-        )
+        return SelectionDecision(selected=active, mode=SelectionMode.FORCED, random_draw=None)
 
 
 class _SwitchOnce(_StayPut):
@@ -126,9 +124,7 @@ class _SwitchOnce(_StayPut):
     def decide(self, frame_index: int, active: str, windows: Windows) -> SelectionDecision:
         self.calls.append((frame_index, active, windows))
         selected = self.target if frame_index == 0 else active
-        return SelectionDecision(
-            selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=active
-        )
+        return SelectionDecision(selected=selected, mode=SelectionMode.FORCED, random_draw=None)
 
 
 def test_loop_without_switches_processes_every_frame(tmp_path) -> None:
@@ -168,12 +164,7 @@ def test_switch_near_the_end_cannot_drop_past_the_trace(monkeypatch) -> None:
     class _SwitchLate(_StayPut):
         def decide(self, frame_index: int, active: str, windows: Windows) -> SelectionDecision:
             selected = "b" if frame_index == 48 else active
-            return SelectionDecision(
-                selected=selected,
-                mode=SelectionMode.FORCED,
-                random_draw=None,
-                previous=active,
-            )
+            return SelectionDecision(selected, SelectionMode.FORCED, None)
 
     registry = _run(_trace(50), _repo(), _SwitchLate(), inference_seed=1)
     assert _processed(registry) == 49  # only frame 49 was left to drop
@@ -199,19 +190,51 @@ def test_frame_conservation_under_heavy_switching(tmp_path) -> None:
         assert following - frame - 1 == min(drops.get(frame, 0), 399 - frame)
 
 
-def test_switch_events_are_logged_with_their_cost(tmp_path) -> None:
-    registry, _, event_rows = _logged_run(
-        tmp_path, _trace(50), _repo(), _SwitchOnce("b"), inference_seed=1
-    )
+class _FlipEveryThird(_StayPut):
+    """Switches to the other of models a and b at every third decision; every
+    other decision carries a draw, so kept and formatted rows both occur."""
+
+    name = "flip-every-third"
+    decision_period = 2
+
+    def decide(self, frame_index: int, active: str, windows: Windows) -> SelectionDecision:
+        self.calls.append((frame_index, active, windows))
+        n = len(self.calls)
+        selected = ("b" if active == "a" else "a") if n % 3 == 0 else active
+        if n % 2:
+            return SelectionDecision(selected, SelectionMode.FORCED, None)
+        return SelectionDecision(selected, SelectionMode.EXPLOIT, 0.5)
+
+
+@pytest.mark.parametrize(
+    "strategy, switch_count",
+    [(_SwitchOnce("b"), 1), (_FlipEveryThird(), 5)],
+    ids=["switch-once", "flip-every-third"],
+)
+def test_switch_events_are_logged_with_their_cost(tmp_path, strategy, switch_count) -> None:
+    registry, _, event_rows = _logged_run(tmp_path, _trace(50), _repo(), strategy, inference_seed=1)
     switches = [r for r in event_rows if r["event_type"] == "switch"]
     decisions = [r for r in event_rows if r["event_type"] == "decision"]
-    assert len(switches) == registry.switch_count == 1
+    assert len(switches) == registry.switch_count == switch_count
     assert switches[0]["from_model"] == "a"
     assert switches[0]["to_model"] == "b"
     assert len(decisions) == registry.decision_count
-    # The file keeps 4 decimals of the switch cost.
+    # The loop, not the strategy, says where a decision started: the model live
+    # at its frame, which the previous switch left or the first registered one.
+    live, decision = "a", None
+    for row in event_rows:
+        if row["event_type"] == "decision":
+            assert row["from_model"] == live
+            decision = row
+        else:
+            assert decision is not None and row["frame_index"] == decision["frame_index"]
+            assert (row["from_model"], row["to_model"]) == (
+                decision["from_model"], decision["to_model"]
+            )
+            live = row["to_model"]
+    # The file keeps 4 decimals of each switch cost.
     assert registry.cumulative_switch_time_ms == pytest.approx(
-        float(switches[0]["switch_time_ms"]), abs=5e-5
+        sum(float(row["switch_time_ms"]) for row in switches), abs=5e-5 * switch_count
     )
 
 
@@ -387,9 +410,7 @@ class _Alternate(_StayPut):
 
     def decide(self, frame_index: int, active: str, windows: Windows) -> SelectionDecision:
         selected = "b" if active == "a" else "a"
-        return SelectionDecision(
-            selected=selected, mode=SelectionMode.FORCED, random_draw=None, previous=active
-        )
+        return SelectionDecision(selected=selected, mode=SelectionMode.FORCED, random_draw=None)
 
 
 def _first_frames(config: TraceConfig) -> list[int]:

@@ -6,10 +6,10 @@ from random import Random
 
 import pytest
 
-from modelswitch.domain import FrameMetrics, SelectionDecision, SelectionMode, check_frame
+from modelswitch.domain import FrameMetrics, check_frame
 from modelswitch.executor import Executor
 from modelswitch.knowledge import METRICS_FILENAME, LogRegistry, ModelRepository, load_metrics_csv
-from modelswitch.monitor import MetricsWindow, OutOfOrderFrame
+from modelswitch.monitor import MetricsWindow
 from modelswitch.sim import ModelProfile
 
 
@@ -40,9 +40,9 @@ def test_window_keeps_only_the_newest_entries() -> None:
 def test_window_rejects_out_of_order_frames() -> None:
     window = MetricsWindow("m", 5)
     window.record(4, 20.0, 0.5)
-    with pytest.raises(OutOfOrderFrame, match="frame 4 after 4"):
+    with pytest.raises(ValueError, match="m: frame 4 after 4"):
         window.record(4, 20.0, 0.5)
-    with pytest.raises(OutOfOrderFrame):
+    with pytest.raises(ValueError, match="m: frame 2 after 4"):
         window.record(2, 20.0, 0.5)
     assert window.last_frame == 4 and len(window) == 1
 
@@ -94,8 +94,7 @@ def test_monitor_routes_by_model_and_logs(tmp_path) -> None:
         repo = ModelRepository((_profile("a"), _profile("b")))
         executor = Executor(repo, windows, registry, Random(5))
         for frame_index, sim_time_ms, model in [(0, 0.0, "a"), (1, 16.7, "b"), (2, 33.3, "a")]:
-            decision = SelectionDecision(model, SelectionMode.FORCED, None, executor.active)
-            executor.apply(decision, frame_index)
+            executor.apply(model)
             executor.run_inference(frame_index, 3, 0.2, sim_time_ms)
 
     assert [windows["a"].last_frame, len(windows["a"])] == [2, 2]

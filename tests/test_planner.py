@@ -12,7 +12,6 @@ from modelswitch.monitor import MetricsWindow
 from modelswitch.planner import (
     DEFAULT_CONFIDENCE_LOW_THRESHOLD,
     DEFAULT_CPU_HIGH_THRESHOLD,
-    EmptyRepository,
     EpsilonGreedyStrategy,
     NaiveConfig,
     NaiveThresholdStrategy,
@@ -96,7 +95,7 @@ def test_best_model_breaks_ties_lexicographically() -> None:
 
 
 def test_best_model_rejects_empty_scores() -> None:
-    with pytest.raises(EmptyRepository):
+    with pytest.raises(ValueError, match="no models to choose from"):
         best_model({})
 
 
@@ -105,7 +104,6 @@ def test_exploit_above_epsilon() -> None:
     assert decision.mode is SelectionMode.EXPLOIT
     assert decision.selected == "b"
     assert decision.random_draw == 0.3
-    assert decision.previous == "a"
 
 
 def test_explore_at_or_below_epsilon_excludes_best() -> None:
@@ -264,13 +262,13 @@ def test_naive_decisions_equal_freshly_built_ones(steps) -> None:
         elif latest is not None and latest[1] < DEFAULT_CONFIDENCE_LOW_THRESHOLD:
             selected = order[min(position + 1, 2)]
         decision = first.decide(frame_index, active, windows)
-        assert decision == SelectionDecision(selected, SelectionMode.FORCED, None, active)
+        assert decision == SelectionDecision(selected, SelectionMode.FORCED, None)
         other = second.decide(frame_index, active, windows)
         assert other == decision and other is not decision
 
 
 def test_naive_config_validation() -> None:
-    with pytest.raises(EmptyRepository):
+    with pytest.raises(ValueError, match="model_order is empty"):
         NaiveConfig(model_order=())
     with pytest.raises(ValueError):
         NaiveConfig(model_order=("a", "a"))
@@ -320,7 +318,6 @@ def test_round_robin_reports_forced_mode() -> None:
     strategy = RoundRobinBoostStrategy(RoundRobinBoostConfig(time_slice_frames=10))
     decision = strategy.decide(0, "c", WINDOWS)
     assert decision.mode is SelectionMode.FORCED
-    assert decision.previous == "c"
 
 
 @settings(max_examples=100, deadline=None)
@@ -340,7 +337,7 @@ def test_round_robin_decisions_equal_freshly_built_ones(steps) -> None:
         if frame_index // 10 > last_slot:
             last_slot, boundaries = frame_index // 10, boundaries + 1
         decision = first.decide(frame_index, ids[active], WINDOWS)
-        expected = SelectionDecision(ids[boundaries % 3], SelectionMode.FORCED, None, ids[active])
+        expected = SelectionDecision(ids[boundaries % 3], SelectionMode.FORCED, None)
         assert decision == expected
         other = second.decide(frame_index, ids[active], WINDOWS)
         assert other == expected and other is not decision
@@ -395,7 +392,7 @@ def test_round_robin_reranks_once_after_skipped_boost_slots() -> None:
 
 def test_round_robin_rejects_empty_rank() -> None:
     strategy = RoundRobinBoostStrategy()
-    with pytest.raises(EmptyRepository):
+    with pytest.raises(ValueError, match="no models to rank"):
         strategy.decide(0, "a", {})
 
 

@@ -54,7 +54,8 @@ def test_peak_memory_is_flat_in_trace_length(tmp_path) -> None:
     short_peak, short_frames = _traced_peak(_one_segment_config(tmp_path, 60), tmp_path / "short")
     long_peak, long_frames = _traced_peak(_one_segment_config(tmp_path, 240), tmp_path / "long")
     assert (short_frames, long_frames) == (3600, 14400)
-    # The trace keeps 4 bytes of object count per frame; a per-row record would add hundreds.
+    # The trace keeps only its schedule and draws each count as it is read, so nothing is kept
+    # per frame; a per-row record would add hundreds of bytes.
     per_frame = (long_peak - short_peak) / (long_frames - short_frames)
     assert per_frame < 16, f"peak grows by {per_frame:.1f} bytes per processed frame"
 
