@@ -316,8 +316,8 @@ def run_experiments(
     """Load one experiment and run each of strategies into out_root/<name>."""
     experiment = load_experiment(config_path, seed, epsilon)
     _check_strategies(strategies, epsilon)
-    # A trace holds no draws, so sharing one saves nothing but its schedule: each run's
-    # reader draws the counts again.
+    # A trace holds no draws, so sharing one saves nothing but its schedule: each run
+    # draws the counts again through its own counts().
     trace = generate_trace(experiment.trace)
     return [run_on(experiment, trace, name, Path(out_root) / name) for name in strategies]
 

@@ -16,12 +16,14 @@ The registry is the run's only tally: every count and total the summary
 reports is folded there as its rows are appended, and the clock's switch
 offset is read back from it. A processed frame travels as scalars: the
 loop reads its object count and complexity from the trace and hands them,
-with its index and clock, to the executor. A dropped frame is never read.
+with its index and clock, to the executor. A dropped frame's count is drawn
+and discarded, and its complexity never computed.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from random import Random
 from types import MappingProxyType
 from typing import NamedTuple
@@ -72,13 +74,15 @@ def run_loop(
     )
 
     fps = trace.fps
-    frame = trace.reader()
+    counts = trace.counts()
+    complexity = trace.complexity
     period_ms = 1000.0 / fps
     switch_ms = 0.0
     processed = 0
     n = len(trace)
     i = 0
     while i < n:
+        object_count = next(counts)
         drop_count = 0
         if processed % decision_period == 0:
             active = executor.active
@@ -89,8 +93,10 @@ def run_loop(
             if switch_time_ms is not None:
                 registry.append_switch(i, active, selected, switch_time_ms)
                 switch_ms = registry.cumulative_switch_time_ms
+                # Draw and discard the dropped frames' counts, to keep the stream. The
+                # clamp to the frames left matters: islice refuses a stop above sys.maxsize.
                 drop_count = min(round(switch_time_ms * fps / 1000.0), n - 1 - i)
-        object_count, complexity = frame(i)
-        executor.run_inference(i, object_count, complexity, i * period_ms + switch_ms)
+                next(islice(counts, drop_count, drop_count), None)
+        executor.run_inference(i, object_count, complexity(i), i * period_ms + switch_ms)
         processed += 1
         i += 1 + drop_count

@@ -1,9 +1,9 @@
 """Deterministic workload simulator.
 
 Schedules a seeded traffic-camera trace (object density rises for a rush
-segment, then falls back), whose reads draw the object counts of the frames
-they pass and store none, and synthesizes per-frame inference results for
-a given model profile. All randomness flows through ``random.Random``
+segment, then falls back), whose object counts are drawn in frame order as
+they are read and never stored, and synthesizes per-frame inference results
+for a given model profile. All randomness flows through ``random.Random``
 (Mersenne Twister, a named and portable generator); gaussian and poisson
 draws below are explicit transforms of its uniform output so a seed
 reproduces the exact same trace on any platform.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from collections.abc import Iterator
 from math import cos, inf, log, sqrt
 from random import Random
 from typing import Any, Callable, Mapping, NamedTuple, Sequence, get_origin, get_type_hints
@@ -143,18 +144,6 @@ def validate_segments(segments: Sequence[ScheduleSegment], duration_s: float) ->
             raise InvalidSchedule(f"segment start {seg.start_s} beyond duration {duration_s}", i)
 
 
-def _draw_counts(random: Callable[[], float], threshold: float, n: int, append: Callable) -> None:
-    """Append n poisson counts by Knuth's product-of-uniforms method: each count is how
-    many uniforms keep their running product above threshold, which is exp(-mean)."""
-    for _ in range(n):
-        count = 0
-        product = random()
-        while product > threshold:
-            count += 1
-            product *= random()
-        append(count)
-
-
 def _first_frame_at(t: float, fps: int) -> int:
     """Smallest frame index f whose clock f / fps has reached t."""
     f = max(0, math.ceil(t * fps))
@@ -165,21 +154,16 @@ def _first_frame_at(t: float, fps: int) -> int:
     return f
 
 
-# Frames a reader draws at a time: the most counts it holds, whatever the trace's length.
-_BLOCK = 4096
-
-
 class Trace:
-    """A run's frames as a seed and a schedule; a reader draws each count as it reads.
+    """A run's frames as a seed and a schedule; ``counts()`` draws each count in frame order.
 
     ``fps`` is the frame rate of the trace; frame ``f`` arrives at ``f / fps``
     seconds. Segment ``j`` covers the frames from ``stops[j - 1]`` (0 for the
     first) up to ``stops[j]``, the last stop being the trace's length, and
     ``schedule[j]`` is its (start_s, complexity, step to the target
-    complexity, width_s, Knuth threshold exp(-mean)). No count is stored: a
-    reader draws them from ``Random(seed)`` in frame order, the frames it
-    skips included, so every reader serves the same counts and memory does
-    not grow with the trace.
+    complexity, width_s, Knuth threshold exp(-mean)). No count is stored:
+    each ``counts()`` draws them afresh from ``Random(seed)``, so every pass
+    yields the same counts and memory does not grow with the trace.
     """
 
     __slots__ = ("fps", "_seed", "_stops", "_schedule")
@@ -190,43 +174,29 @@ class Trace:
     def __len__(self) -> int:
         return self._stops[-1]
 
-    def reader(self) -> Callable[[int], tuple[int, float]]:
-        """A function from a frame index in [0, len) to that frame's (object_count, complexity).
+    def counts(self) -> Iterator[int]:
+        """Each frame's poisson object count, in frame order, by Knuth's method: how many
+        uniforms keep their running product above the segment's threshold exp(-mean)."""
+        random = Random(self._seed).random
+        for start, stop, (*_, threshold) in zip([0, *self._stops], self._stops, self._schedule):
+            for _ in range(stop - start):
+                count = 0
+                product = random()
+                while product > threshold:
+                    count += 1
+                    product *= random()
+                yield count
 
-        A read draws the counts up to its frame ``_BLOCK`` frames at a time and
-        keeps the last block; a read behind that block draws again from frame
-        0. An index outside [0, len) raises IndexError.
-        """
-        fps, seed, stops, schedule = self.fps, self._seed, self._stops, self._schedule
-        total = stops[-1]
-        block: list[int] = []
-        append = block.append
-        random = Random(seed).random
-        base = end = 0  # block holds the counts of frames [base, end)
-
-        def frame(index: int) -> tuple[int, float]:
-            nonlocal random, base, end
-            if not base <= index < end:
-                if not 0 <= index < total:
-                    raise IndexError(f"frame index out of range: {index}")
-                if index < base:
-                    random, base, end = Random(seed).random, 0, 0
-                while end <= index:
-                    base, end = end, min(end + _BLOCK, total)
-                    block.clear()
-                    pos, j = base, bisect_right(stops, base)
-                    while pos < end:
-                        stop = min(stops[j], end)
-                        _draw_counts(random, schedule[j][4], stop - pos, append)
-                        pos, j = stop, j + 1
-            start, complexity, step, width, _ = schedule[bisect_right(stops, index)]
-            return block[index - base], complexity + step * ((index / fps - start) / width)
-
-        return frame
+    def complexity(self, index: int) -> float:
+        """Frame index's point on its segment's ramp; IndexError outside [0, len)."""
+        if not 0 <= index < self._stops[-1]:
+            raise IndexError(f"frame index out of range: {index}")
+        start, complexity, step, width, _ = self._schedule[bisect_right(self._stops, index)]
+        return complexity + step * ((index / self.fps - start) / width)
 
 
 def generate_trace(config: TraceConfig) -> Trace:
-    """The seeded schedule of one run's frames; its readers draw the counts.
+    """The seeded schedule of one run's frames; ``Trace.counts`` draws the counts.
 
     Object counts are poisson around the active segment's mean, drawn frame
     by frame in order; complexity ramps linearly from each segment's value

@@ -733,12 +733,31 @@ def test_main_accepts_engine_settings_at_their_limits(tmp_path) -> None:
     assert (out / SUMMARY_FILENAME).is_file()
 
 
-def _model_section(model_id: str) -> str:
+def _model_section(model_id: str, switch_latency_ms: float = 300) -> str:
     return (
         f"\n[model.{model_id}]\nbase_cpu_pct = 14\ncpu_per_object_pct = 0.3\n"
         "base_confidence = 0.6\nconfidence_noise_sd = 0.05\ndetection_recall = 0.9\n"
-        "switch_latency_ms = 300\ninference_time_ms = 40\n"
+        f"switch_latency_ms = {switch_latency_ms}\ninference_time_ms = 40\n"
     )
+
+
+def test_a_switch_too_long_to_count_drops_only_the_frames_left(tmp_path, capsys) -> None:
+    """A 1e300 ms switch drops more frames than sys.maxsize; the run clamps the drop
+    to the frames the trace has left and ends."""
+    config = tmp_path / "slow.ini"
+    config.write_text(
+        "[trace]\nfps = 60\nduration_s = 2\n" + _segment(1, 0)
+        + _model_section("light") + _model_section("heavy", switch_latency_ms=1e300)
+        # No confidence reaches 1, so naive steps up to the heavier model.
+        + "\n[naive]\nconfidence_low_threshold = 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--strategy", "naive", "--config", str(config), "--out", str(out)]) == 0
+    assert "frames processed:   2 of 120" in capsys.readouterr().out
+    summary = read_summary(out / SUMMARY_FILENAME)
+    assert summary.switch_count == 1
+    assert summary.frames_processed + summary.frames_dropped == summary.frames_total == 120
 
 
 def test_main_writes_a_model_id_holding_a_percent_sign(tmp_path) -> None:

@@ -44,9 +44,8 @@ def _profile(**overrides) -> ModelProfile:
 
 
 def _frames(trace: Trace) -> list[tuple[int, float]]:
-    """Every frame's (object_count, complexity), read through the trace's reader."""
-    frame = trace.reader()
-    return [frame(i) for i in range(len(trace))]
+    """Every frame's (object_count, complexity), read through counts() and complexity()."""
+    return list(zip(trace.counts(), map(trace.complexity, range(len(trace)))))
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +57,7 @@ def _counts(mean: float, n: int, seed: int) -> list[int]:
     """n poisson counts around mean, read from a one-segment trace of n frames."""
     segments = (ScheduleSegment(start_s=0.0, mean_objects=mean, complexity=0.5),)
     trace = generate_trace(TraceConfig(fps=n, duration_s=1.0, segments=segments, rng_seed=seed))
-    return [count for count, _ in _frames(trace)]
+    return list(trace.counts())
 
 
 def test_poisson_moments() -> None:
@@ -91,16 +90,15 @@ def test_trace_is_deterministic_per_seed() -> None:
 def test_default_trace_shape(default_trace: Trace) -> None:
     assert len(default_trace) == 108_000
     assert default_trace.fps == 60
-    frame = default_trace.reader()
-    frame(107_999)
+    default_trace.complexity(107_999)
     for bad in (108_000, -1):
         with pytest.raises(IndexError):
-            frame(bad)
+            default_trace.complexity(bad)
 
 
 def test_default_trace_segment_densities(default_trace: Trace) -> None:
     """Off-peak thirds hover around 3 objects, the rush-hour third around 12."""
-    counts = [count for count, _ in _frames(default_trace)]
+    counts = list(default_trace.counts())
     first, middle, last = counts[:36_000], counts[36_000:72_000], counts[72_000:]
     assert statistics.fmean(first) == pytest.approx(3.0, abs=0.1)
     assert statistics.fmean(middle) == pytest.approx(12.0, abs=0.1)
@@ -108,15 +106,15 @@ def test_default_trace_segment_densities(default_trace: Trace) -> None:
 
 
 def test_default_trace_complexity_ramp(default_trace: Trace) -> None:
-    frame = default_trace.reader()
-    assert frame(0)[1] == pytest.approx(0.1)
+    complexity = default_trace.complexity
+    assert complexity(0) == pytest.approx(0.1)
     # Halfway into the first segment the ramp toward 0.6 is half done.
-    assert frame(18_000)[1] == pytest.approx(0.35)
-    assert frame(36_000)[1] == pytest.approx(0.6)
-    assert frame(54_000)[1] == pytest.approx(0.35)
+    assert complexity(18_000) == pytest.approx(0.35)
+    assert complexity(36_000) == pytest.approx(0.6)
+    assert complexity(54_000) == pytest.approx(0.35)
     # The last segment has no successor and holds its own value.
-    assert frame(90_000)[1] == pytest.approx(0.1)
-    assert frame(107_999)[1] == pytest.approx(0.1)
+    assert complexity(90_000) == pytest.approx(0.1)
+    assert complexity(107_999) == pytest.approx(0.1)
 
 
 def test_validate_segments_rejects_bad_schedules() -> None:
@@ -227,33 +225,31 @@ _OFF_GRID = TraceConfig(
 )
 
 
-def test_trace_matches_the_eager_reference() -> None:
-    """The reader serves the spec's eagerly drawn frames, at any index in any order."""
-    trace = generate_trace(_OFF_GRID)
-    reference = spec.trace_frames(_OFF_GRID)
-    n = len(reference)
-    assert len(trace) == n == 210
-    assert trace.fps == _OFF_GRID.fps
-    frame = trace.reader()
-    assert [frame(i) for i in range(n)] == reference
-    assert [frame(i) for i in reversed(range(n))] == reference[::-1]
-    assert [frame(i) for i in range(0, n, 3)] + [frame(i) for i in range(1, n, 3)] == (
-        reference[::3] + reference[1::3]
-    )
-    for bad in (n, -1):
-        with pytest.raises(IndexError):
-            frame(bad)
-
-
-def test_reads_across_blocks_match_the_eager_reference() -> None:
-    """A read behind the reader's block draws again from frame 0 and serves the same frames."""
-    config = TraceConfig(fps=499, duration_s=_OFF_GRID.duration_s, segments=_OFF_GRID.segments)
+@pytest.mark.parametrize(
+    "config, frames",
+    [
+        (_OFF_GRID, 210),
+        # The same schedule at fps 499: thousands of frames a segment.
+        (
+            TraceConfig(fps=499, duration_s=_OFF_GRID.duration_s, segments=_OFF_GRID.segments),
+            14_970,
+        ),
+    ],
+    ids=["fps-7", "fps-499"],
+)
+def test_trace_matches_the_eager_reference(config: TraceConfig, frames: int) -> None:
+    """Read forwards, the trace serves the spec's eagerly drawn frames."""
+    trace = generate_trace(config)
     reference = spec.trace_frames(config)
     n = len(reference)
-    assert n > 3 * sim._BLOCK
-    frame = generate_trace(config).reader()
-    order = [*range(n), *reversed(range(n)), *range(0, n, 3), *range(1, n, 3)]
-    assert [frame(i) for i in order] == [reference[i] for i in order]
+    assert len(trace) == n == frames
+    assert trace.fps == config.fps
+    assert _frames(trace) == reference
+    # counts() yields exactly one count per frame, then stops.
+    assert sum(1 for _ in trace.counts()) == n
+    for bad in (n, -1):
+        with pytest.raises(IndexError):
+            trace.complexity(bad)
 
 
 def test_reading_a_long_trace_keeps_no_count_it_passed() -> None:
@@ -267,9 +263,9 @@ def test_reading_a_long_trace_keeps_no_count_it_passed() -> None:
     config = TraceConfig(duration_s=sim.DEFAULT_DURATION_S * scale, segments=segments)
     tracemalloc.start()
     try:
-        frame = generate_trace(config).reader()
-        for i in range(200_000):
-            frame(i)
+        trace = generate_trace(config)
+        for i, _ in zip(range(200_000), trace.counts()):
+            trace.complexity(i)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -280,7 +276,7 @@ def test_a_trace_of_2_53_frames_reads_frame_0_at_once() -> None:
     segments = (ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1),)
     start = time.perf_counter()
     trace = generate_trace(TraceConfig(fps=2**53, duration_s=1, segments=segments))
-    count, complexity = trace.reader()(0)
+    count, complexity = next(trace.counts()), trace.complexity(0)
     assert time.perf_counter() - start < 1.0
     assert len(trace) == 2**53
     assert count >= 0 and complexity == 0.1
