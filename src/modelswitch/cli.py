@@ -286,11 +286,13 @@ def run_on(experiment: Experiment, trace: Trace, strategy: str, out_dir: Path | 
 
 
 def _check_strategies(names: Sequence[str], epsilon: float | None) -> None:
-    """Refuse an epsilon that none of names reads, then an unknown name."""
+    """Refuse an epsilon that none of names reads, then an unknown or repeated name."""
     if epsilon is not None and "epsilon-greedy" not in names:
         raise ConfigError(f"epsilon applies to epsilon-greedy only, not to {', '.join(names)}")
     for name in names:
         _check_strategy_name(name)
+        if names.count(name) > 1:
+            raise ConfigError(f"strategy {name!r} listed twice")
 
 
 def run_experiment(

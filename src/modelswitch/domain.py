@@ -8,8 +8,8 @@ Every record type of the package is a NamedTuple: immutable, compared by
 value and picklable, and cheap to define at import, where generating and
 compiling per-class methods would add to every process start-up. A type
 whose values have a valid range is decorated with ``checked``, given each
-bounded field's closed range, and building it runs that table and then the
-type's ``_check``, if any, for the rules no one field's range states. A
+bounded field's closed range; building it checks those, then that each int
+field holds an int, then the type's own rules in ``_check``, if any. A
 processed frame's figures travel as plain values; FrameMetrics is only the
 row type of a metrics.csv read back.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import wraps
 from math import inf
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar, get_type_hints
 
 ModelId = str
 
@@ -30,8 +30,9 @@ def checked(**ranges: tuple[float, float]) -> Callable[[type[_T]], type[_T]]:
     """Make building a NamedTuple, by call or by unpickling, check its values.
 
     Each keyword maps a field to its closed range (low, high): a value outside
-    it, or not finite, raises ValueError. The type's ``_check``, if any, runs
-    next. NamedTuple forbids a ``__new__`` in the class body, so this wraps the
+    it, or not finite, raises ValueError, as then does an ``int`` field's value
+    that is no exact int (a bool or 5.0). The type's ``_check``, if any, runs
+    last. NamedTuple forbids a ``__new__`` in the class body, so this wraps the
     generated one; ``_make`` and ``_replace`` build through ``tuple.__new__``
     and skip every check, so a changed copy is built by calling the type.
     """
@@ -39,6 +40,7 @@ def checked(**ranges: tuple[float, float]) -> Callable[[type[_T]], type[_T]]:
     def decorate(cls: type[_T]) -> type[_T]:
         new = cls.__new__
         check = getattr(cls, "_check", None)
+        ints = [name for name, hint in get_type_hints(cls).items() if hint is int]
 
         @wraps(new)
         def __new__(cls_, *args, **kwargs):
@@ -49,6 +51,9 @@ def checked(**ranges: tuple[float, float]) -> Callable[[type[_T]], type[_T]]:
                 if not (low <= value <= high and -inf < value < inf):
                     end = "]" if high < inf else ")"
                     raise ValueError(f"{name} must lie in [{low}, {high}{end}: {value}")
+            for name in ints:
+                if type(getattr(self, name)) is not int:
+                    raise ValueError(f"{name} must be an integer: {getattr(self, name)!r}")
             if check is not None:
                 check(self)
             return self

@@ -4,9 +4,9 @@ A switch costs the incoming model's base latency plus or minus up to 10%
 uniform jitter; the loop drops the frames that arrive while the switch is
 in progress. The executor starts on the first registered model. It binds
 a model's profile and monitoring window when it switches to that model,
-and at no other time, and runs inference with what it keeps. Inference
-output is post-filtered by a confidence floor before the frame confidence
-is computed, mirroring a detector's score-threshold stage.
+and at no other time, and runs inference with what it keeps. Synthesis
+reports only the detections at or above the confidence floor, as a
+detector's score threshold does, and the frame confidence is their mean.
 
 A switch returns only its cost: the loop, which knows the model it left,
 logs it. Each processed frame's figures are checked, then recorded as
@@ -24,7 +24,6 @@ from modelswitch.knowledge import LogRegistry, ModelRepository
 from modelswitch.monitor import MetricsWindow
 from modelswitch.sim import synth_inference
 
-DEFAULT_CONFIDENCE_FLOOR = 0.25
 SWITCH_JITTER = 0.10
 
 
@@ -40,7 +39,7 @@ class Executor:
         windows: Mapping[ModelId, MetricsWindow],
         registry: LogRegistry,
         rng: Random,
-        confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR,
+        confidence_floor: float,
     ):
         self._repo = repo
         self._windows = windows
@@ -71,14 +70,8 @@ class Executor:
         """Process one frame with the active model and record the result; ValueError
         if its figures are out of range, before anything is recorded."""
         confidences, cpu_usage, inference_time_ms = synth_inference(
-            object_count, complexity, self._profile, self._rng
+            object_count, complexity, self._profile, self._rng, self.confidence_floor
         )
-        floor = self.confidence_floor
-        # Build the kept list only when some confidence is under the floor. The
-        # test negates the keep rule itself, so the filter is skipped only where
-        # it would keep every confidence, whatever the values compare like.
-        if confidences and not min(confidences) >= floor:
-            confidences = [c for c in confidences if c >= floor]
         confidence_score = mean_confidence(confidences)
         detection_count = len(confidences)
         check_frame(frame_index, cpu_usage, confidence_score, detection_count)

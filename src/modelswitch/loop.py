@@ -29,9 +29,9 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from modelswitch.domain import checked
-from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor
+from modelswitch.executor import Executor
 from modelswitch.knowledge import LogRegistry, ModelRepository
-from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY, MetricsWindow
+from modelswitch.monitor import MetricsWindow
 from modelswitch.planner import SelectionStrategy
 from modelswitch.sim import Trace
 
@@ -41,8 +41,8 @@ from modelswitch.sim import Trace
 class EngineConfig(NamedTuple):
     """Loop settings shared by every strategy: the [engine] section."""
 
-    window_capacity: int = DEFAULT_WINDOW_CAPACITY
-    confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR
+    window_capacity: int = 30
+    confidence_floor: float = 0.25
 
 
 def run_loop(

@@ -16,8 +16,6 @@ from collections import deque
 from modelswitch.analyzer import compute_score
 from modelswitch.domain import ModelId
 
-DEFAULT_WINDOW_CAPACITY = 30
-
 
 class MetricsWindow:
     """Fixed-capacity FIFO of one model's recent confidence and CPU figures.

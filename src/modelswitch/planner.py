@@ -25,19 +25,14 @@ from typing import Mapping, NamedTuple
 from modelswitch.domain import ModelId, SelectionDecision, SelectionMode, checked
 from modelswitch.monitor import MetricsWindow
 
-DEFAULT_EPSILON = 0.1
 DEFAULT_DECISION_PERIOD = 1
-DEFAULT_CPU_HIGH_THRESHOLD = 17.5
-DEFAULT_CONFIDENCE_LOW_THRESHOLD = 0.4
-DEFAULT_TIME_SLICE_FRAMES = 40
-DEFAULT_BOOST_PERIOD_FRAMES = 600
 
 
 @checked(epsilon=(0.0, 1.0), decision_period=(1, inf))
 class PlannerConfig(NamedTuple):
     """Epsilon-greedy knobs."""
 
-    epsilon: float = DEFAULT_EPSILON
+    epsilon: float = 0.1
     decision_period: int = DEFAULT_DECISION_PERIOD
     rng_seed: int = 0
     # With exclusion on, exploration never lands on the current best-scoring
@@ -50,8 +45,8 @@ class NaiveConfig(NamedTuple):
     """Thresholds for the naive baseline."""
 
     model_order: tuple[ModelId, ...]  # lightest to heaviest
-    cpu_high_threshold: float = DEFAULT_CPU_HIGH_THRESHOLD
-    confidence_low_threshold: float = DEFAULT_CONFIDENCE_LOW_THRESHOLD
+    cpu_high_threshold: float = 17.5
+    confidence_low_threshold: float = 0.4
 
     def _check(self) -> None:
         if not self.model_order:
@@ -64,8 +59,8 @@ class NaiveConfig(NamedTuple):
 class RoundRobinBoostConfig(NamedTuple):
     """Slice and recalibration cadence for round-robin with boosting."""
 
-    time_slice_frames: int = DEFAULT_TIME_SLICE_FRAMES
-    boost_period_frames: int = DEFAULT_BOOST_PERIOD_FRAMES
+    time_slice_frames: int = 40
+    boost_period_frames: int = 600
 
 
 def best_model(windows: Mapping[ModelId, MetricsWindow]) -> ModelId:

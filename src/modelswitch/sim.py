@@ -21,7 +21,6 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence, get_origin, get
 
 from modelswitch.domain import ModelId, checked
 
-DEFAULT_FPS = 60
 DEFAULT_DURATION_S = 1800
 DEFAULT_SEED = 12345
 
@@ -111,7 +110,7 @@ def default_segments() -> tuple[ScheduleSegment, ...]:
 class TraceConfig(NamedTuple):
     """Everything needed to regenerate a trace bit-for-bit."""
 
-    fps: int = DEFAULT_FPS
+    fps: int = 60
     duration_s: float = DEFAULT_DURATION_S
     segments: tuple[ScheduleSegment, ...] = default_segments()
     rng_seed: int = DEFAULT_SEED
@@ -219,18 +218,18 @@ def generate_trace(config: TraceConfig) -> Trace:
 
 
 def synth_inference(
-    object_count: int, complexity: float, profile: ModelProfile, rng: Random
+    object_count: int, complexity: float, profile: ModelProfile, rng: Random, floor: float
 ) -> tuple[list[float], float, float]:
     """Synthesize one inference pass over a frame of object_count objects at
     the given scene complexity: (confidences, cpu_usage_pct, inference_time_ms).
 
     Each scene object is found with probability ``detection_recall``. A found
     object's confidence is the profile's base degraded by scene complexity
-    (factor 1 - 0.5 * complexity) plus gaussian noise, clamped to [0, 1].
-    Each found object also draws a class label index and four bbox uniforms,
-    which no output reads, so only their draws are made. CPU usage is the
-    profile's base plus a per-object term plus unit gaussian noise, clamped
-    to [0, 100].
+    (factor 1 - 0.5 * complexity) plus gaussian noise, clamped to [0, 1], and
+    kept only at or above ``floor``. Each found object, kept or not, also draws
+    a class label index and four bbox uniforms, which no output reads, so only
+    their draws are made. CPU usage is the profile's base plus a per-object
+    term plus unit gaussian noise, clamped to [0, 100].
     """
     confidences: list[float] = []
     append = confidences.append
@@ -250,7 +249,8 @@ def synth_inference(
             conf = 0.0
         elif conf > 1.0:
             conf = 1.0
-        append(conf)
+        if conf >= floor:
+            append(conf)
         # The label index, drawn as randrange(_LABELS) draws it (rejection
         # sampling on getrandbits), and the bbox's w, h, x and y: drawn, never built.
         # Each random() consumes two 32-bit Mersenne Twister words, so the four

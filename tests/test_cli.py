@@ -39,13 +39,12 @@ from modelswitch.knowledge import (
     load_events_csv,
     load_metrics_csv,
 )
+from modelswitch.loop import EngineConfig
 from modelswitch.planner import (
     EpsilonGreedyStrategy,
     NaiveThresholdStrategy,
     RoundRobinBoostStrategy,
 )
-from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR
-from modelswitch.monitor import DEFAULT_WINDOW_CAPACITY
 from modelswitch.sim import TraceConfig, default_profiles, generate_trace, parse_config
 
 DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
@@ -220,6 +219,14 @@ def test_one_trace_serves_every_strategy(small_config, tmp_path) -> None:
         run_on(experiment, trace, "bogus", out)
     with pytest.raises(ConfigError):
         run_experiments(["naive", "bogus"], out, config_path=small_config)
+    assert not out.exists()
+
+
+def test_run_experiments_refuses_a_strategy_listed_twice(small_config, tmp_path) -> None:
+    """A second run into out/naive would overwrite the first; nothing is written."""
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"^strategy 'naive' listed twice$"):
+        run_experiments(["naive", "round-robin-boost", "naive"], out, config_path=small_config)
     assert not out.exists()
 
 
@@ -586,6 +593,16 @@ def test_main_rejects_a_negative_seed_before_writing_anything(tmp_path, capsys) 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [True, 5.0])
+def test_run_experiment_refuses_a_seed_that_is_no_int(seed, tmp_path) -> None:
+    """summary.txt would carry seed=True or seed=5.0, which read_summary refuses."""
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as refused:
+        run_experiment("naive", out, seed=seed)
+    assert str(refused.value) == f"[trace] rng_seed must be an integer: {seed!r}"
+    assert not out.exists()
+
+
 def test_main_names_the_trace_section_of_a_negative_rng_seed(tmp_path, capsys) -> None:
     bad = tmp_path / "bad.ini"
     bad.write_text(SMALL_CONFIG.replace("rng_seed = 5", "rng_seed = -1"), encoding="utf-8")
@@ -789,8 +806,8 @@ def test_default_ini_matches_the_built_in_defaults() -> None:
     assert config.trace == TraceConfig()
     assert config.profiles == default_profiles()
     engine = config.extras["engine"]
-    assert int(engine["window_capacity"]) == DEFAULT_WINDOW_CAPACITY
-    assert float(engine["confidence_floor"]) == DEFAULT_CONFIDENCE_FLOOR
+    assert int(engine["window_capacity"]) == EngineConfig().window_capacity
+    assert float(engine["confidence_floor"]) == EngineConfig().confidence_floor
     repo = ModelRepository(config.profiles)
     for name in STRATEGY_NAMES:
         from_file = build_strategy(name, repo, config.extras, seed=1)

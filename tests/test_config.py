@@ -273,15 +273,19 @@ _RANGE_IDS = [f"{type(record).__name__}.{field}" for record, field, *_ in RANGES
 
 def _refused(low, high) -> list:
     """The values just past each finite end (the next int of an int range, the next
-    float of a real one), then nan, inf and -inf."""
+    float of a real one), a whole float inside an int range, then nan, inf and -inf."""
     if isinstance(low, int):
-        past = [low - 1] + ([high + 1] if high < math.inf else [])
+        past = [low - 1] + ([high + 1] if high < math.inf else []) + [float(low)]
     else:
         past = [math.nextafter(low, -math.inf), math.nextafter(high, math.inf)]
     return [*past, math.nan, math.inf, -math.inf]
 
 
 def _range_message(field, low, high, value) -> str:
+    """What a record says of a refused value: out of its range, or in an int range
+    but no int."""
+    if math.isfinite(value) and low <= value <= high:
+        return f"{field} must be an integer: {value!r}"
     return f"{field} must lie in [{low}, {high}{']' if high < math.inf else ')'}: {value}"
 
 

@@ -9,13 +9,14 @@ import pytest
 
 from modelswitch import executor as executor_module
 from modelswitch.cli import summarize
-from modelswitch.executor import DEFAULT_CONFIDENCE_FLOOR, Executor
+from modelswitch.executor import Executor
 from modelswitch.knowledge import (
     METRICS_FILENAME,
     LogRegistry,
     ModelRepository,
     load_metrics_csv,
 )
+from modelswitch.loop import EngineConfig
 from modelswitch.monitor import MetricsWindow
 from modelswitch.sim import ModelProfile, synth_inference
 
@@ -41,7 +42,7 @@ def _executor(
     rng: Random,
     repo: ModelRepository | None = None,
     metrics_out: StringIO | None = None,
-    confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR,
+    confidence_floor: float = EngineConfig().confidence_floor,
 ) -> tuple[Executor, dict[str, MetricsWindow]]:
     """An executor on the first model of repo (default: small, then large) and its
     windows; its metrics rows go to metrics_out."""
@@ -52,7 +53,10 @@ def _executor(
 
 
 def _infer(
-    object_count: int, complexity: float, seed: int, confidence_floor=DEFAULT_CONFIDENCE_FLOOR
+    object_count: int,
+    complexity: float,
+    seed: int,
+    confidence_floor: float = EngineConfig().confidence_floor,
 ) -> tuple[MetricsWindow, list[str]]:
     """One frame (index 0) through an executor on "small": its window and the
     fields of its logged row, in metrics.csv column order (detection_count is [5])."""
@@ -199,7 +203,7 @@ def test_confidence_floor_filters_detections() -> None:
     """The recorded frame must describe only the detections that survive the floor."""
     seed = 17
 
-    reference, _, _ = synth_inference(8, 0.9, _repo().get("small"), Random(seed))
+    reference, _, _ = synth_inference(8, 0.9, _repo().get("small"), Random(seed), 0.0)
     confidences = sorted(reference)
     assert len(confidences) >= 2 and confidences[0] < confidences[-1]
     # Split the observed spread so the floor keeps some detections and drops others.

@@ -447,9 +447,9 @@ def test_drops_jump_segment_boundaries_and_the_walk_follows(monkeypatch) -> None
     monkeypatch.setattr("modelswitch.executor.SWITCH_JITTER", 0.0)
     received = []
 
-    def recording(object_count, complexity, profile, rng):
+    def recording(object_count, complexity, profile, rng, floor):
         received.append((object_count, complexity))
-        return synth_inference(object_count, complexity, profile, rng)
+        return synth_inference(object_count, complexity, profile, rng, floor)
 
     monkeypatch.setattr(executor, "synth_inference", recording)
     repo = ModelRepository((_profile("a", 14.0, 1000.0), _profile("b", 10.0, 1000.0)))

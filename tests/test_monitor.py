@@ -9,6 +9,7 @@ import pytest
 from modelswitch.domain import FrameMetrics, check_frame
 from modelswitch.executor import Executor
 from modelswitch.knowledge import METRICS_FILENAME, LogRegistry, ModelRepository, load_metrics_csv
+from modelswitch.loop import EngineConfig
 from modelswitch.monitor import MetricsWindow
 from modelswitch.sim import ModelProfile
 
@@ -92,7 +93,7 @@ def test_monitor_routes_by_model_and_logs(tmp_path) -> None:
     with open(metrics_path, "w", encoding="utf-8", newline="") as metrics_out:
         registry = LogRegistry(metrics_out, StringIO())
         repo = ModelRepository((_profile("a"), _profile("b")))
-        executor = Executor(repo, windows, registry, Random(5))
+        executor = Executor(repo, windows, registry, Random(5), EngineConfig().confidence_floor)
         for frame_index, sim_time_ms, model in [(0, 0.0, "a"), (1, 16.7, "b"), (2, 33.3, "a")]:
             executor.apply(model)
             executor.run_inference(frame_index, 3, 0.2, sim_time_ms)

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from modelswitch.domain import SelectionDecision, SelectionMode
 from modelswitch.monitor import MetricsWindow
 from modelswitch.planner import (
-    DEFAULT_CONFIDENCE_LOW_THRESHOLD,
-    DEFAULT_CPU_HIGH_THRESHOLD,
     EpsilonGreedyStrategy,
     NaiveConfig,
     NaiveThresholdStrategy,
@@ -253,13 +251,15 @@ def test_naive_decisions_equal_freshly_built_ones(steps) -> None:
     """A kept decision equals the one the rule builds afresh; each strategy keeps its own."""
     order = ("s", "m", "l")
     first, second = (NaiveThresholdStrategy(NaiveConfig(model_order=order)) for _ in range(2))
+    cpu_high = NaiveConfig._field_defaults["cpu_high_threshold"]
+    confidence_low = NaiveConfig._field_defaults["confidence_low_threshold"]
     for frame_index, (position, latest) in enumerate(steps):
         active = order[position]
         windows = {m: _Window(latest) for m in order}
         selected = active
-        if latest is not None and latest[0] > DEFAULT_CPU_HIGH_THRESHOLD:
+        if latest is not None and latest[0] > cpu_high:
             selected = order[max(position - 1, 0)]
-        elif latest is not None and latest[1] < DEFAULT_CONFIDENCE_LOW_THRESHOLD:
+        elif latest is not None and latest[1] < confidence_low:
             selected = order[min(position + 1, 2)]
         decision = first.decide(frame_index, active, windows)
         assert decision == SelectionDecision(selected, SelectionMode.FORCED, None)

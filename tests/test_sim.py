@@ -171,9 +171,30 @@ def test_trace_config_rejects_bad_rates() -> None:
 
 def test_synth_inference_is_deterministic() -> None:
     profile = _profile()
-    first = synth_inference(6, 0.3, profile, Random(5))
-    second = synth_inference(6, 0.3, profile, Random(5))
+    first = synth_inference(6, 0.3, profile, Random(5), 0.25)
+    second = synth_inference(6, 0.3, profile, Random(5), 0.25)
     assert first == second
+
+
+@pytest.mark.parametrize("seed", [1, 5, 17, 40])
+def test_the_floor_filters_confidences_and_moves_no_draw(seed) -> None:
+    """At floor f synthesis reports the floor-0.0 confidences at or above f, in
+    order, with the same CPU and inference time and the generator left in the
+    same state: every found object makes its draws, reported or not."""
+    # Noise wide enough that confidences fall on both sides of the middle floors.
+    profile = _profile(confidence_noise_sd=0.3)
+    dropped = 0
+    for object_count in (0, 1, 4, 12):
+        runs = {}
+        for floor in (0.0, 0.3, 0.5, 1.0):
+            rng = Random(seed)
+            runs[floor] = (*synth_inference(object_count, 0.4, profile, rng, floor), rng.getstate())
+        every, *rest = runs[0.0]
+        for floor, (kept, *other) in runs.items():
+            assert kept == [c for c in every if c >= floor]
+            assert other == rest
+            dropped += len(every) - len(kept)
+    assert dropped > 0
 
 
 def test_synth_inference_recall_statistics() -> None:
@@ -182,7 +203,7 @@ def test_synth_inference_recall_statistics() -> None:
     objects = 0
     found = 0
     for _ in range(2000):
-        detections, cpu, inference_ms = synth_inference(10, 0.0, profile, rng)
+        detections, cpu, inference_ms = synth_inference(10, 0.0, profile, rng, 0.0)
         assert len(detections) <= 10
         assert 0.0 <= cpu <= 100.0
         assert inference_ms == profile.inference_time_ms
@@ -196,7 +217,7 @@ def test_synth_inference_complexity_degrades_confidence() -> None:
     rng = Random(29)
     confidences = []
     for _ in range(2000):
-        found, _, _ = synth_inference(5, 1.0, profile, rng)
+        found, _, _ = synth_inference(5, 1.0, profile, rng, 0.0)
         confidences.extend(found)
     # Full complexity halves the base confidence.
     assert statistics.fmean(confidences) == pytest.approx(0.4, abs=0.01)
@@ -207,7 +228,7 @@ def test_synth_inference_cpu_tracks_object_count() -> None:
     rng = Random(31)
     cpus = []
     for _ in range(2000):
-        _, cpu, _ = synth_inference(10, 0.2, profile, rng)
+        _, cpu, _ = synth_inference(10, 0.2, profile, rng, 0.0)
         cpus.append(cpu)
     assert statistics.fmean(cpus) == pytest.approx(17.0, abs=0.1)
 
