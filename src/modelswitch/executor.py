@@ -22,9 +22,7 @@ from typing import Mapping
 from modelswitch.domain import ModelId, check_frame, mean_confidence
 from modelswitch.knowledge import LogRegistry, ModelRepository
 from modelswitch.monitor import MetricsWindow
-from modelswitch.sim import synth_inference
-
-SWITCH_JITTER = 0.10
+from modelswitch.sim import SWITCH_JITTER, synth_inference
 
 
 class Executor:

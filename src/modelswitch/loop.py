@@ -16,14 +16,16 @@ The registry is the run's only tally: every count and total the summary
 reports is folded there as its rows are appended, and the clock's switch
 offset is read back from it. A processed frame travels as scalars: the
 loop reads its object count and complexity from the trace and hands them,
-with its index and clock, to the executor. A dropped frame's count is drawn
-and discarded, and its complexity never computed.
+with its index and clock, to the executor. The loop reads the first frame's
+count with ``next()`` and every later one with ``send(k)``, k being the
+frames the last switch dropped: the trace's reader draws and discards their
+counts in its own loop, and their complexity is never computed. No frame
+after the last processed one is drawn.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import islice
 from random import Random
 from types import MappingProxyType
 from typing import NamedTuple
@@ -81,8 +83,8 @@ def run_loop(
     processed = 0
     n = len(trace)
     i = 0
-    while i < n:
-        object_count = next(counts)
+    object_count = next(counts)
+    while True:
         drop_count = 0
         if processed % decision_period == 0:
             active = executor.active
@@ -93,10 +95,14 @@ def run_loop(
             if switch_time_ms is not None:
                 registry.append_switch(i, active, selected, switch_time_ms)
                 switch_ms = registry.cumulative_switch_time_ms
-                # Draw and discard the dropped frames' counts, to keep the stream. The
-                # clamp to the frames left matters: islice refuses a stop above sys.maxsize.
-                drop_count = min(round(switch_time_ms * fps / 1000.0), n - 1 - i)
-                next(islice(counts, drop_count, drop_count), None)
+                # Clamped to the frames left before rounding: at a huge fps the product
+                # can be inf, which round() refuses.
+                drops = switch_time_ms * fps / 1000.0
+                left = n - 1 - i
+                drop_count = left if drops > left else round(drops)
         executor.run_inference(i, object_count, complexity(i), i * period_ms + switch_ms)
         processed += 1
         i += 1 + drop_count
+        if i >= n:
+            break
+        object_count = counts.send(drop_count)

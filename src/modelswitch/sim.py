@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Generator
 from math import cos, inf, log, sqrt
 from random import Random
 from typing import Any, Callable, Mapping, NamedTuple, Sequence, get_origin, get_type_hints
@@ -42,6 +42,10 @@ MAX_POISSON_MEAN = -log(sys.float_info.min)
 # The last frame index the float clock (f / fps here, i * period_ms in the loop) still
 # counts exactly: every int up to 2**53 is a float. Derived from the clock, not a setting.
 LAST_EXACT_FRAME = 2**53
+
+# A switch costs the incoming model's switch_latency_ms times a uniform factor
+# in [1 - SWITCH_JITTER, 1 + SWITCH_JITTER).
+SWITCH_JITTER = 0.10
 
 
 class InvalidSchedule(Exception):
@@ -84,6 +88,10 @@ class ModelProfile(NamedTuple):
             raise ValueError(f"model id must not contain ',' or '=': {self.model!r}")
         if not 0.0 < self.inference_time_ms < inf:
             raise ValueError(f"inference_time_ms must lie in (0, inf): {self.inference_time_ms}")
+        # A jittered switch cost that overflows to inf could neither be paid nor logged.
+        most = 1.0 + SWITCH_JITTER
+        if not self.switch_latency_ms * most < inf:
+            raise ValueError(f"switch_latency_ms * {most} must be finite: {self.switch_latency_ms}")
 
 
 @checked(start_s=(0.0, inf), mean_objects=(0.0, MAX_POISSON_MEAN), complexity=(0.0, 1.0))
@@ -162,7 +170,9 @@ class Trace:
     ``schedule[j]`` is its (start_s, complexity, step to the target
     complexity, width_s, Knuth threshold exp(-mean)). No count is stored:
     each ``counts()`` draws them afresh from ``Random(seed)``, so every pass
-    yields the same counts and memory does not grow with the trace.
+    yields the same counts and memory does not grow with the trace. A reader
+    skips frames with ``send(k)``; the skipped counts are still drawn, so the
+    stream stays the same, and no frame past the last one read is drawn.
     """
 
     __slots__ = ("fps", "_seed", "_stops", "_schedule")
@@ -173,18 +183,37 @@ class Trace:
     def __len__(self) -> int:
         return self._stops[-1]
 
-    def counts(self) -> Iterator[int]:
+    def counts(self) -> Generator[int, int | None, None]:
         """Each frame's poisson object count, in frame order, by Knuth's method: how many
-        uniforms keep their running product above the segment's threshold exp(-mean)."""
+        uniforms keep their running product above the segment's threshold exp(-mean).
+
+        ``next()`` reads the next frame's count. ``send(k)`` skips the next k frames
+        and reads the count of the frame after them: it draws the skipped frames'
+        uniforms, each segment's with its own threshold, but yields and counts none of
+        them. A skip past the last frame raises StopIteration; k < 0 raises ValueError.
+        """
         random = Random(self._seed).random
-        for start, stop, (*_, threshold) in zip([0, *self._stops], self._stops, self._schedule):
-            for _ in range(stop - start):
+        f = skip = 0  # the next frame to draw, and how many frames to draw and discard
+        for stop, (*_, threshold) in zip(self._stops, self._schedule):
+            while f < stop:
+                if skip:
+                    if skip < 0:
+                        raise ValueError(f"cannot skip a negative number of frames: {skip}")
+                    end = min(f + skip, stop)
+                    skip -= end - f
+                    for _ in range(end - f):
+                        product = random()
+                        while product > threshold:
+                            product *= random()
+                    f = end
+                    continue
+                f += 1
                 count = 0
                 product = random()
                 while product > threshold:
                     count += 1
                     product *= random()
-                yield count
+                skip = yield count
 
     def complexity(self, index: int) -> float:
         """Frame index's point on its segment's ramp; IndexError outside [0, len)."""

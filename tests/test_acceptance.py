@@ -3,9 +3,10 @@
 Each test here pins one externally agreed behavior: two arithmetic
 reference values, the selection fixture, three statistical properties of
 the policies, the orderings the three-strategy comparison must reproduce,
-epsilon-greedy's move to the lightest model in rush hour and back,
-and the determinism and file contracts of a full run. The conftest hook
-prints one PASS/FAIL line per check at the end of the session.
+epsilon-greedy's move to the lightest model in rush hour and back, that
+epsilon-greedy starves no model, and the determinism and file contracts of
+a full run. The conftest hook prints one PASS/FAIL line per check at the
+end of the session.
 """
 
 from __future__ import annotations
@@ -167,6 +168,30 @@ def _assert_lightest_model_follows_rush_hour(metrics_path: Path) -> None:
     assert abs(after - before) <= 0.1
 
 
+# The paper says epsilon-greedy prevents resource starvation. The simulator runs
+# no other CPU tenant, so no model can be starved of CPU; what it can show is a
+# model the strategy never runs, or leaves idle for a long stretch. The longest
+# gap on seeds 1-20 was 3,044 frames, so 6,000 leaves about twice that margin.
+MAX_IDLE_FRAMES = 6_000
+TRACE_FRAMES = 108_000
+
+
+def _assert_no_model_starves(metrics_path: Path) -> None:
+    """On a default-schedule epsilon-greedy run's metrics.csv: every model processes at
+    least one frame, and none goes more than MAX_IDLE_FRAMES trace frames in a row
+    without one, counting the frames before its first and after its last."""
+    last_seen = dict.fromkeys(MODEL_IDS, -1)
+    longest_gap = dict.fromkeys(MODEL_IDS, 0)
+    for _, row in load_metrics_csv(metrics_path):
+        model = row.model
+        longest_gap[model] = max(longest_gap[model], row.frame_index - last_seen[model] - 1)
+        last_seen[model] = row.frame_index
+    for model in MODEL_IDS:
+        assert last_seen[model] >= 0, f"{model} processed no frame"
+        gap = max(longest_gap[model], TRACE_FRAMES - 1 - last_seen[model])
+        assert gap <= MAX_IDLE_FRAMES, f"{model} processed no frame for {gap} frames"
+
+
 def test_usage_concentration_ordering(full_runs) -> None:
     _assert_usage_concentration_ordering({name: run[0] for name, run in full_runs.items()})
 
@@ -177,8 +202,8 @@ def test_average_switch_time_ordering(full_runs) -> None:
 
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_orderings_hold_over_seeds(seed, tmp_path) -> None:
-    """Both orderings above and epsilon-greedy's rush-hour shift, at the default full length,
-    on seeds other than the default."""
+    """Both orderings above, epsilon-greedy's rush-hour shift and its starving no model, at
+    the default full length, on seeds other than the default."""
     summaries = dict(zip(STRATEGY_NAMES, run_experiments(STRATEGY_NAMES, tmp_path, seed=seed)))
     assert all(summary.seed == seed for summary in summaries.values())
     _assert_usage_concentration_ordering(summaries)
@@ -187,6 +212,7 @@ def test_orderings_hold_over_seeds(seed, tmp_path) -> None:
     # so seed s's planner stream is seed s + 1's trace stream: the seeds checked here and
     # in CI share streams and are not independent samples.
     _assert_lightest_model_follows_rush_hour(tmp_path / "epsilon-greedy" / "metrics.csv")
+    _assert_no_model_starves(tmp_path / "epsilon-greedy" / "metrics.csv")
 
 
 def test_window_aggregates_match_brute_force() -> None:

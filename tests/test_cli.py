@@ -777,6 +777,47 @@ def test_a_switch_too_long_to_count_drops_only_the_frames_left(tmp_path, capsys)
     assert summary.frames_processed + summary.frames_dropped == summary.frames_total == 120
 
 
+def _slow_switch_config(fps: int, switch_latency_ms: float) -> str:
+    """A 1 s trace whose naive run switches from light to heavy at frame 1."""
+    return (
+        f"[trace]\nfps = {fps}\nduration_s = 1\n" + _segment(1, 0)
+        + _model_section("light") + _model_section("heavy", switch_latency_ms)
+        + "\n[naive]\nconfidence_low_threshold = 1\n"
+    )
+
+
+def test_a_switch_whose_drop_overflows_to_inf_ends_the_run_at_once(tmp_path) -> None:
+    """At fps 2**53 a 1e300 ms switch drops inf frames by the float product: the run
+    clamps that to the frames left and ends without drawing any of them. Drawing
+    them would take years, so the run has its own process and a timeout."""
+    config = tmp_path / "fast.ini"
+    config.write_text(_slow_switch_config(2**53, 1e300), encoding="utf-8")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "modelswitch.cli", "run", "--strategy", "naive",
+         "--config", str(config), "--out", str(out)],
+        capture_output=True, env=env, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert f"frames processed:   2 of {2**53}" in done.stdout
+    summary = read_summary(out / SUMMARY_FILENAME)
+    assert summary.switch_count == 1
+    assert summary.frames_dropped == 2**53 - 2
+
+
+def test_main_refuses_a_switch_latency_whose_jittered_cost_overflows(tmp_path, capsys) -> None:
+    """1.7e308 ms is finite, but a switch costs up to 10% more, which is not."""
+    config = tmp_path / "slow.ini"
+    config.write_text(_slow_switch_config(60, 1.7e308), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--strategy", "naive", "--config", str(config), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config}: [model.heavy] switch_latency_ms ")
+    assert not out.exists()
+
+
 def test_main_writes_a_model_id_holding_a_percent_sign(tmp_path) -> None:
     """A metrics row is formatted with %; the id's own % must come out as is."""
     config = tmp_path / "odd.ini"

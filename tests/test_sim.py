@@ -9,6 +9,8 @@ from random import Random
 
 import pytest
 import spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelswitch import sim
 from modelswitch.sim import (
@@ -271,6 +273,70 @@ def test_trace_matches_the_eager_reference(config: TraceConfig, frames: int) -> 
     for bad in (n, -1):
         with pytest.raises(IndexError):
             trace.complexity(bad)
+
+
+def _assert_skips_land_on_the_reference(config: TraceConfig, skips: list[int]) -> None:
+    """Read frame 0 with next(), then send(k) for each k in skips: every read lands
+    k + 1 frames on and yields the spec's count there, until a skip runs past the
+    last frame and raises StopIteration."""
+    reference = [count for count, _ in spec.trace_frames(config)]
+    counts = generate_trace(config).counts()
+    assert next(counts) == reference[0]
+    frame = 0
+    for k in skips:
+        frame += 1 + k
+        if frame >= len(reference):
+            with pytest.raises(StopIteration):
+                counts.send(k)
+            return
+        assert counts.send(k) == reference[frame]
+
+
+def test_send_skips_frames_across_segment_stops() -> None:
+    # _OFF_GRID's segments start at frames 71 and 140 and it ends at frame 210.
+    _assert_skips_land_on_the_reference(
+        _OFF_GRID,
+        [
+            0,  # frame 1: k = 0 reads the next frame, as next() does
+            69,  # frame 71: the skipped frames 2-70 end on segment 2's first frame
+            100,  # frame 172: frames 72-171 cross segment 3's first frame
+            37,  # frame 210: past the last frame
+        ],
+    )
+
+
+def test_send_refuses_a_negative_skip() -> None:
+    counts = generate_trace(_OFF_GRID).counts()
+    next(counts)
+    with pytest.raises(ValueError):
+        counts.send(-1)
+
+
+@st.composite
+def _small_trace_configs(draw) -> TraceConfig:
+    """A trace of up to 100 frames over up to four segments, starting on a 0.1 s grid."""
+    duration_s = draw(st.integers(1, 5))
+    starts = draw(st.lists(st.integers(1, 10 * duration_s - 1), unique=True, max_size=3))
+    segments = tuple(
+        ScheduleSegment(
+            start_s=start / 10,
+            mean_objects=draw(st.floats(0.0, 20.0)),
+            complexity=draw(st.floats(0.0, 1.0)),
+        )
+        for start in [0, *sorted(starts)]
+    )
+    return TraceConfig(
+        fps=draw(st.integers(1, 20)),
+        duration_s=float(duration_s),
+        segments=segments,
+        rng_seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=_small_trace_configs(), skips=st.lists(st.integers(0, 60), max_size=12))
+def test_send_lands_on_the_eager_reference(config: TraceConfig, skips: list[int]) -> None:
+    _assert_skips_land_on_the_reference(config, skips)
 
 
 def test_reading_a_long_trace_keeps_no_count_it_passed() -> None:
