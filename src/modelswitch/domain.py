@@ -10,8 +10,7 @@ compiling per-class methods would add to every process start-up. A type
 whose values have a valid range is decorated with ``checked``, given each
 bounded field's closed range; building it checks those, then that each int
 field holds an int, then the type's own rules in ``_check``, if any. A
-processed frame's figures travel as plain values; FrameMetrics is only the
-row type of a metrics.csv read back.
+processed frame's figures travel as plain values, checked by ``check_frame``.
 """
 
 from __future__ import annotations
@@ -86,21 +85,6 @@ def check_frame(
         raise ValueError(f"negative detection_count: {detection_count}")
     if detection_count == 0 and confidence_score != 0.0:
         raise ValueError("empty frame must carry confidence_score 0.0")
-
-
-@checked()
-class FrameMetrics(NamedTuple):
-    """One metrics.csv row as read back: what the monitor recorded for one processed frame."""
-
-    frame_index: int
-    model: ModelId
-    confidence_score: float  # mean detection confidence, 0.0 for an empty frame
-    cpu_usage: float  # percent
-    detection_count: int
-    inference_time_ms: float
-
-    def _check(self) -> None:
-        check_frame(self.frame_index, self.cpu_usage, self.confidence_score, self.detection_count)
 
 
 class SelectionDecision(NamedTuple):

@@ -12,9 +12,9 @@ its row, kept per (mode, previous, selected).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import TextIO
 
-from modelswitch.domain import FrameMetrics, ModelId, SelectionDecision, SelectionMode
+from modelswitch.domain import ModelId, SelectionDecision, SelectionMode
 from modelswitch.sim import ModelProfile
 
 METRICS_FILENAME = "metrics.csv"
@@ -179,39 +179,3 @@ def write_text(path: Path | str, text: str) -> None:
     except OSError as exc:
         raise IoFailure(path, exc) from exc
 
-
-def _read_rows(path: Path | str, header: str, kind: str) -> Iterator[list[str]]:
-    """The fields of each non-empty row of a CSV file that starts with header."""
-    lines = read_lines(path)
-    if not lines or lines[0] != header:
-        raise ValueError(f"{path}: unexpected {kind} header")
-    width = header.count(",") + 1
-    for line in filter(None, lines[1:]):
-        fields = line.split(",")
-        if len(fields) != width:
-            raise ValueError(f"{path}: malformed row: {line!r}")
-        yield fields
-
-
-def load_metrics_csv(path: Path | str) -> list[tuple[float, FrameMetrics]]:
-    """Parse a metrics.csv back into (sim_time_ms, FrameMetrics) rows."""
-    return [
-        (
-            float(fields[1]),
-            FrameMetrics(
-                frame_index=int(fields[0]),
-                model=fields[2],
-                cpu_usage=float(fields[3]),
-                confidence_score=float(fields[4]),
-                detection_count=int(fields[5]),
-                inference_time_ms=float(fields[6]),
-            ),
-        )
-        for fields in _read_rows(path, METRICS_HEADER, "metrics")
-    ]
-
-
-def load_events_csv(path: Path | str) -> list[dict[str, str]]:
-    """Parse an events.csv into raw field dicts (strings as written)."""
-    names = EVENTS_HEADER.split(",")
-    return [dict(zip(names, fields)) for fields in _read_rows(path, EVENTS_HEADER, "events")]

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from runfiles import load_events_csv, load_metrics_csv
 
 from modelswitch import cli
 from modelswitch.cli import (
@@ -36,8 +37,6 @@ from modelswitch.knowledge import (
     METRICS_FILENAME,
     IoFailure,
     ModelRepository,
-    load_events_csv,
-    load_metrics_csv,
 )
 from modelswitch.loop import EngineConfig
 from modelswitch.planner import (

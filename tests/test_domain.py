@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from modelswitch.domain import FrameMetrics, SelectionMode, mean_confidence
+from modelswitch.domain import SelectionMode, check_frame, mean_confidence
 
 
 def test_selection_mode_serialized_values() -> None:
@@ -31,69 +31,7 @@ def test_frame_confidence_matches_stdlib_mean() -> None:
         )
 
 
-def test_frame_metrics_validation() -> None:
-    good = FrameMetrics(
-        frame_index=3,
-        model="ssd-mobilenet-v1",
-        confidence_score=0.5,
-        cpu_usage=12.0,
-        detection_count=2,
-        inference_time_ms=40.0,
-    )
-    assert good.frame_index == 3
-    with pytest.raises(ValueError):
-        FrameMetrics(
-            frame_index=-1,
-            model="m",
-            confidence_score=0.5,
-            cpu_usage=12.0,
-            detection_count=1,
-            inference_time_ms=40.0,
-        )
-    with pytest.raises(ValueError):
-        FrameMetrics(
-            frame_index=0,
-            model="m",
-            confidence_score=0.5,
-            cpu_usage=101.0,
-            detection_count=1,
-            inference_time_ms=40.0,
-        )
-    with pytest.raises(ValueError):
-        FrameMetrics(
-            frame_index=0,
-            model="m",
-            confidence_score=1.5,
-            cpu_usage=12.0,
-            detection_count=1,
-            inference_time_ms=40.0,
-        )
-    with pytest.raises(ValueError):
-        FrameMetrics(
-            frame_index=0,
-            model="m",
-            confidence_score=0.5,
-            cpu_usage=12.0,
-            detection_count=-1,
-            inference_time_ms=40.0,
-        )
-
-
-def test_empty_frame_must_have_zero_confidence() -> None:
-    FrameMetrics(
-        frame_index=0,
-        model="m",
-        confidence_score=0.0,
-        cpu_usage=10.0,
-        detection_count=0,
-        inference_time_ms=40.0,
-    )
-    with pytest.raises(ValueError):
-        FrameMetrics(
-            frame_index=0,
-            model="m",
-            confidence_score=0.4,
-            cpu_usage=10.0,
-            detection_count=0,
-            inference_time_ms=40.0,
-        )
+def test_check_frame_accepts_a_processed_frame_and_an_empty_one() -> None:
+    """What it rejects, and with which message, test_monitor checks case by case."""
+    check_frame(3, 12.0, 0.5, 2)
+    check_frame(0, 10.0, 0.0, 0)

@@ -6,16 +6,12 @@ from io import StringIO
 from random import Random
 
 import pytest
+from runfiles import load_metrics_csv
 
 from modelswitch import executor as executor_module
 from modelswitch.cli import summarize
 from modelswitch.executor import Executor
-from modelswitch.knowledge import (
-    METRICS_FILENAME,
-    LogRegistry,
-    ModelRepository,
-    load_metrics_csv,
-)
+from modelswitch.knowledge import METRICS_FILENAME, LogRegistry, ModelRepository
 from modelswitch.loop import EngineConfig
 from modelswitch.monitor import MetricsWindow
 from modelswitch.sim import ModelProfile, synth_inference

@@ -6,6 +6,7 @@ from io import StringIO
 
 import pytest
 import spec
+from runfiles import load_events_csv, load_metrics_csv
 
 from modelswitch import executor, monitor, sim
 from modelswitch.domain import SelectionDecision, SelectionMode
@@ -14,8 +15,6 @@ from modelswitch.knowledge import (
     METRICS_FILENAME,
     LogRegistry,
     ModelRepository,
-    load_events_csv,
-    load_metrics_csv,
 )
 from modelswitch.loop import EngineConfig, run_loop
 from modelswitch.planner import (

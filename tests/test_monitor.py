@@ -5,10 +5,11 @@ from io import StringIO
 from random import Random
 
 import pytest
+from runfiles import load_metrics_csv
 
-from modelswitch.domain import FrameMetrics, check_frame
+from modelswitch.domain import check_frame
 from modelswitch.executor import Executor
-from modelswitch.knowledge import METRICS_FILENAME, LogRegistry, ModelRepository, load_metrics_csv
+from modelswitch.knowledge import METRICS_FILENAME, LogRegistry, ModelRepository
 from modelswitch.loop import EngineConfig
 from modelswitch.monitor import MetricsWindow
 from modelswitch.sim import ModelProfile
@@ -122,16 +123,6 @@ def test_monitor_routes_by_model_and_logs(tmp_path) -> None:
     ],
 )
 def test_monitor_rejects_figures_out_of_range(frame_index, cpu, confidence, detections, message):
-    """The check a frame's figures pass before the executor records them makes
-    the checks FrameMetrics makes on a row read back, with the same messages."""
+    """The check a frame's figures pass before the executor records them."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check_frame(frame_index, cpu, confidence, detections)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        FrameMetrics(
-            frame_index=frame_index,
-            model="a",
-            confidence_score=confidence,
-            cpu_usage=cpu,
-            detection_count=detections,
-            inference_time_ms=40.0,
-        )

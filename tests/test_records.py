@@ -14,19 +14,11 @@ import re
 import pytest
 
 from modelswitch.cli import RunSummary
-from modelswitch.domain import FrameMetrics
+from modelswitch.domain import SelectionDecision, SelectionMode
 from modelswitch.loop import EngineConfig
 from modelswitch.planner import NaiveConfig, PlannerConfig, RoundRobinBoostConfig
 from modelswitch.sim import ScheduleSegment, SimConfig, TraceConfig, default_profiles
 
-FRAME = FrameMetrics(
-    frame_index=3,
-    model="m",
-    confidence_score=0.5,
-    cpu_usage=12.0,
-    detection_count=2,
-    inference_time_ms=40.0,
-)
 PROFILE = default_profiles()[0]
 SEGMENT = ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1)
 TRACE = TraceConfig(fps=30, rng_seed=7)
@@ -36,7 +28,7 @@ ROUND_ROBIN = RoundRobinBoostConfig(time_slice_frames=10)
 ENGINE = EngineConfig(window_capacity=5)
 
 RECORDS = [
-    FRAME,
+    SelectionDecision(selected="a", mode=SelectionMode.EXPLORE, random_draw=0.1),
     PROFILE,
     SEGMENT,
     TRACE,
@@ -65,7 +57,6 @@ RECORDS = [
 
 # One field change per checked type that its check rejects.
 OUT_OF_RANGE = [
-    (FRAME, {"cpu_usage": 101.0}),
     (PROFILE, {"base_cpu_pct": -1.0}),
     (SEGMENT, {"complexity": 1.5}),
     (TRACE, {"fps": 0}),

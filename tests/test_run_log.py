@@ -10,14 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from runfiles import load_events_csv, load_metrics_csv
 
 from modelswitch.cli import STRATEGY_NAMES, SUMMARY_FILENAME, read_summary, run_experiment
-from modelswitch.knowledge import (
-    EVENTS_FILENAME,
-    METRICS_FILENAME,
-    load_events_csv,
-    load_metrics_csv,
-)
+from modelswitch.knowledge import EVENTS_FILENAME, METRICS_FILENAME
 
 # Naive thresholds that never fire: no switch, so every frame is processed and logged.
 NEVER_SWITCH = """\
