@@ -36,10 +36,8 @@ from modelswitch.sim import (
     DEFAULT_SEED,
     ConfigError,
     SimConfig,
-    Trace,
     TraceConfig,
     default_profiles,
-    generate_trace,
     parse_config,
     read_section,
 )
@@ -258,9 +256,10 @@ def load_experiment(
     return Experiment(seed, trace_config, repo, engine, strategies)
 
 
-def run_on(experiment: Experiment, trace: Trace, strategy: str, out_dir: Path | str) -> RunSummary:
-    """Run one strategy over trace into out_dir. The trace is only read, so one may serve
-    several runs; the strategy is built anew each run, as it keeps RNG and rank state."""
+def run_on(experiment: Experiment, strategy: str, out_dir: Path | str) -> RunSummary:
+    """Run one strategy over the experiment's trace into out_dir. The experiment is only
+    read, so one may serve several runs; the strategy is built anew each run, as it keeps
+    RNG and rank state, and each run draws the trace afresh."""
     _check_strategy_name(strategy, experiment.strategies)
     planner = STRATEGIES[strategy][1](experiment.strategies[strategy])
     out = Path(out_dir)
@@ -275,12 +274,14 @@ def run_on(experiment: Experiment, trace: Trace, strategy: str, out_dir: Path | 
         ):
             registry = LogRegistry(metrics_out, events_out)
             run_loop(
-                trace, experiment.repo, planner,
+                experiment.trace, experiment.repo, planner,
                 registry=registry, inference_seed=experiment.seed + 2, engine=experiment.engine,
             )
     except OSError as exc:  # a write error carries no file name; the run directory stands in
         raise IoFailure(exc.filename or out, exc) from exc
-    summary = summarize(registry, len(trace), strategy, experiment.seed, experiment.repo.ids())
+    summary = summarize(
+        registry, experiment.trace.total_frames, strategy, experiment.seed, experiment.repo.ids()
+    )
     write_summary(summary, summary_path)
     return summary
 
@@ -305,7 +306,7 @@ def run_experiment(
     """Run one strategy end to end; writes CSVs plus summary.txt to out_dir."""
     experiment = load_experiment(config_path, seed, epsilon)
     _check_strategies((strategy,), epsilon)
-    return run_on(experiment, generate_trace(experiment.trace), strategy, out_dir)
+    return run_on(experiment, strategy, out_dir)
 
 
 def run_experiments(
@@ -318,10 +319,7 @@ def run_experiments(
     """Load one experiment and run each of strategies into out_root/<name>."""
     experiment = load_experiment(config_path, seed, epsilon)
     _check_strategies(strategies, epsilon)
-    # A trace holds no draws, so sharing one saves nothing but its schedule: each run
-    # draws the counts again through its own counts().
-    trace = generate_trace(experiment.trace)
-    return [run_on(experiment, trace, name, Path(out_root) / name) for name in strategies]
+    return [run_on(experiment, name, Path(out_root) / name) for name in strategies]
 
 
 def format_run_summary(summary: RunSummary) -> str:

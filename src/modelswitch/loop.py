@@ -15,10 +15,10 @@ reads the score, so the next decision sees the frame.
 The registry is the run's only tally: every count and total the summary
 reports is folded there as its rows are appended, and the clock's switch
 offset is read back from it. A processed frame travels as scalars: the
-loop reads its object count and complexity from the trace and hands them,
-with its index and clock, to the executor. The loop reads the first frame's
-count with ``next()`` and every later one with ``send(k)``, k being the
-frames the last switch dropped: the trace's reader draws and discards their
+loop reads its object count and complexity from the trace generator and
+hands them, with its index and clock, to the executor. The loop reads the
+first frame with ``next()`` and every later one with ``send(k)``, k being the
+frames the last switch dropped: the generator draws and discards their
 counts in its own loop, and their complexity is never computed. No frame
 after the last processed one is drawn.
 """
@@ -35,7 +35,7 @@ from modelswitch.executor import Executor
 from modelswitch.knowledge import LogRegistry, ModelRepository
 from modelswitch.monitor import MetricsWindow
 from modelswitch.planner import SelectionStrategy
-from modelswitch.sim import Trace
+from modelswitch.sim import TraceConfig, generate_trace
 
 
 # A deque's maxlen is a C ssize_t.
@@ -48,7 +48,7 @@ class EngineConfig(NamedTuple):
 
 
 def run_loop(
-    trace: Trace,
+    trace: TraceConfig,
     repo: ModelRepository,
     strategy: SelectionStrategy,
     *,
@@ -56,7 +56,8 @@ def run_loop(
     inference_seed: int,
     engine: EngineConfig = EngineConfig(),
 ) -> None:
-    """Drive one strategy across a trace, logging every row to registry as it is made.
+    """Drive one strategy across the frames the trace config describes, drawn as they are
+    read, logging every row to registry as it is made.
 
     The run starts on the first registered model, and its counts and totals
     are read off the registry afterwards. The simulated clock runs at the
@@ -76,14 +77,13 @@ def run_loop(
     )
 
     fps = trace.fps
-    counts = trace.counts()
-    complexity = trace.complexity
+    frames = generate_trace(trace)
     period_ms = 1000.0 / fps
     switch_ms = 0.0
     processed = 0
-    n = len(trace)
+    n = trace.total_frames
     i = 0
-    object_count = next(counts)
+    object_count, complexity = next(frames)
     while True:
         drop_count = 0
         if processed % decision_period == 0:
@@ -100,9 +100,9 @@ def run_loop(
                 drops = switch_time_ms * fps / 1000.0
                 left = n - 1 - i
                 drop_count = left if drops > left else round(drops)
-        executor.run_inference(i, object_count, complexity(i), i * period_ms + switch_ms)
+        executor.run_inference(i, object_count, complexity, i * period_ms + switch_ms)
         processed += 1
         i += 1 + drop_count
         if i >= n:
             break
-        object_count = counts.send(drop_count)
+        object_count, complexity = frames.send(drop_count)

@@ -1,8 +1,8 @@
 """Deterministic workload simulator.
 
 Schedules a seeded traffic-camera trace (object density rises for a rush
-segment, then falls back), whose object counts are drawn in frame order as
-they are read and never stored, and synthesizes per-frame inference results
+segment, then falls back), whose frames are drawn in frame order as they are
+read and never stored, and synthesizes per-frame inference results
 for a given model profile. All randomness flows through ``random.Random``
 (Mersenne Twister, a named and portable generator); gaussian and poisson
 draws below are explicit transforms of its uniform output so a seed
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from collections.abc import Generator
 from math import cos, inf, log, sqrt
 from random import Random
@@ -161,89 +160,54 @@ def _first_frame_at(t: float, fps: int) -> int:
     return f
 
 
-class Trace:
-    """A run's frames as a seed and a schedule; ``counts()`` draws each count in frame order.
+def generate_trace(config: TraceConfig) -> Generator[tuple[int, float], int | None, None]:
+    """Each frame's (object_count, complexity), in frame order, drawn as it is read.
 
-    ``fps`` is the frame rate of the trace; frame ``f`` arrives at ``f / fps``
-    seconds. Segment ``j`` covers the frames from ``stops[j - 1]`` (0 for the
-    first) up to ``stops[j]``, the last stop being the trace's length, and
-    ``schedule[j]`` is its (start_s, complexity, step to the target
-    complexity, width_s, Knuth threshold exp(-mean)). No count is stored:
-    each ``counts()`` draws them afresh from ``Random(seed)``, so every pass
-    yields the same counts and memory does not grow with the trace. A reader
-    skips frames with ``send(k)``; the skipped counts are still drawn, so the
-    stream stays the same, and no frame past the last one read is drawn.
+    A frame belongs to the last segment whose start its clock ``f / fps`` has
+    reached. Its count is poisson around that segment's mean, by Knuth's
+    method: how many uniforms keep their running product above the segment's
+    threshold exp(-mean). Its complexity ramps linearly from the segment's
+    value toward the next segment's (the last segment holds constant). No
+    frame is stored: each call draws afresh from ``Random(rng_seed)``, so
+    every pass yields the same frames and memory does not grow with the trace.
+
+    ``next()`` reads the next frame. ``send(k)`` skips the next k frames and
+    reads the frame after them: it draws the skipped frames' uniforms, each
+    segment's with its own threshold, but yields none of them and computes no
+    complexity for them. A skip past the last frame raises StopIteration; k < 0
+    raises ValueError. No frame past the last one read is drawn.
     """
-
-    __slots__ = ("fps", "_seed", "_stops", "_schedule")
-
-    def __init__(self, fps: int, seed: int, stops: list[int], schedule: list[tuple[float, ...]]):
-        self.fps, self._seed, self._stops, self._schedule = fps, seed, stops, schedule
-
-    def __len__(self) -> int:
-        return self._stops[-1]
-
-    def counts(self) -> Generator[int, int | None, None]:
-        """Each frame's poisson object count, in frame order, by Knuth's method: how many
-        uniforms keep their running product above the segment's threshold exp(-mean).
-
-        ``next()`` reads the next frame's count. ``send(k)`` skips the next k frames
-        and reads the count of the frame after them: it draws the skipped frames'
-        uniforms, each segment's with its own threshold, but yields and counts none of
-        them. A skip past the last frame raises StopIteration; k < 0 raises ValueError.
-        """
-        random = Random(self._seed).random
-        f = skip = 0  # the next frame to draw, and how many frames to draw and discard
-        for stop, (*_, threshold) in zip(self._stops, self._schedule):
-            while f < stop:
-                if skip:
-                    if skip < 0:
-                        raise ValueError(f"cannot skip a negative number of frames: {skip}")
-                    end = min(f + skip, stop)
-                    skip -= end - f
-                    for _ in range(end - f):
-                        product = random()
-                        while product > threshold:
-                            product *= random()
-                    f = end
-                    continue
-                f += 1
-                count = 0
-                product = random()
-                while product > threshold:
-                    count += 1
-                    product *= random()
-                skip = yield count
-
-    def complexity(self, index: int) -> float:
-        """Frame index's point on its segment's ramp; IndexError outside [0, len)."""
-        if not 0 <= index < self._stops[-1]:
-            raise IndexError(f"frame index out of range: {index}")
-        start, complexity, step, width, _ = self._schedule[bisect_right(self._stops, index)]
-        return complexity + step * ((index / self.fps - start) / width)
-
-
-def generate_trace(config: TraceConfig) -> Trace:
-    """The seeded schedule of one run's frames; ``Trace.counts`` draws the counts.
-
-    Object counts are poisson around the active segment's mean, drawn frame
-    by frame in order; complexity ramps linearly from each segment's value
-    toward the next segment's (the last segment holds constant). A frame
-    belongs to the last segment whose start its clock ``f / fps`` has reached.
-    """
-    segments = config.segments
+    fps = config.fps
     total = config.total_frames
-    stops = []
-    schedule = []
+    segments = config.segments
+    random = Random(config.rng_seed).random
+    f = skip = 0  # the next frame to draw, and how many frames to draw and discard
     for i, (start, mean, complexity) in enumerate(segments):
         if i + 1 < len(segments):
             end, target = segments[i + 1].start_s, segments[i + 1].complexity
-            stops.append(min(total, _first_frame_at(end, config.fps)))
+            stop = min(total, _first_frame_at(end, fps))
         else:
-            end, target = config.duration_s, complexity
-            stops.append(total)
-        schedule.append((start, complexity, target - complexity, end - start, math.exp(-mean)))
-    return Trace(config.fps, config.rng_seed, stops, schedule)
+            end, target, stop = config.duration_s, complexity, total
+        step, width, threshold = target - complexity, end - start, math.exp(-mean)
+        while f < stop:
+            if skip:
+                if skip < 0:
+                    raise ValueError(f"cannot skip a negative number of frames: {skip}")
+                resume = min(f + skip, stop)
+                skip -= resume - f
+                for _ in range(resume - f):
+                    product = random()
+                    while product > threshold:
+                        product *= random()
+                f = resume
+                continue
+            count = 0
+            product = random()
+            while product > threshold:
+                count += 1
+                product *= random()
+            skip = yield count, complexity + step * ((f / fps - start) / width)
+            f += 1
 
 
 def synth_inference(

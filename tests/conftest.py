@@ -19,6 +19,7 @@ _ACCEPTANCE_LABELS = {
     "test_usage_concentration_ordering": "usage concentration ordering",
     "test_average_switch_time_ordering": "average switch time ordering",
     "test_orderings_hold_over_seeds": "orderings, rush-hour shift, starvation contrast, seeds 1-5",
+    "test_static_models_rise_in_cpu_and_confidence": "static models rise in CPU and confidence",
     "test_window_aggregates_match_brute_force": "window aggregates match brute force",
     "test_identical_runs_are_byte_identical": "identical runs byte-identical",
     "test_csv_contract_headers_and_round_trip": "CSV headers and 4-decimal round trip",

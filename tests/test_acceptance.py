@@ -4,15 +4,17 @@ Each test here pins one externally agreed behavior: two arithmetic
 reference values, the selection fixture, three statistical properties of
 the policies, the orderings the three-strategy comparison must reproduce,
 epsilon-greedy's move to the lightest model in rush hour and back, that
-epsilon-greedy starves no model where naive starves one, and the
-determinism and file contracts of a full run. The conftest hook prints one
-PASS/FAIL line per check at the end of the session.
+epsilon-greedy starves no model where naive starves one, the calibration
+premise that each heavier model alone costs more CPU and scores higher
+confidence, and the determinism and file contracts of a full run. The
+conftest hook prints one PASS/FAIL line per check at the end of the session.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
+from io import StringIO
 from pathlib import Path
 from random import Random
 
@@ -22,8 +24,11 @@ from runfiles import load_events_csv, load_metrics_csv
 from modelswitch.analyzer import compute_score
 from modelswitch.cli import STRATEGY_NAMES, RunSummary, max_share, run_experiment, run_experiments
 from modelswitch.domain import SelectionMode, mean_confidence
+from modelswitch.knowledge import LogRegistry, ModelRepository
+from modelswitch.loop import run_loop
 from modelswitch.monitor import MetricsWindow
 from modelswitch.planner import EpsilonGreedyStrategy, PlannerConfig
+from modelswitch.sim import ScheduleSegment, TraceConfig, default_profiles
 
 MODEL_IDS = (
     "ssd-mobilenet-v1",
@@ -219,6 +224,41 @@ def test_orderings_hold_over_seeds(seed, tmp_path) -> None:
     # frames or more, and efficientdet-lite2 runs for 0 frames (1 frame on seed 10).
     with pytest.raises(AssertionError):
         _assert_no_model_starves(tmp_path / "naive" / "metrics.csv")
+
+
+# The default schedule's shape on a 120 s trace: off-peak, rush hour, off-peak.
+_SHORT_TRACE = (
+    ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1),
+    ScheduleSegment(start_s=40.0, mean_objects=12.0, complexity=0.6),
+    ScheduleSegment(start_s=80.0, mean_objects=3.0, complexity=0.1),
+)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_static_models_rise_in_cpu_and_confidence(seed) -> None:
+    """The premise of the paper's balance claim: each default model run alone (a
+    one-profile repository, so nothing can switch) costs more CPU and scores higher
+    confidence than the model before it. Measured on seeds 1-5: CPU about 15.8, 18.8,
+    21.8 and 25.8 %, confidence about 37.3, 45.6, 51.8 and 57.0 %. The strategy is
+    consulted on the first frame only, where a lone model leaves nothing to explore."""
+    trace = TraceConfig(duration_s=120.0, segments=_SHORT_TRACE, rng_seed=seed)
+    once = PlannerConfig(decision_period=trace.total_frames, rng_seed=seed + 1)
+    points = []
+    for profile in default_profiles():
+        registry = LogRegistry(StringIO(), StringIO())
+        run_loop(
+            trace, ModelRepository((profile,)), EpsilonGreedyStrategy(once),
+            registry=registry, inference_seed=seed + 2,
+        )
+        assert registry.switch_count == 0
+        assert registry.usage_counts[profile.model] == trace.total_frames
+        points.append(
+            (registry.cpu_total / trace.total_frames,
+             registry.confidence_total / trace.total_frames)
+        )
+    for (cpu, confidence), (heavier_cpu, heavier_confidence) in zip(points, points[1:]):
+        assert cpu < heavier_cpu
+        assert confidence < heavier_confidence
 
 
 def test_window_aggregates_match_brute_force() -> None:

@@ -44,7 +44,7 @@ from modelswitch.planner import (
     NaiveThresholdStrategy,
     RoundRobinBoostStrategy,
 )
-from modelswitch.sim import TraceConfig, default_profiles, generate_trace, parse_config
+from modelswitch.sim import TraceConfig, default_profiles, parse_config
 
 DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 
@@ -200,12 +200,11 @@ def test_epsilon_for_no_epsilon_greedy_run_exits_one_before_writing(
     assert greedy.explore_count == 0 and naive.strategy == "naive"
 
 
-def test_one_trace_serves_every_strategy(small_config, tmp_path) -> None:
-    """run_on only reads the trace, so runs sharing one write what separate runs write."""
+def test_one_experiment_serves_every_strategy(small_config, tmp_path) -> None:
+    """run_on only reads the experiment, so runs sharing one write what separate runs write."""
     experiment = load_experiment(small_config, seed=11)
-    trace = generate_trace(experiment.trace)
     for name in STRATEGY_NAMES:
-        run_on(experiment, trace, name, tmp_path / "shared" / name)
+        run_on(experiment, name, tmp_path / "shared" / name)
         run_experiment(name, tmp_path / "single" / name, config_path=small_config, seed=11)
     run_experiments(STRATEGY_NAMES, tmp_path / "loaded_once", config_path=small_config, seed=11)
     for name in STRATEGY_NAMES:
@@ -215,7 +214,7 @@ def test_one_trace_serves_every_strategy(small_config, tmp_path) -> None:
             assert (tmp_path / "loaded_once" / name / filename).read_bytes() == expected
     out = tmp_path / "bogus"
     with pytest.raises(ConfigError):
-        run_on(experiment, trace, "bogus", out)
+        run_on(experiment, "bogus", out)
     with pytest.raises(ConfigError):
         run_experiments(["naive", "bogus"], out, config_path=small_config)
     assert not out.exists()

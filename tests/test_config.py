@@ -83,21 +83,16 @@ def _write_ini(path: Path, sections: dict[str, dict[str, str]]) -> str:
 
 
 def _capture_run(monkeypatch, strategy: str, config: str) -> dict:
-    """What run_experiment hands the trace generator and the loop, without running either."""
+    """What run_experiment hands the loop, without running it."""
     run: dict = {}
 
     class Stop(Exception):
         pass
 
-    def fake_generate_trace(trace_config):
-        run["trace"] = trace_config
-        return []
-
     def fake_run_loop(trace, repo, planner, **kwargs):
-        run.update(repo=repo, strategy=planner, loop=kwargs)
+        run.update(trace=trace, repo=repo, strategy=planner, loop=kwargs)
         raise Stop
 
-    monkeypatch.setattr(cli, "generate_trace", fake_generate_trace)
     monkeypatch.setattr(cli, "run_loop", fake_run_loop)
     with pytest.raises(Stop):
         # The run opens its CSV files before the loop starts, so they land beside the config.

@@ -30,7 +30,6 @@ from modelswitch.sim import (
     ModelProfile,
     ScheduleSegment,
     TraceConfig,
-    generate_trace,
     synth_inference,
 )
 
@@ -56,14 +55,13 @@ def _repo() -> ModelRepository:
     return ModelRepository((_profile("a", 14.0, 500.0), _profile("b", 10.0, 500.0)))
 
 
-def _trace(frames: int, fps: int = 10):
-    config = TraceConfig(
+def _trace(frames: int, fps: int = 10) -> TraceConfig:
+    return TraceConfig(
         fps=fps,
         duration_s=frames / fps,
         segments=(ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.2),),
         rng_seed=101,
     )
-    return generate_trace(config)
 
 
 def _sink() -> LogRegistry:
@@ -454,7 +452,7 @@ def test_drops_jump_segment_boundaries_and_the_walk_follows(monkeypatch) -> None
     repo = ModelRepository((_profile("a", 14.0, 1000.0), _profile("b", 10.0, 1000.0)))
     metrics_out = StringIO()
     registry = LogRegistry(metrics_out, StringIO())
-    run_loop(generate_trace(_OFF_GRID), repo, _Alternate(), registry=registry, inference_seed=5)
+    run_loop(_OFF_GRID, repo, _Alternate(), registry=registry, inference_seed=5)
     processed = [int(row.split(",", 1)[0]) for row in metrics_out.getvalue().splitlines()[1:]]
     firsts = _first_frames(_OFF_GRID)
     assert firsts == [15, 15, 35]

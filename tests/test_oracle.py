@@ -7,7 +7,7 @@ run's figures with the expectation the README's distributions give, read from
 the config the check writes itself. That expectation stays put when the golden
 digests are pinned again.
 
-* Each segment's object counts, read through ``Trace.counts()``, are Poisson:
+* Each segment's object counts, read through ``generate_trace``, are Poisson:
   their mean and their variance are the segment's ``mean_objects``.
 * A run on one model (it never switches) has, per segment, mean CPU
   ``base_cpu_pct + cpu_per_object_pct * mean_objects``. A frame of m expected
@@ -128,14 +128,14 @@ def _assert_variance(sample: list[float], expected: float, what: str) -> None:
 
 def assert_counts_are_poisson(duration_s: float) -> None:
     """Each segment's object counts have the segment's mean_objects as mean and variance."""
-    trace = generate_trace(
+    frames = generate_trace(
         TraceConfig(
             fps=FPS, duration_s=duration_s, rng_seed=SEED,
             segments=tuple(ScheduleSegment(*segment) for segment in _segments(duration_s)),
         )
     )
     by_segment = defaultdict(list)
-    for (j, _, _), count in zip(_frame_schedule(duration_s), trace.counts()):
+    for (j, _, _), (count, _) in zip(_frame_schedule(duration_s), frames):
         by_segment[j].append(count)
     for j, (_, mean, _) in enumerate(_segments(duration_s)):
         _assert_mean(by_segment[j], mean, f"segment {j + 1} count")

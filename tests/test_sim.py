@@ -19,7 +19,6 @@ from modelswitch.sim import (
     InvalidSchedule,
     ModelProfile,
     ScheduleSegment,
-    Trace,
     TraceConfig,
     default_profiles,
     default_segments,
@@ -45,21 +44,21 @@ def _profile(**overrides) -> ModelProfile:
     return ModelProfile(**base)
 
 
-def _frames(trace: Trace) -> list[tuple[int, float]]:
-    """Every frame's (object_count, complexity), read through counts() and complexity()."""
-    return list(zip(trace.counts(), map(trace.complexity, range(len(trace)))))
+def _frames(config: TraceConfig) -> list[tuple[int, float]]:
+    """Every frame's (object_count, complexity), read through the trace generator."""
+    return list(generate_trace(config))
 
 
 @pytest.fixture(scope="module")
-def default_trace() -> Trace:
-    return generate_trace(TraceConfig())
+def default_trace() -> list[tuple[int, float]]:
+    return _frames(TraceConfig())
 
 
 def _counts(mean: float, n: int, seed: int) -> list[int]:
     """n poisson counts around mean, read from a one-segment trace of n frames."""
     segments = (ScheduleSegment(start_s=0.0, mean_objects=mean, complexity=0.5),)
-    trace = generate_trace(TraceConfig(fps=n, duration_s=1.0, segments=segments, rng_seed=seed))
-    return list(trace.counts())
+    config = TraceConfig(fps=n, duration_s=1.0, segments=segments, rng_seed=seed)
+    return [count for count, _ in generate_trace(config)]
 
 
 def test_poisson_moments() -> None:
@@ -82,41 +81,36 @@ def test_poisson_rejects_negative_mean() -> None:
 def test_trace_is_deterministic_per_seed() -> None:
     segments = (ScheduleSegment(start_s=0.0, mean_objects=5.0, complexity=0.3),)
     config = TraceConfig(fps=20, duration_s=30.0, segments=segments)
-    assert _frames(generate_trace(config)) == _frames(generate_trace(config))
+    assert _frames(config) == _frames(config)
     other = TraceConfig(
         fps=20, duration_s=30.0, segments=segments, rng_seed=DEFAULT_SEED + 1
     )
-    assert _frames(generate_trace(other)) != _frames(generate_trace(config))
+    assert _frames(other) != _frames(config)
 
 
-def test_default_trace_shape(default_trace: Trace) -> None:
-    assert len(default_trace) == 108_000
-    assert default_trace.fps == 60
-    default_trace.complexity(107_999)
-    for bad in (108_000, -1):
-        with pytest.raises(IndexError):
-            default_trace.complexity(bad)
+def test_default_trace_shape(default_trace: list[tuple[int, float]]) -> None:
+    assert len(default_trace) == TraceConfig().total_frames == 108_000
 
 
-def test_default_trace_segment_densities(default_trace: Trace) -> None:
+def test_default_trace_segment_densities(default_trace: list[tuple[int, float]]) -> None:
     """Off-peak thirds hover around 3 objects, the rush-hour third around 12."""
-    counts = list(default_trace.counts())
+    counts = [count for count, _ in default_trace]
     first, middle, last = counts[:36_000], counts[36_000:72_000], counts[72_000:]
     assert statistics.fmean(first) == pytest.approx(3.0, abs=0.1)
     assert statistics.fmean(middle) == pytest.approx(12.0, abs=0.1)
     assert statistics.fmean(last) == pytest.approx(3.0, abs=0.1)
 
 
-def test_default_trace_complexity_ramp(default_trace: Trace) -> None:
-    complexity = default_trace.complexity
-    assert complexity(0) == pytest.approx(0.1)
+def test_default_trace_complexity_ramp(default_trace: list[tuple[int, float]]) -> None:
+    complexity = [ramped for _, ramped in default_trace]
+    assert complexity[0] == pytest.approx(0.1)
     # Halfway into the first segment the ramp toward 0.6 is half done.
-    assert complexity(18_000) == pytest.approx(0.35)
-    assert complexity(36_000) == pytest.approx(0.6)
-    assert complexity(54_000) == pytest.approx(0.35)
+    assert complexity[18_000] == pytest.approx(0.35)
+    assert complexity[36_000] == pytest.approx(0.6)
+    assert complexity[54_000] == pytest.approx(0.35)
     # The last segment has no successor and holds its own value.
-    assert complexity(90_000) == pytest.approx(0.1)
-    assert complexity(107_999) == pytest.approx(0.1)
+    assert complexity[90_000] == pytest.approx(0.1)
+    assert complexity[107_999] == pytest.approx(0.1)
 
 
 def test_validate_segments_rejects_bad_schedules() -> None:
@@ -262,34 +256,27 @@ _OFF_GRID = TraceConfig(
 )
 def test_trace_matches_the_eager_reference(config: TraceConfig, frames: int) -> None:
     """Read forwards, the trace serves the spec's eagerly drawn frames."""
-    trace = generate_trace(config)
     reference = spec.trace_frames(config)
-    n = len(reference)
-    assert len(trace) == n == frames
-    assert trace.fps == config.fps
-    assert _frames(trace) == reference
-    # counts() yields exactly one count per frame, then stops.
-    assert sum(1 for _ in trace.counts()) == n
-    for bad in (n, -1):
-        with pytest.raises(IndexError):
-            trace.complexity(bad)
+    assert config.total_frames == len(reference) == frames
+    # The generator yields exactly one (count, complexity) per frame, then stops.
+    assert _frames(config) == reference
 
 
 def _assert_skips_land_on_the_reference(config: TraceConfig, skips: list[int]) -> None:
     """Read frame 0 with next(), then send(k) for each k in skips: every read lands
-    k + 1 frames on and yields the spec's count there, until a skip runs past the
-    last frame and raises StopIteration."""
-    reference = [count for count, _ in spec.trace_frames(config)]
-    counts = generate_trace(config).counts()
-    assert next(counts) == reference[0]
+    k + 1 frames on and yields the spec's (count, complexity) there, until a skip
+    runs past the last frame and raises StopIteration."""
+    reference = spec.trace_frames(config)
+    frames = generate_trace(config)
+    assert next(frames) == reference[0]
     frame = 0
     for k in skips:
         frame += 1 + k
         if frame >= len(reference):
             with pytest.raises(StopIteration):
-                counts.send(k)
+                frames.send(k)
             return
-        assert counts.send(k) == reference[frame]
+        assert frames.send(k) == reference[frame]
 
 
 def test_send_skips_frames_across_segment_stops() -> None:
@@ -306,10 +293,10 @@ def test_send_skips_frames_across_segment_stops() -> None:
 
 
 def test_send_refuses_a_negative_skip() -> None:
-    counts = generate_trace(_OFF_GRID).counts()
-    next(counts)
+    frames = generate_trace(_OFF_GRID)
+    next(frames)
     with pytest.raises(ValueError):
-        counts.send(-1)
+        frames.send(-1)
 
 
 @st.composite
@@ -350,9 +337,8 @@ def test_reading_a_long_trace_keeps_no_count_it_passed() -> None:
     config = TraceConfig(duration_s=sim.DEFAULT_DURATION_S * scale, segments=segments)
     tracemalloc.start()
     try:
-        trace = generate_trace(config)
-        for i, _ in zip(range(200_000), trace.counts()):
-            trace.complexity(i)
+        for _ in zip(range(200_000), generate_trace(config)):
+            pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -362,10 +348,10 @@ def test_reading_a_long_trace_keeps_no_count_it_passed() -> None:
 def test_a_trace_of_2_53_frames_reads_frame_0_at_once() -> None:
     segments = (ScheduleSegment(start_s=0.0, mean_objects=3.0, complexity=0.1),)
     start = time.perf_counter()
-    trace = generate_trace(TraceConfig(fps=2**53, duration_s=1, segments=segments))
-    count, complexity = next(trace.counts()), trace.complexity(0)
+    config = TraceConfig(fps=2**53, duration_s=1, segments=segments)
+    count, complexity = next(generate_trace(config))
     assert time.perf_counter() - start < 1.0
-    assert len(trace) == 2**53
+    assert config.total_frames == 2**53
     assert count >= 0 and complexity == 0.1
 
 
