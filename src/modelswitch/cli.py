@@ -202,17 +202,10 @@ def _strategy_config(
     epsilon: float | None = None,
 ) -> Any:
     """Read and check a strategy's section. The planner draws from the trace seed + 1,
-    naive's ladder defaults to the repository order, and epsilon beats the file."""
+    naive's ladder is the repository order, and epsilon beats the file."""
     overrides = {} if epsilon is None else {"epsilon": epsilon}
-    config = read_section(
-        name, extras.get(name, {}), STRATEGIES[name][0],
-        {"rng_seed": seed + 1}, {"model_order": repo.ids()}, overrides,
-    )
-    # A comma list in a strategy section is a ladder over the whole repository.
-    for key, value in config._asdict().items():
-        if isinstance(value, tuple) and sorted(value) != sorted(repo.ids()):
-            raise ConfigError(f"[{name}] {key} must permute the repository: {value}")
-    return config
+    fixed = {"rng_seed": seed + 1, "model_order": repo.ids()}
+    return read_section(name, extras.get(name, {}), STRATEGIES[name][0], fixed, overrides)
 
 
 def build_strategy(

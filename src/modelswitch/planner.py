@@ -35,9 +35,6 @@ class PlannerConfig(NamedTuple):
     epsilon: float = 0.1
     decision_period: int = DEFAULT_DECISION_PERIOD
     rng_seed: int = 0
-    # With exclusion on, exploration never lands on the current best-scoring
-    # model, so every explore step buys new information.
-    exclude_best: bool = True
 
 
 @checked(cpu_high_threshold=(0.0, 100.0), confidence_low_threshold=(0.0, 1.0))
@@ -97,9 +94,9 @@ class SelectionStrategy:
 class EpsilonGreedyStrategy(SelectionStrategy):
     """Draws p in [0, 1) once per decision; p <= epsilon explores.
 
-    Exploring is a uniform pick over the models, minus the current best
-    scorer when exclusion is on. Otherwise (and when a lone model leaves
-    nothing to explore) it exploits the minimum window score.
+    Exploring is a uniform pick over the models but the current best scorer,
+    so every explore step buys new information. Otherwise (and when a lone
+    model leaves nothing to explore) it exploits the minimum window score.
     """
 
     def __init__(self, config: PlannerConfig = PlannerConfig()):
@@ -114,8 +111,7 @@ class EpsilonGreedyStrategy(SelectionStrategy):
         best = best_model(windows)
         if p <= self.config.epsilon:
             candidates = sorted(windows)
-            if self.config.exclude_best:
-                candidates.remove(best)
+            candidates.remove(best)
             if candidates:
                 pick = candidates[self.rng.randrange(len(candidates))]
                 return SelectionDecision(pick, SelectionMode.EXPLORE, p)

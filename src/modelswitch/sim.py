@@ -16,7 +16,7 @@ import sys
 from collections.abc import Generator
 from math import cos, inf, log, sqrt
 from random import Random
-from typing import Any, Callable, Mapping, NamedTuple, Sequence, get_origin, get_type_hints
+from typing import Any, Mapping, NamedTuple, Sequence, get_type_hints
 
 from modelswitch.domain import ModelId, checked
 
@@ -320,42 +320,23 @@ class ConfigError(ValueError):
     """The experiment config could not be used."""
 
 
-def _bool(raw: str) -> bool:
-    # configparser is imported here and in parse_config, not with the module:
-    # a run without a config file never needs it.
-    import configparser
-
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-
-
-# How an INI value becomes its field's type: a bool takes the words
-# configparser knows (true/false, yes/no, on/off, 1/0), a tuple a comma list.
-# A nan or inf real parses, and its record refuses it.
-_PARSERS: dict[type, Callable[[str], Any]] = {
-    int: int,
-    float: float,
-    bool: _bool,
-    tuple: lambda raw: tuple(part.strip() for part in raw.split(",") if part.strip()),
-}
-
-
 def read_section(
     section: str,
     raw: Mapping[str, str],
     cls: type,
     fixed: Mapping[str, Any] = {},
-    defaults: Mapping[str, Any] = {},
     overrides: Mapping[str, Any] = {},
 ) -> Any:
     """Build the config NamedTuple cls from one INI section.
 
     The section's keys are the fields of cls but the ``fixed`` ones, and each
-    value is parsed by its field's type. The mappings hold values the caller
-    supplies, and entries naming no field of cls are ignored: a section key
-    wins over a default and loses to an override; a fixed field is no section
-    key. Raises ConfigError naming the section (and the key, where there is
-    one) for an unknown key, a missing required key, an unparsable value or a
-    value that cls's own check rejects with ValueError.
+    value is parsed by calling its field's type, int or float (a nan or inf
+    real parses, and its record refuses it). The mappings hold values the
+    caller supplies, and entries naming no field of cls are ignored: a section
+    key loses to an override, and a fixed field is no section key. Raises
+    ConfigError naming the section (and the key, where there is one) for an
+    unknown key, a missing required key, an unparsable value or a value that
+    cls's own check rejects with ValueError.
     """
     hints = get_type_hints(cls)
     types = {name: hints[name] for name in cls._fields}
@@ -363,12 +344,12 @@ def read_section(
     for key, value in raw.items():
         if key not in types or key in fixed:
             raise ConfigError(f"[{section}] {key}: unknown key")
-        kind = get_origin(types[key]) or types[key]
+        kind = types[key]
         try:
-            parsed[key] = _PARSERS[kind](value)
-        except (KeyError, ValueError):
+            parsed[key] = kind(value)
+        except ValueError:
             raise ConfigError(f"[{section}] {key}: expected {kind.__name__}: {value!r}") from None
-    merged = {**defaults, **parsed, **overrides, **fixed}
+    merged = {**parsed, **overrides, **fixed}
     kwargs = {key: value for key, value in merged.items() if key in types}
     for name in cls._fields:
         if name not in kwargs and name not in cls._field_defaults:

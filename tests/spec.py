@@ -120,8 +120,7 @@ def epsilon_greedy(config, planner: Random, models: list, windows: dict):
     best = min(models, key=lambda m: (scores[m], m))
     if p <= config.epsilon:
         candidates = sorted(models)
-        if config.exclude_best:
-            candidates.remove(best)
+        candidates.remove(best)
         if candidates:
             return candidates[planner.randrange(len(candidates))], "explore", p
     return best, "exploit", p

@@ -115,11 +115,11 @@ def test_build_strategy_rejects_unknown_name() -> None:
 def test_build_strategy_rejects_bad_extras() -> None:
     with pytest.raises(ConfigError):
         build_strategy("epsilon-greedy", _repo(), {"epsilon-greedy": {"epsilon": "lots"}}, seed=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\[naive\] model_order: unknown key$"):
         build_strategy("naive", _repo(), {"naive": {"model_order": "a,b"}}, seed=0)
     with pytest.raises(ConfigError):
         build_strategy("epsilon-greedy", _repo(), {"epsilon-greedy": {"epsilon": "7"}}, seed=0)
-    with pytest.raises(ConfigError, match=r"^\[naive\] model_order is empty$"):
+    with pytest.raises(ConfigError, match=r"^\[naive\] model_order: unknown key$"):
         build_strategy("naive", _repo(), {"naive": {"model_order": " , "}}, seed=0)
 
 
@@ -853,6 +853,15 @@ def test_default_ini_matches_the_built_in_defaults() -> None:
         built_in = build_strategy(name, repo, {}, seed=1)
         assert from_file.config == built_in.config
         assert from_file.decision_period == built_in.decision_period
+
+
+@pytest.mark.parametrize("profile", default_profiles(), ids=lambda profile: profile.model)
+def test_a_static_config_holds_one_default_model(profile) -> None:
+    """configs/static/<id>.ini is one default model alone, so no strategy can switch."""
+    experiment = load_experiment(str(DEFAULT_INI.parent / "static" / f"{profile.model}.ini"))
+    assert experiment.repo.ids() == (profile.model,)
+    assert experiment.repo.get(profile.model) == profile
+    assert experiment.trace == TraceConfig()
 
 
 def test_main_reports_io_errors_as_exit_two(tmp_path) -> None:

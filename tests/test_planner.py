@@ -73,9 +73,9 @@ class _Draws:
         return self.p
 
 
-def _greedy(scores, active, p, epsilon, seed, exclude_best=True):
+def _greedy(scores, active, p, epsilon, seed):
     """One EpsilonGreedyStrategy decision over scores with p drawn as given."""
-    strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=epsilon, exclude_best=exclude_best))
+    strategy = EpsilonGreedyStrategy(PlannerConfig(epsilon=epsilon))
     strategy.rng = _Draws(p, seed)
     return strategy.decide(0, active, _windows(scores))
 
@@ -115,15 +115,6 @@ def test_explore_at_or_below_epsilon_excludes_best() -> None:
 def test_draw_equal_to_epsilon_explores() -> None:
     decision = _greedy(SCORES, "a", p=0.1, epsilon=0.1, seed=1)
     assert decision.mode is SelectionMode.EXPLORE
-
-
-def test_explore_can_revisit_best_without_exclusion() -> None:
-    hits = Counter(
-        _greedy(SCORES, "a", p=0.0, epsilon=0.1, seed=seed, exclude_best=False).selected
-        for seed in range(300)
-    )
-    assert hits["b"] > 0
-    assert set(hits) == {"a", "b", "c"}
 
 
 def test_lone_model_falls_back_to_exploit() -> None:

@@ -109,12 +109,10 @@ def _configs(draw) -> dict[str, dict[str, object]]:
     sections["epsilon-greedy"] = {
         "epsilon": draw(st.one_of(st.sampled_from([0.0, 1.0]), _UNIT)),
         "decision_period": draw(st.integers(1, 5)),
-        "exclude_best": draw(st.booleans()),
     }
     sections["naive"] = {
         "cpu_high_threshold": draw(st.floats(0.0, 100.0)),
         "confidence_low_threshold": draw(_UNIT),
-        "model_order": tuple(draw(st.permutations(models))),
     }
     # A switch of up to 3.3 s drops up to 198 frames at 60 fps: most slices are shorter.
     sections["round-robin-boost"] = {
