@@ -198,14 +198,12 @@ def _check_strategy_name(name: str, choices: Iterable[str] = STRATEGY_NAMES) -> 
 
 
 def _strategy_config(
-    name: str, repo: ModelRepository, extras: dict[str, dict[str, str]], seed: int,
-    epsilon: float | None = None,
+    name: str, repo: ModelRepository, extras: dict[str, dict[str, str]], seed: int
 ) -> Any:
     """Read and check a strategy's section. The planner draws from the trace seed + 1,
-    naive's ladder is the repository order, and epsilon beats the file."""
-    overrides = {} if epsilon is None else {"epsilon": epsilon}
+    and naive's ladder is the repository order."""
     fixed = {"rng_seed": seed + 1, "model_order": repo.ids()}
-    return read_section(name, extras.get(name, {}), STRATEGIES[name][0], fixed, overrides)
+    return read_section(name, extras.get(name, {}), STRATEGIES[name][0], fixed)
 
 
 def build_strategy(
@@ -216,16 +214,12 @@ def build_strategy(
     return STRATEGIES[name][1](_strategy_config(name, repo, extras, seed))
 
 
-def load_experiment(
-    config_path: str | None = None, seed: int | None = None, epsilon: float | None = None
-) -> Experiment:
+def load_experiment(config_path: str | None = None, seed: int | None = None) -> Experiment:
     """Load and check a config, each strategy's section included; seed, when given,
-    beats the file's, and epsilon beats the epsilon-greedy section's. An error in the
-    file names the file; an error in seed or epsilon, checked first, names none."""
+    beats the file's. An error in the file names the file; an error in seed, checked
+    first, names none."""
     if seed is not None:
-        read_section("trace", {}, TraceConfig, overrides={"rng_seed": seed})
-    if epsilon is not None:
-        read_section("epsilon-greedy", {}, PlannerConfig, overrides={"epsilon": epsilon})
+        read_section("trace", {}, TraceConfig, {"rng_seed": seed})
     # With no file the built-in defaults stand, and they pass every check below.
     try:
         if config_path is None:
@@ -241,7 +235,7 @@ def load_experiment(
         trace_config = sim_config.trace._replace(rng_seed=seed)
         repo = ModelRepository(sim_config.profiles)
         engine = read_section(ENGINE_SECTION, extras.get(ENGINE_SECTION, {}), EngineConfig)
-        strategies = {n: _strategy_config(n, repo, extras, seed, epsilon) for n in STRATEGIES}
+        strategies = {n: _strategy_config(n, repo, extras, seed) for n in STRATEGIES}
     except OSError as exc:
         raise IoFailure(config_path, exc) from exc
     except ConfigError as exc:
@@ -279,27 +273,11 @@ def run_on(experiment: Experiment, strategy: str, out_dir: Path | str) -> RunSum
     return summary
 
 
-def _check_strategies(names: Sequence[str], epsilon: float | None) -> None:
-    """Refuse an epsilon that none of names reads, then an unknown or repeated name."""
-    if epsilon is not None and "epsilon-greedy" not in names:
-        raise ConfigError(f"epsilon applies to epsilon-greedy only, not to {', '.join(names)}")
-    for name in names:
-        _check_strategy_name(name)
-        if names.count(name) > 1:
-            raise ConfigError(f"strategy {name!r} listed twice")
-
-
 def run_experiment(
-    strategy: str,
-    out_dir: Path | str,
-    config_path: str | None = None,
-    seed: int | None = None,
-    epsilon: float | None = None,
+    strategy: str, out_dir: Path | str, config_path: str | None = None, seed: int | None = None
 ) -> RunSummary:
     """Run one strategy end to end; writes CSVs plus summary.txt to out_dir."""
-    experiment = load_experiment(config_path, seed, epsilon)
-    _check_strategies((strategy,), epsilon)
-    return run_on(experiment, strategy, out_dir)
+    return run_on(load_experiment(config_path, seed), strategy, out_dir)
 
 
 def run_experiments(
@@ -307,11 +285,14 @@ def run_experiments(
     out_root: Path | str,
     config_path: str | None = None,
     seed: int | None = None,
-    epsilon: float | None = None,
 ) -> list[RunSummary]:
-    """Load one experiment and run each of strategies into out_root/<name>."""
-    experiment = load_experiment(config_path, seed, epsilon)
-    _check_strategies(strategies, epsilon)
+    """Load one experiment and run each of strategies into out_root/<name>; an unknown
+    or repeated name stops it before any run."""
+    experiment = load_experiment(config_path, seed)
+    for name in strategies:
+        _check_strategy_name(name)
+        if strategies.count(name) > 1:
+            raise ConfigError(f"strategy {name!r} listed twice")
     return [run_on(experiment, name, Path(out_root) / name) for name in strategies]
 
 
@@ -385,7 +366,6 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
     run_parser.add_argument("--config", default=None, help="INI experiment config")
     run_parser.add_argument("--seed", type=int, default=None, help=f"default {DEFAULT_SEED}")
-    run_parser.add_argument("--epsilon", type=float, default=None)
     run_parser.add_argument("--out", required=True, help="run output directory")
 
     cmp_parser = sub.add_parser("compare", help="compare completed run directories")
@@ -395,13 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            summary = run_experiment(
-                args.strategy,
-                args.out,
-                config_path=args.config,
-                seed=args.seed,
-                epsilon=args.epsilon,
-            )
+            summary = run_experiment(args.strategy, args.out, args.config, args.seed)
             print(format_run_summary(summary))
         else:
             report = compare(args.run_dirs)

@@ -325,15 +325,13 @@ def read_section(
     raw: Mapping[str, str],
     cls: type,
     fixed: Mapping[str, Any] = {},
-    overrides: Mapping[str, Any] = {},
 ) -> Any:
     """Build the config NamedTuple cls from one INI section.
 
     The section's keys are the fields of cls but the ``fixed`` ones, and each
     value is parsed by calling its field's type, int or float (a nan or inf
-    real parses, and its record refuses it). The mappings hold values the
-    caller supplies, and entries naming no field of cls are ignored: a section
-    key loses to an override, and a fixed field is no section key. Raises
+    real parses, and its record refuses it). ``fixed`` holds values the
+    caller supplies; entries naming no field of cls are ignored. Raises
     ConfigError naming the section (and the key, where there is one) for an
     unknown key, a missing required key, an unparsable value or a value that
     cls's own check rejects with ValueError.
@@ -349,7 +347,7 @@ def read_section(
             parsed[key] = kind(value)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: expected {kind.__name__}: {value!r}") from None
-    merged = {**parsed, **overrides, **fixed}
+    merged = {**parsed, **fixed}
     kwargs = {key: value for key, value in merged.items() if key in types}
     for name in cls._fields:
         if name not in kwargs and name not in cls._field_defaults:

@@ -173,31 +173,22 @@ def test_run_experiment_seed_overrides_config(small_config, tmp_path) -> None:
     assert (base / METRICS_FILENAME).read_bytes() != (reseeded / METRICS_FILENAME).read_bytes()
 
 
-def test_zero_epsilon_run_never_explores(small_config, tmp_path) -> None:
-    summary = run_experiment(
-        "epsilon-greedy", tmp_path / "run", config_path=small_config, epsilon=0.0
-    )
+def test_zero_epsilon_run_never_explores(tmp_path) -> None:
+    config = tmp_path / "greedy.ini"
+    config.write_text(SMALL_CONFIG + "\n[epsilon-greedy]\nepsilon = 0\n", encoding="utf-8")
+    summary = run_experiment("epsilon-greedy", tmp_path / "run", config_path=str(config))
     assert summary.explore_count == 0
 
 
-def test_epsilon_for_no_epsilon_greedy_run_exits_one_before_writing(
-    small_config, tmp_path, capsys
-) -> None:
+def test_epsilon_flag_is_a_usage_error(small_config, tmp_path, capsys) -> None:
+    """Epsilon is set in the config file only; the flag is refused, not ignored."""
     out = tmp_path / "out"
     argv = ["run", "--strategy", "naive", "--epsilon", "0.3", "--config", small_config]
-    assert main([*argv, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "config error: epsilon applies to epsilon-greedy only, not to naive\n"
-    )
-    assert not (out / METRICS_FILENAME).exists()
-    with pytest.raises(ConfigError, match=r"^epsilon .* not to naive, round-robin-boost$"):
-        run_experiments(["naive", "round-robin-boost"], out, config_path=small_config, epsilon=0.3)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --epsilon 0.3" in capsys.readouterr().err
     assert not out.exists()
-    # Beside epsilon-greedy, the override still reaches it.
-    greedy, naive = run_experiments(
-        ["epsilon-greedy", "naive"], out, config_path=small_config, epsilon=0.0
-    )
-    assert greedy.explore_count == 0 and naive.strategy == "naive"
 
 
 def test_one_experiment_serves_every_strategy(small_config, tmp_path) -> None:
@@ -215,6 +206,9 @@ def test_one_experiment_serves_every_strategy(small_config, tmp_path) -> None:
     out = tmp_path / "bogus"
     with pytest.raises(ConfigError):
         run_on(experiment, "bogus", out)
+    unknown = r"^unknown strategy 'bogus'; choose one of epsilon-greedy, naive, round-robin-boost$"
+    with pytest.raises(ConfigError, match=unknown):
+        run_experiment("bogus", out, config_path=small_config)
     with pytest.raises(ConfigError):
         run_experiments(["naive", "bogus"], out, config_path=small_config)
     assert not out.exists()
@@ -629,11 +623,15 @@ _NO_FRAMES = (
             [],
             "{path}: [naive] cpu_high_threshold must lie in [0.0, 100.0]: 200.0",
         ),
+        (
+            SMALL_CONFIG + "\n[epsilon-greedy]\nepsilon = 2\n",
+            [],
+            "{path}: [epsilon-greedy] epsilon must lie in [0.0, 1.0]: 2.0",
+        ),
         (_NO_FRAMES, [], "{path}: [trace] fps * duration_s rounds to 0 frames"),
         (SMALL_CONFIG, ["--seed", "-1"], "[trace] rng_seed must lie in [0, inf): -1"),
-        (SMALL_CONFIG, ["--epsilon", "2"], "[epsilon-greedy] epsilon must lie in [0.0, 1.0]: 2.0"),
     ],
-    ids=["section", "key", "value", "no-frames", "seed-flag", "epsilon-flag"],
+    ids=["section", "key", "value", "epsilon-key", "no-frames", "seed-flag"],
 )
 def test_main_names_the_file_of_an_error_in_the_file_only(
     text, flags, message, tmp_path, capsys
