@@ -9,6 +9,7 @@ fairness figures (max usage share, normalized Shannon entropy).
 from __future__ import annotations
 
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence, get_args, get_type_hints
@@ -214,25 +215,20 @@ def build_strategy(
     return STRATEGIES[name][1](_strategy_config(name, repo, extras, seed))
 
 
-def load_experiment(config_path: str | None = None, seed: int | None = None) -> Experiment:
-    """Load and check a config, each strategy's section included; seed, when given,
-    beats the file's. An error in the file names the file; an error in seed, checked
-    first, names none."""
-    if seed is not None:
-        read_section("trace", {}, TraceConfig, {"rng_seed": seed})
-    # With no file the built-in defaults stand, and they pass every check below.
+def load_experiment(config_path: str | None = None, seed: int = DEFAULT_SEED) -> Experiment:
+    """Load and check a config, each strategy's section included, under the run's seed.
+    An error in the file names the file; an error in seed, checked first, names none."""
+    # With no file this trace and the built-in defaults stand, and they pass every check below.
+    trace = read_section("trace", {}, TraceConfig, {"rng_seed": seed})
     try:
         if config_path is None:
-            sim_config = SimConfig(trace=TraceConfig(), profiles=default_profiles(), extras={})
+            sim_config = SimConfig(trace=trace, profiles=default_profiles(), extras={})
         else:
-            sim_config = parse_config(config_path)
+            sim_config = parse_config(config_path, seed)
         extras = sim_config.extras
         unknown = sorted(set(extras) - {ENGINE_SECTION, *STRATEGIES})
         if unknown:
             raise ConfigError(f"[{unknown[0]}]: unknown section")
-        seed = seed if seed is not None else sim_config.trace.rng_seed
-        # _replace skips TraceConfig's checks; a given seed was checked above.
-        trace_config = sim_config.trace._replace(rng_seed=seed)
         repo = ModelRepository(sim_config.profiles)
         engine = read_section(ENGINE_SECTION, extras.get(ENGINE_SECTION, {}), EngineConfig)
         strategies = {n: _strategy_config(n, repo, extras, seed) for n in STRATEGIES}
@@ -240,7 +236,7 @@ def load_experiment(config_path: str | None = None, seed: int | None = None) -> 
         raise IoFailure(config_path, exc) from exc
     except ConfigError as exc:
         raise ConfigError(f"{config_path}: {exc}") from exc
-    return Experiment(seed, trace_config, repo, engine, strategies)
+    return Experiment(seed, sim_config.trace, repo, engine, strategies)
 
 
 def run_on(experiment: Experiment, strategy: str, out_dir: Path | str) -> RunSummary:
@@ -274,7 +270,7 @@ def run_on(experiment: Experiment, strategy: str, out_dir: Path | str) -> RunSum
 
 
 def run_experiment(
-    strategy: str, out_dir: Path | str, config_path: str | None = None, seed: int | None = None
+    strategy: str, out_dir: Path | str, config_path: str | None = None, seed: int = DEFAULT_SEED
 ) -> RunSummary:
     """Run one strategy end to end; writes CSVs plus summary.txt to out_dir."""
     return run_on(load_experiment(config_path, seed), strategy, out_dir)
@@ -284,7 +280,7 @@ def run_experiments(
     strategies: Sequence[str],
     out_root: Path | str,
     config_path: str | None = None,
-    seed: int | None = None,
+    seed: int = DEFAULT_SEED,
 ) -> list[RunSummary]:
     """Load one experiment and run each of strategies into out_root/<name>; an unknown
     or repeated name stops it before any run."""
@@ -365,7 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     run_parser = sub.add_parser("run", help="run one strategy and write a run directory")
     run_parser.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
     run_parser.add_argument("--config", default=None, help="INI experiment config")
-    run_parser.add_argument("--seed", type=int, default=None, help=f"default {DEFAULT_SEED}")
+    run_parser.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help=f"the run's seed (default {DEFAULT_SEED})"
+    )
     run_parser.add_argument("--out", required=True, help="run output directory")
 
     cmp_parser = sub.add_parser("compare", help="compare completed run directories")
@@ -376,19 +374,32 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             summary = run_experiment(args.strategy, args.out, args.config, args.seed)
-            print(format_run_summary(summary))
+            echo = format_run_summary(summary)
         else:
-            report = compare(args.run_dirs)
-            print(report)
+            echo = compare(args.run_dirs)
             if args.out:
-                write_text(args.out, report + "\n")
-        return 0
+                write_text(args.out, echo + "\n")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (IoFailure, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    # Every output file is complete; only the console echo is left.
+    try:
+        print(echo)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Python's documented remedy for a broken pipe: with stdout on devnull, the
+        # interpreter's last flush of the unwritten echo cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        # A reader that leaves early, as `| head -1` does, wanted no more of the echo.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"i/o error: <stdout>: {exc}", file=sys.stderr)
+            return 2
+    return 0
 
 
 if __name__ == "__main__":

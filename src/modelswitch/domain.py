@@ -32,8 +32,9 @@ def checked(**ranges: tuple[float, float]) -> Callable[[type[_T]], type[_T]]:
     it, or not finite, raises ValueError, as then does an ``int`` field's value
     that is no exact int (a bool or 5.0). The type's ``_check``, if any, runs
     last. NamedTuple forbids a ``__new__`` in the class body, so this wraps the
-    generated one; ``_make`` and ``_replace`` build through ``tuple.__new__``
-    and skip every check, so a changed copy is built by calling the type.
+    generated one; ``_make``, and each copy with changed fields that it builds,
+    go through ``tuple.__new__`` and skip every check, so a changed copy is
+    built by calling the type.
     """
 
     def decorate(cls: type[_T]) -> type[_T]:

@@ -36,12 +36,11 @@ SWITCH_ROW = "%d,switch,,,%s,%s,%.4f\n"
 
 class IoFailure(Exception):
     """A file could not be read, decoded or written, or a run is incomplete; carries
-    the path, and the cause as an exception or a reason."""
+    the path, and its message says why, from an exception or a reason."""
 
     def __init__(self, path: Path | str, cause: Exception | str):
         super().__init__(f"{path}: {cause}")
         self.path = Path(path)
-        self.cause = cause
 
 
 class ModelRepository:

@@ -358,10 +358,12 @@ def read_section(
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
-def parse_config(path: str) -> SimConfig:
-    """Read trace settings and model profiles from an INI-style file.
+def parse_config(path: str, seed: int = DEFAULT_SEED) -> SimConfig:
+    """Read trace settings and model profiles from an INI-style file; seed is
+    the trace's rng_seed.
 
-    Recognized sections: ``[trace]`` (TraceConfig's fields but the segments),
+    Recognized sections: ``[trace]`` (TraceConfig's fields but the segments and
+    the seed),
     ``[segment.N]`` (ScheduleSegment's fields; N, an integer no other
     segment shares, orders them) and
     ``[model.<id>]`` (ModelProfile's fields but the id, all required). Any
@@ -404,7 +406,8 @@ def parse_config(path: str) -> SimConfig:
     raw_trace = sections.pop("trace", {})
     try:
         trace = read_section(
-            "trace", raw_trace, TraceConfig, {"segments": segments or default_segments()}
+            "trace", raw_trace, TraceConfig,
+            {"segments": segments or default_segments(), "rng_seed": seed},
         )
     except InvalidSchedule as exc:
         if segments:

@@ -13,10 +13,11 @@ conftest hook prints one PASS/FAIL line per check at the end of the session.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from io import StringIO
 from pathlib import Path
 from random import Random
+from statistics import fmean
 
 import pytest
 from runfiles import load_events_csv, load_metrics_csv
@@ -197,6 +198,58 @@ def _assert_no_model_starves(metrics_path: Path) -> None:
         assert gap <= MAX_IDLE_FRAMES, f"{model} processed no frame for {gap} frames"
 
 
+# The default [engine] window_capacity, and the share of epsilon-greedy's exploit
+# switches that must follow an above-mean or empty frame of the model they leave.
+WINDOW_FRAMES = 30
+MIN_REACTIVE_SHARE = 0.9
+
+
+def _exploit_switch_triggers(run_dir: Path) -> Counter:
+    """Classify each exploit switch of an epsilon-greedy run by the last frame of the model
+    it leaves: "above" when that frame's confidence beats the mean of the model's last
+    WINDOW_FRAMES metrics rows, the frame included; "empty" when it found no object;
+    "neither" otherwise, and when no frame has run yet. The CSVs hold 4-decimal values,
+    so a frame that ties with its mean, rounded to 4 decimals, counts as neither."""
+    rows = iter(load_metrics_csv(run_dir / "metrics.csv"))
+    windows: defaultdict[str, deque] = defaultdict(lambda: deque(maxlen=WINDOW_FRAMES))
+    last = None
+    pending = next(rows, None)
+    triggers: Counter = Counter()
+    for event in load_events_csv(run_dir / "events.csv"):
+        if event["mode"] != "exploit" or event["from_model"] == event["to_model"]:
+            continue
+        # Rows before the decision's frame: that frame itself runs after the decision.
+        while pending is not None and pending[1].frame_index < int(event["frame_index"]):
+            last = pending[1]
+            windows[last.model].append(last.confidence_score)
+            pending = next(rows, None)
+        if last is None:
+            triggers["neither"] += 1
+            continue
+        assert last.model == event["from_model"], event
+        if last.detection_count == 0:
+            triggers["empty"] += 1
+        elif last.confidence_score > round(fmean(windows[last.model]), 4):
+            triggers["above"] += 1
+        else:
+            triggers["neither"] += 1
+    return triggers
+
+
+def _assert_exploit_follows_a_good_or_empty_frame(run_dir: Path) -> Counter:
+    """What the score makes exploit react to: a model scores above 0 exactly when its
+    latest confidence beats its window mean, and an empty frame scores the sentinel,
+    so at least MIN_REACTIVE_SHARE of exploit switches leave a model right after such
+    a frame. Returns the counts of _exploit_switch_triggers."""
+    triggers = _exploit_switch_triggers(run_dir)
+    total = sum(triggers.values())
+    reactive = triggers["above"] + triggers["empty"]
+    assert total and reactive >= MIN_REACTIVE_SHARE * total, (
+        f"{reactive} of {total} exploit switches follow an above-mean or empty frame: {triggers}"
+    )
+    return triggers
+
+
 def test_usage_concentration_ordering(full_runs) -> None:
     _assert_usage_concentration_ordering({name: run[0] for name, run in full_runs.items()})
 
@@ -218,6 +271,7 @@ def test_orderings_hold_over_seeds(seed, tmp_path) -> None:
     # in CI share streams and are not independent samples.
     _assert_lightest_model_follows_rush_hour(tmp_path / "epsilon-greedy" / "metrics.csv")
     _assert_no_model_starves(tmp_path / "epsilon-greedy" / "metrics.csv")
+    _assert_exploit_follows_a_good_or_empty_frame(tmp_path / "epsilon-greedy")
     # The contrast the paper draws: naive, on the same seed, fails the same predicate. Its
     # CPU threshold (17.5) lies below efficientdet-lite1's and -lite2's base CPU, so it
     # steps down off either at once. On seeds 1-20 efficientdet-lite1 idles for 27,371

@@ -52,7 +52,6 @@ SMALL_CONFIG = """\
 [trace]
 fps = 20
 duration_s = 45
-rng_seed = 5
 
 [segment.1]
 start_s = 0
@@ -125,11 +124,11 @@ def test_build_strategy_rejects_bad_extras() -> None:
 
 def test_run_experiment_writes_a_complete_run_directory(small_config, tmp_path) -> None:
     out = tmp_path / "run"
-    summary = run_experiment("epsilon-greedy", out, config_path=small_config)
+    summary = run_experiment("epsilon-greedy", out, config_path=small_config, seed=5)
     assert (out / METRICS_FILENAME).is_file()
     assert (out / EVENTS_FILENAME).is_file()
     assert (out / SUMMARY_FILENAME).is_file()
-    assert summary.seed == 5  # the config's rng_seed
+    assert summary.seed == 5
     assert summary.frames_total == 900
 
 
@@ -162,15 +161,6 @@ def test_run_experiment_is_deterministic(small_config, tmp_path) -> None:
     run_experiment("round-robin-boost", second, config_path=small_config)
     assert (first / METRICS_FILENAME).read_bytes() == (second / METRICS_FILENAME).read_bytes()
     assert (first / EVENTS_FILENAME).read_bytes() == (second / EVENTS_FILENAME).read_bytes()
-
-
-def test_run_experiment_seed_overrides_config(small_config, tmp_path) -> None:
-    base = tmp_path / "base"
-    reseeded = tmp_path / "reseeded"
-    run_experiment("epsilon-greedy", base, config_path=small_config)
-    summary = run_experiment("epsilon-greedy", reseeded, config_path=small_config, seed=99)
-    assert summary.seed == 99
-    assert (base / METRICS_FILENAME).read_bytes() != (reseeded / METRICS_FILENAME).read_bytes()
 
 
 def test_zero_epsilon_run_never_explores(tmp_path) -> None:
@@ -512,6 +502,56 @@ def test_main_run_and_compare_round_trip(small_config, tmp_path, capsys) -> None
     assert report_path.read_text(encoding="utf-8").rstrip("\n") in printed
 
 
+def _closed_pipe() -> int:
+    """The write end of a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+# (id, the child's stdout, its exit code, its stderr): a failed console echo after
+# complete outputs. A reader that left is no error; a full disk is.
+_FAILED_ECHOES = [
+    ("closed-pipe", _closed_pipe, 0, ""),
+    ("dev-full", lambda: os.open("/dev/full", os.O_WRONLY), 2,
+     "i/o error: <stdout>: [Errno 28] No space left on device\n"),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "stdout, code, err", [case[1:] for case in _FAILED_ECHOES], ids=[c[0] for c in _FAILED_ECHOES]
+)
+def test_a_failed_echo_leaves_complete_outputs(
+    command, stdout, code, err, small_config, tmp_path
+) -> None:
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run in runs:
+        run_experiment("naive", run, config_path=small_config)
+    report = tmp_path / "report.txt"
+    out = tmp_path / "run"
+    if command == "run":
+        args = ["run", "--strategy", "naive", "--config", small_config, "--out", str(out)]
+    else:
+        args = ["compare", *map(str, runs), "--out", str(report)]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    fd = stdout()
+    try:
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "modelswitch.cli", *args],
+            stdout=fd, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(fd)
+    assert (done.returncode, done.stderr) == (code, err)
+    if command == "run":
+        for name in (METRICS_FILENAME, EVENTS_FILENAME, SUMMARY_FILENAME):
+            assert (out / name).read_bytes() == (runs[0] / name).read_bytes()
+    else:
+        assert report.read_text(encoding="utf-8") == compare(runs) + "\n"
+
+
 def test_main_reports_config_errors_as_exit_one(tmp_path) -> None:
     bad = tmp_path / "bad.ini"
     bad.write_text(
@@ -592,16 +632,6 @@ def test_run_experiment_refuses_a_seed_that_is_no_int(seed, tmp_path) -> None:
     with pytest.raises(ConfigError) as refused:
         run_experiment("naive", out, seed=seed)
     assert str(refused.value) == f"[trace] rng_seed must be an integer: {seed!r}"
-    assert not out.exists()
-
-
-def test_main_names_the_trace_section_of_a_negative_rng_seed(tmp_path, capsys) -> None:
-    bad = tmp_path / "bad.ini"
-    bad.write_text(SMALL_CONFIG.replace("rng_seed = 5", "rng_seed = -1"), encoding="utf-8")
-    out = tmp_path / "out"
-    assert main(["run", "--strategy", "naive", "--config", str(bad), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"config error: {bad}: [trace] rng_seed must lie in [0, inf): -1\n"
     assert not out.exists()
 
 

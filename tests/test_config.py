@@ -11,7 +11,7 @@ from typing import get_type_hints
 import pytest
 
 from modelswitch import cli
-from modelswitch.cli import STRATEGY_NAMES, main, run_experiment
+from modelswitch.cli import STRATEGY_NAMES, ConfigError, main, run_experiment
 from modelswitch.loop import EngineConfig
 from modelswitch.planner import NaiveConfig, PlannerConfig, RoundRobinBoostConfig
 from modelswitch.sim import ModelProfile, ScheduleSegment, TraceConfig, default_profiles
@@ -43,7 +43,6 @@ def _engine(run):
 ROUND_TRIP = [
     ("trace", "fps", "30", _trace, 30),
     ("trace", "duration_s", "1500.5", _trace, 1500.5),
-    ("trace", "rng_seed", "7", _trace, 7),
     ("segment.2", "start_s", "650", _segment, 650.0),
     ("segment.2", "mean_objects", "9.5", _segment, 9.5),
     ("segment.2", "complexity", "0.45", _segment, 0.45),
@@ -99,7 +98,7 @@ def _capture_run(monkeypatch, strategy: str, config: str) -> dict:
 
 def test_round_trip_covers_the_whole_schema() -> None:
     keys = {(section.split(".")[0], key) for section, key, *_ in ROUND_TRIP}
-    assert len(keys) == len(ROUND_TRIP) == 21
+    assert len(keys) == len(ROUND_TRIP) == 20
     in_default_ini = {
         (section.split(".")[0], key)
         for section, values in _default_sections().items()
@@ -112,7 +111,7 @@ def test_round_trip_covers_the_whole_schema() -> None:
 RECORDS = {
     ModelProfile: {"model"},
     ScheduleSegment: set(),
-    TraceConfig: {"segments"},
+    TraceConfig: {"segments", "rng_seed"},
     EngineConfig: set(),
     PlannerConfig: {"rng_seed"},
     NaiveConfig: {"model_order"},
@@ -149,7 +148,7 @@ def test_each_key_reaches_what_it_configures(
 
 
 SMALL = {
-    "trace": {"fps": "20", "duration_s": "45", "rng_seed": "5"},
+    "trace": {"fps": "20", "duration_s": "45"},
     "segment.1": {"start_s": "0", "mean_objects": "3", "complexity": "0.1"},
     "segment.2": {"start_s": "15", "mean_objects": "10", "complexity": "0.6"},
     "model.tiny": {
@@ -176,6 +175,7 @@ SMALL = {
 REJECTED = [
     ("unknown-section", "epsilon_greedy", "epsilon", "0.9"),
     ("trace-unknown-key", "trace", "frames_per_second", "30"),
+    ("trace-rng-seed", "trace", "rng_seed", "5"),
     ("segment-unknown-key", "segment.2", "colour", "red"),
     ("model-unknown-key", "model.tiny", "extra", "1"),
     ("model-id-key", "model.tiny", "model", "other"),
@@ -259,7 +259,8 @@ _TRACE = TraceConfig(fps=20, duration_s=1.0, segments=(_SEGMENT,), rng_seed=5)
 
 # Every declared range, written out here so that a changed bound fails: (a
 # record that builds, the field, its section in SMALL, low, high). A range is
-# closed and holds finite values only, so an inf end is no value of it.
+# closed and holds finite values only, so an inf end is no value of it. The run
+# sets the trace's seed, so its section is None: no file sets it.
 RANGES = [
     (_PROFILE, "base_cpu_pct", "model.tiny", 0.0, 100.0),
     (_PROFILE, "cpu_per_object_pct", "model.tiny", 0.0, math.inf),
@@ -268,7 +269,7 @@ RANGES = [
     (_PROFILE, "detection_recall", "model.tiny", 0.0, 1.0),
     (_PROFILE, "switch_latency_ms", "model.tiny", 0.0, math.inf),
     (_TRACE, "fps", "trace", 1, 2**53),
-    (_TRACE, "rng_seed", "trace", 0, math.inf),
+    (_TRACE, "rng_seed", None, 0, math.inf),
     (_SEGMENT, "start_s", "segment.2", 0.0, math.inf),
     (_SEGMENT, "mean_objects", "segment.2", 0.0, 708.3964185322641),
     (_SEGMENT, "complexity", "segment.2", 0.0, 1.0),
@@ -322,10 +323,17 @@ def test_a_record_accepts_each_end_of_a_declared_range_and_nothing_past_it(
 def test_a_value_past_a_declared_range_exits_one_naming_section_and_key(
     record, field, section, low, high, tmp_path, capsys
 ) -> None:
+    out = tmp_path / "out"
     for value in _refused(low, high):
+        if section is None:
+            # The seed is an argument, so its error names no file.
+            with pytest.raises(ConfigError) as refused:
+                run_experiment("naive", out, seed=value)
+            assert str(refused.value) == f"[trace] {_range_message(field, low, high, value)}"
+            assert not out.exists()
+            continue
         sections = {name: dict(values) for name, values in SMALL.items()}
         sections.setdefault(section, {})[field] = text = repr(value)
-        out = tmp_path / "out"
         config = _write_ini(tmp_path / "bad.ini", sections)
         code, err = _run_main("naive", config, out, capsys)
         assert code == 1

@@ -83,7 +83,7 @@ def _frame_schedule(duration_s: float) -> list[tuple[int, float, float]]:
 
 def _write_config(path: Path, duration_s: float, profiles, sections: dict[str, dict]) -> str:
     """An INI config of the schedule at duration_s, the given models and further sections."""
-    all_sections = {"trace": {"fps": FPS, "duration_s": duration_s, "rng_seed": SEED}}
+    all_sections = {"trace": {"fps": FPS, "duration_s": duration_s}}
     for number, (start, mean, complexity) in enumerate(_segments(duration_s), 1):
         all_sections[f"segment.{number}"] = {
             "start_s": start, "mean_objects": mean, "complexity": complexity,

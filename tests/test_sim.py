@@ -388,7 +388,6 @@ def test_parse_config_reads_all_sections(tmp_path) -> None:
         "[trace]\n"
         "fps = 30\n"
         "duration_s = 60\n"
-        "rng_seed = 7\n"
         "\n"
         "[segment.2]\n"
         "start_s = 0\n"
@@ -413,7 +412,7 @@ def test_parse_config_reads_all_sections(tmp_path) -> None:
         "epsilon = 0.2\n",
         encoding="utf-8",
     )
-    config = parse_config(str(path))
+    config = parse_config(str(path), seed=7)
     assert config.trace.fps == 30
     assert config.trace.duration_s == 60.0
     assert config.trace.rng_seed == 7
@@ -454,6 +453,12 @@ def test_parse_config_rejects_bad_values(tmp_path) -> None:
     )
     with pytest.raises(ConfigError, match=r"^\[segment\.2\] segment start 50.0 beyond duration"):
         parse_config(str(bad_schedule))
+
+    # The seed is the run's: parse_config takes it, and a file that sets it is refused.
+    stale_seed = tmp_path / "stale_seed.ini"
+    stale_seed.write_text("[trace]\nrng_seed = 7\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^\[trace\] rng_seed: unknown key$"):
+        parse_config(str(stale_seed))
 
 
 def test_parse_config_missing_file_raises_oserror(tmp_path) -> None:

@@ -2,9 +2,9 @@
 
 Each example is a drawn config file: a trace of at most 300 frames cut into
 1-4 segments whose starts fall on and off the frame grid, 1-4 model profiles
-and every strategy's and the engine's settings. ``run_experiment`` runs it,
-and each of its three files must equal what ``spec.run`` makes of the same
-loaded experiment.
+and every strategy's and the engine's settings, with a drawn seed.
+``run_experiment`` runs it, and each of its three files must equal what
+``spec.run`` makes of the same loaded experiment.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _ini(sections: dict[str, dict[str, object]]) -> str:
 def _trace_sections(trace) -> dict[str, dict[str, object]]:
     """A TraceConfig's [trace] and [segment.N] sections."""
     sections: dict[str, dict[str, object]] = {
-        "trace": {"fps": trace.fps, "duration_s": trace.duration_s, "rng_seed": trace.rng_seed}
+        "trace": {"fps": trace.fps, "duration_s": trace.duration_s}
     }
     for number, segment in enumerate(trace.segments, 1):
         sections[f"segment.{number}"] = segment._asdict()
@@ -91,7 +91,7 @@ def _configs(draw) -> dict[str, dict[str, object]]:
         a, b = draw(st.floats(0.05, 0.45)), draw(st.floats(0.55, 0.95))
         starts[:2] = [(k + a) / fps, (k + b) / fps]
     sections: dict[str, dict[str, object]] = {
-        "trace": {"fps": fps, "duration_s": duration_s, "rng_seed": draw(st.integers(0, 2**32))}
+        "trace": {"fps": fps, "duration_s": duration_s}
     }
     for number, start in enumerate(sorted({0.0, *(s for s in starts if s < duration_s)}), 1):
         sections[f"segment.{number}"] = {
@@ -146,14 +146,14 @@ _OFF_GRID_SECTIONS = {
 
 @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
 @settings(max_examples=200, deadline=None)
-@given(sections=_configs())
-@example(sections=_OFF_GRID_SECTIONS)
-def test_the_spec_writes_run_experiments_bytes(strategy, sections) -> None:
+@given(sections=_configs(), seed=st.integers(0, 2**32))
+@example(sections=_OFF_GRID_SECTIONS, seed=_OFF_GRID.rng_seed)
+def test_the_spec_writes_run_experiments_bytes(strategy, sections, seed) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "run.ini", Path(tmp) / "run"
         config.write_text(_ini(sections), encoding="utf-8")
-        run_experiment(strategy, out, config_path=str(config))
-        expected = spec.run(load_experiment(str(config)), strategy)
+        run_experiment(strategy, out, config_path=str(config), seed=seed)
+        expected = spec.run(load_experiment(str(config), seed), strategy)
         for name, data in expected.items():
             assert (out / name).read_bytes() == data, name
 
