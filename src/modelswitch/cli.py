@@ -12,7 +12,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple, Sequence, get_args, get_type_hints
+from typing import Any, NamedTuple, get_args, get_type_hints
 
 from modelswitch.knowledge import (
     EVENTS_FILENAME,
@@ -193,9 +193,9 @@ class Experiment(NamedTuple):
     strategies: dict[str, Any]
 
 
-def _check_strategy_name(name: str, choices: Iterable[str] = STRATEGY_NAMES) -> None:
-    if name not in choices:
-        raise ConfigError(f"unknown strategy {name!r}; choose one of {', '.join(choices)}")
+def _check_strategy_name(name: str) -> None:
+    if name not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {name!r}; choose one of {', '.join(STRATEGIES)}")
 
 
 def _strategy_config(
@@ -218,11 +218,13 @@ def build_strategy(
 def load_experiment(config_path: str | None = None, seed: int = DEFAULT_SEED) -> Experiment:
     """Load and check a config, each strategy's section included, under the run's seed.
     An error in the file names the file; an error in seed, checked first, names none."""
-    # With no file this trace and the built-in defaults stand, and they pass every check below.
-    trace = read_section("trace", {}, TraceConfig, {"rng_seed": seed})
+    # Random drops an int seed's sign, and summary.txt could carry no bool or float.
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed must be an integer of at least 0: {seed!r}")
     try:
         if config_path is None:
-            sim_config = SimConfig(trace=trace, profiles=default_profiles(), extras={})
+            # The built-in defaults pass every check below.
+            sim_config = SimConfig(TraceConfig(rng_seed=seed), default_profiles(), extras={})
         else:
             sim_config = parse_config(config_path, seed)
         extras = sim_config.extras
@@ -243,7 +245,7 @@ def run_on(experiment: Experiment, strategy: str, out_dir: Path | str) -> RunSum
     """Run one strategy over the experiment's trace into out_dir. The experiment is only
     read, so one may serve several runs; the strategy is built anew each run, as it keeps
     RNG and rank state, and each run draws the trace afresh."""
-    _check_strategy_name(strategy, experiment.strategies)
+    _check_strategy_name(strategy)
     planner = STRATEGIES[strategy][1](experiment.strategies[strategy])
     out = Path(out_dir)
     summary_path = out / SUMMARY_FILENAME
@@ -276,22 +278,6 @@ def run_experiment(
     return run_on(load_experiment(config_path, seed), strategy, out_dir)
 
 
-def run_experiments(
-    strategies: Sequence[str],
-    out_root: Path | str,
-    config_path: str | None = None,
-    seed: int = DEFAULT_SEED,
-) -> list[RunSummary]:
-    """Load one experiment and run each of strategies into out_root/<name>; an unknown
-    or repeated name stops it before any run."""
-    experiment = load_experiment(config_path, seed)
-    for name in strategies:
-        _check_strategy_name(name)
-        if strategies.count(name) > 1:
-            raise ConfigError(f"strategy {name!r} listed twice")
-    return [run_on(experiment, name, Path(out_root) / name) for name in strategies]
-
-
 def format_run_summary(summary: RunSummary) -> str:
     lines = [
         f"strategy:           {summary.strategy} (seed {summary.seed})",
@@ -310,23 +296,33 @@ def format_run_summary(summary: RunSummary) -> str:
 
 
 def compare(run_dirs: list[Path | str]) -> str:
-    """Side-by-side report over completed runs; row order is deterministic."""
+    """Side-by-side report over completed runs, one row per label in (label, seed) order."""
     if len(run_dirs) < 2:
         raise ConfigError("compare needs at least two run directories")
     resolved = [Path(run_dir).resolve() for run_dir in run_dirs]
     for run_dir, path in zip(run_dirs, resolved):
         if resolved.count(path) > 1:
             raise ConfigError(f"compare lists run directory {run_dir} twice")
-    summaries = sorted(
-        (read_summary(Path(run_dir) / SUMMARY_FILENAME) for run_dir in run_dirs),
-        key=lambda summary: (summary.strategy, summary.seed),
-    )
+    summaries = [read_summary(Path(run_dir) / SUMMARY_FILENAME) for run_dir in run_dirs]
+    # A run's label is its strategy while no other compared run shares it; otherwise a
+    # one-model run's model id, and any other run's directory name. Should two runs still
+    # share a label, every run is labelled by its directory as given.
+    strategies = [summary.strategy for summary in summaries]
+    labels = [
+        summary.strategy if strategies.count(summary.strategy) == 1
+        else next(iter(summary.usage_counts)) if len(summary.usage_counts) == 1
+        else path.name
+        for summary, path in zip(summaries, resolved)
+    ]
+    if len(set(labels)) < len(labels):
+        labels = [str(run_dir) for run_dir in run_dirs]
+    rows = sorted(zip(labels, summaries), key=lambda row: (row[0], row[1].seed))
     header = ("approach", "frames processed", "avg cpu (%)", "avg accuracy (%)",
               "avg switch time (s)", "battery (mAh)")
     table = [header]
-    for summary in summaries:
+    for label, summary in rows:
         table.append((
-            summary.strategy,
+            label,
             str(summary.frames_processed),
             f"{summary.avg_cpu_pct:.2f}",
             f"{summary.avg_confidence_pct:.2f}",
@@ -339,10 +335,10 @@ def compare(run_dirs: list[Path | str]) -> str:
         rendered.append("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
     rendered.append("")
     rendered.append("fairness (usage distribution):")
-    for summary in summaries:
+    for label, summary in rows:
         shares = summary.usage_shares
         rendered.append(
-            f"  {summary.strategy:<20} max-share={max_share(shares):.4f}"
+            f"  {label:<20} max-share={max_share(shares):.4f}"
             f"  entropy={normalized_entropy(shares):.4f}"
         )
     return "\n".join(rendered)

@@ -49,12 +49,9 @@ class ModelRepository:
     def __init__(self, profiles: tuple[ModelProfile, ...] | list[ModelProfile] = ()):
         self._profiles: dict[ModelId, ModelProfile] = {}
         for profile in profiles:
-            self.register(profile)
-
-    def register(self, profile: ModelProfile) -> None:
-        if profile.model in self._profiles:
-            raise ValueError(f"duplicate model id: {profile.model}")
-        self._profiles[profile.model] = profile
+            if profile.model in self._profiles:
+                raise ValueError(f"duplicate model id: {profile.model}")
+            self._profiles[profile.model] = profile
 
     def get(self, model: ModelId) -> ModelProfile:
         try:

@@ -23,7 +23,14 @@ import pytest
 from runfiles import load_events_csv, load_metrics_csv
 
 from modelswitch.analyzer import compute_score
-from modelswitch.cli import STRATEGY_NAMES, RunSummary, max_share, run_experiment, run_experiments
+from modelswitch.cli import (
+    STRATEGY_NAMES,
+    RunSummary,
+    load_experiment,
+    max_share,
+    run_experiment,
+    run_on,
+)
 from modelswitch.domain import SelectionMode, mean_confidence
 from modelswitch.knowledge import LogRegistry, ModelRepository
 from modelswitch.loop import run_loop
@@ -262,7 +269,8 @@ def test_average_switch_time_ordering(full_runs) -> None:
 def test_orderings_hold_over_seeds(seed, tmp_path) -> None:
     """Both orderings above, epsilon-greedy's rush-hour shift and its starving no model, at
     the default full length, on seeds other than the default."""
-    summaries = dict(zip(STRATEGY_NAMES, run_experiments(STRATEGY_NAMES, tmp_path, seed=seed)))
+    experiment = load_experiment(seed=seed)
+    summaries = {name: run_on(experiment, name, tmp_path / name) for name in STRATEGY_NAMES}
     assert all(summary.seed == seed for summary in summaries.values())
     _assert_usage_concentration_ordering(summaries)
     _assert_average_switch_time_ordering(summaries)

@@ -28,7 +28,6 @@ from modelswitch.cli import (
     normalized_entropy,
     read_summary,
     run_experiment,
-    run_experiments,
     run_on,
     write_summary,
 )
@@ -187,28 +186,16 @@ def test_one_experiment_serves_every_strategy(small_config, tmp_path) -> None:
     for name in STRATEGY_NAMES:
         run_on(experiment, name, tmp_path / "shared" / name)
         run_experiment(name, tmp_path / "single" / name, config_path=small_config, seed=11)
-    run_experiments(STRATEGY_NAMES, tmp_path / "loaded_once", config_path=small_config, seed=11)
     for name in STRATEGY_NAMES:
         for filename in (METRICS_FILENAME, EVENTS_FILENAME, SUMMARY_FILENAME):
             expected = (tmp_path / "single" / name / filename).read_bytes()
             assert (tmp_path / "shared" / name / filename).read_bytes() == expected
-            assert (tmp_path / "loaded_once" / name / filename).read_bytes() == expected
     out = tmp_path / "bogus"
-    with pytest.raises(ConfigError):
-        run_on(experiment, "bogus", out)
     unknown = r"^unknown strategy 'bogus'; choose one of epsilon-greedy, naive, round-robin-boost$"
     with pytest.raises(ConfigError, match=unknown):
+        run_on(experiment, "bogus", out)
+    with pytest.raises(ConfigError, match=unknown):
         run_experiment("bogus", out, config_path=small_config)
-    with pytest.raises(ConfigError):
-        run_experiments(["naive", "bogus"], out, config_path=small_config)
-    assert not out.exists()
-
-
-def test_run_experiments_refuses_a_strategy_listed_twice(small_config, tmp_path) -> None:
-    """A second run into out/naive would overwrite the first; nothing is written."""
-    out = tmp_path / "out"
-    with pytest.raises(ConfigError, match=r"^strategy 'naive' listed twice$"):
-        run_experiments(["naive", "round-robin-boost", "naive"], out, config_path=small_config)
     assert not out.exists()
 
 
@@ -330,6 +317,29 @@ def test_compare_lists_runs_in_stable_order(small_config, tmp_path) -> None:
     assert lines[1].startswith("epsilon-greedy")
     assert lines[2].startswith("naive")
     assert lines[3].startswith("round-robin-boost")
+
+
+def test_compare_labels_runs_that_share_a_strategy(small_config, tmp_path) -> None:
+    """Three naive runs: each one-model run is labelled by its model id and the pool's run
+    by its directory name, in the table and the fairness section alike, rows in label order.
+    Should a label still repeat, every run is labelled by its directory as given."""
+    static = Path(__file__).resolve().parent.parent / "configs" / "static"
+    dirs = [tmp_path / "pool"]
+    run_experiment("naive", dirs[0], config_path=small_config)
+    for model in ("ssd-mobilenet-v1", "efficientdet-lite0"):
+        config = tmp_path / f"{model}.ini"
+        text = SMALL_CONFIG + (static / f"{model}.ini").read_text(encoding="utf-8")
+        config.write_text(text, encoding="utf-8")
+        dirs.append(tmp_path / f"static-{model}")
+        run_experiment("naive", dirs[-1], config_path=str(config))
+    lines = compare(dirs).splitlines()
+    labels = ["efficientdet-lite0", "pool", "ssd-mobilenet-v1"]
+    assert [line.split()[0] for line in lines[1:4]] == labels
+    assert [line.split()[0] for line in lines[-3:]] == labels
+    twin = tmp_path / "twin" / "pool"
+    run_experiment("naive", twin, config_path=small_config)
+    lines = compare([*dirs, twin]).splitlines()
+    assert sorted(line.split()[0] for line in lines[1:5]) == sorted(map(str, [*dirs, twin]))
 
 
 def test_compare_needs_at_least_two_runs(tmp_path) -> None:
@@ -619,8 +629,8 @@ def test_main_rejects_a_negative_seed_before_writing_anything(tmp_path, capsys) 
     out = tmp_path / "out"
     argv = ["run", "--strategy", "naive", "--config", str(config), "--out", str(out)]
     assert main([*argv, "--seed", "-1"]) == 1
-    assert capsys.readouterr().err == "config error: [trace] rng_seed must lie in [0, inf): -1\n"
-    with pytest.raises(ConfigError, match=r"^\[trace\] rng_seed must lie in \[0, inf\): -5$"):
+    assert capsys.readouterr().err == "config error: seed must be an integer of at least 0: -1\n"
+    with pytest.raises(ConfigError, match=r"^seed must be an integer of at least 0: -5$"):
         run_experiment("naive", out, seed=-5)
     assert not out.exists()
 
@@ -631,7 +641,7 @@ def test_run_experiment_refuses_a_seed_that_is_no_int(seed, tmp_path) -> None:
     out = tmp_path / "out"
     with pytest.raises(ConfigError) as refused:
         run_experiment("naive", out, seed=seed)
-    assert str(refused.value) == f"[trace] rng_seed must be an integer: {seed!r}"
+    assert str(refused.value) == f"seed must be an integer of at least 0: {seed!r}"
     assert not out.exists()
 
 
@@ -659,7 +669,7 @@ _NO_FRAMES = (
             "{path}: [epsilon-greedy] epsilon must lie in [0.0, 1.0]: 2.0",
         ),
         (_NO_FRAMES, [], "{path}: [trace] fps * duration_s rounds to 0 frames"),
-        (SMALL_CONFIG, ["--seed", "-1"], "[trace] rng_seed must lie in [0, inf): -1"),
+        (SMALL_CONFIG, ["--seed", "-1"], "seed must be an integer of at least 0: -1"),
     ],
     ids=["section", "key", "value", "epsilon-key", "no-frames", "seed-flag"],
 )

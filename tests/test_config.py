@@ -326,10 +326,11 @@ def test_a_value_past_a_declared_range_exits_one_naming_section_and_key(
     out = tmp_path / "out"
     for value in _refused(low, high):
         if section is None:
-            # The seed is an argument, so its error names no file.
+            # The seed is an argument, checked by load_experiment before the trace
+            # record sees it, so its error names neither a file nor a section.
             with pytest.raises(ConfigError) as refused:
                 run_experiment("naive", out, seed=value)
-            assert str(refused.value) == f"[trace] {_range_message(field, low, high, value)}"
+            assert str(refused.value) == f"seed must be an integer of at least 0: {value!r}"
             assert not out.exists()
             continue
         sections = {name: dict(values) for name, values in SMALL.items()}

@@ -66,11 +66,10 @@ def test_repository_preserves_registration_order() -> None:
 
 
 def test_repository_rejects_duplicates_and_unknowns() -> None:
-    repo = ModelRepository((_profile("a"),))
-    with pytest.raises(ValueError):
-        repo.register(_profile("a"))
+    with pytest.raises(ValueError, match="^duplicate model id: a$"):
+        ModelRepository((_profile("a"), _profile("b"), _profile("a")))
     with pytest.raises(ValueError, match="unknown model: ghost"):
-        repo.get("ghost")
+        ModelRepository((_profile("a"),)).get("ghost")
 
 
 def test_registry_rejects_backwards_frame_indices() -> None:
